@@ -1,9 +1,11 @@
 """Exact Spencer cohomology and jet calculus for transitive pseudogroups.
 
 All linear algebra is integer/rational; no floating point enters any
-computation.  Subpackages:
+computation.  Subspaces are stored as primitive integer rows in canonical
+reduced echelon form; ``Fraction`` values appear at the API boundary.
+Subpackages:
 
-* exactla    -- fraction-exact vectors, subspaces, echelon forms
+* exactla    -- exact sparse vectors, subspaces, echelon forms
 * symbolic   -- symbol spaces, the lowering differential, cohomology
 * covariants -- flag restrictions, stationary subsymbols, obstruction spaces
 * catalog    -- built-in pseudogroup symbols and dimension formulas
@@ -14,7 +16,8 @@ computation.  Subpackages:
 __version__ = "0.1.0"
 
 from .errors import (AmbientMismatch, CancellationFailure, CapExceeded,
-                     DegreeUnderflow, EquationNotInvariant, MissingGrade,
+                     ConsistencyCheckFailed, DegreeUnderflow,
+                     EquationNotInvariant, MissingGrade,
                      NotASubcomplex, NotASubspace, ParamOutOfRange,
                      ShapeMismatch, SingularJacobian, SpencerError,
                      UnsupportedDegree, ZeroVector)

@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .errors import (AmbientMismatch, CancellationFailure, CapExceeded,
-                     DegreeUnderflow, EquationNotInvariant, MissingGrade,
+                     ConsistencyCheckFailed, DegreeUnderflow,
+                     EquationNotInvariant, MissingGrade,
                      NotASubcomplex, NotASubspace, ParamOutOfRange,
                      ShapeMismatch, SingularJacobian, UnsupportedDegree,
                      ZeroVector)
@@ -47,7 +48,7 @@ USAGE_ERRORS = (ParamOutOfRange, ValueError, KeyError)
 PRECONDITION_ERRORS = (SingularJacobian, EquationNotInvariant, NotASubcomplex,
                        NotASubspace, ShapeMismatch, AmbientMismatch,
                        DegreeUnderflow, MissingGrade, ZeroVector,
-                       CancellationFailure)
+                       CancellationFailure, ConsistencyCheckFailed)
 CAP_ERRORS = (CapExceeded, UnsupportedDegree)
 
 
@@ -68,8 +69,11 @@ def _parse_flag(text: str, spec: PseudogroupSpec) -> FlagContext:
     if key == "stratum":
         return FlagContext(m, stratum_tau(spec, val.strip()))
     if key == "tau":
-        rows = [[Fraction(x) for x in row.split(",")]
-                for row in val.split(";")]
+        try:
+            rows = [[Fraction(x) for x in row.split(",")]
+                    for row in val.split(";")]
+        except ZeroDivisionError:
+            raise ParamOutOfRange("zero denominator in flag %r" % val) from None
         return FlagContext(m, rows)
     raise ParamOutOfRange("unknown flag key %r" % key)
 
@@ -145,12 +149,15 @@ def cmd_cohomology(args) -> int:
     gsys = system(spec, hi + 1, args.cap)
     s_lo, s_hi = _parse_range(args.s) if args.s else (0, gsys.base_dim)
     table = args.table
+    ctx = None if table == "spencer" else _require_flag(args, spec)
+    top = gsys.base_dim if ctx is None else ctx.n
+    if s_lo > top:
+        raise ParamOutOfRange("form degrees from %d exceed the top degree %d"
+                              % (s_lo, top))
+    s_hi = min(s_hi, top)
     if table == "spencer":
-        s_hi = min(s_hi, gsys.base_dim)
         tab = spencer_table(gsys, range(lo, hi + 1), range(s_lo, s_hi + 1))
     else:
-        ctx = _require_flag(args, spec)
-        s_hi = min(s_hi, ctx.n)
         cells: Dict[Tuple[int, int], int] = {}
         if table == "obstruction":
             hsys = _load_h_system(args.h_file, ctx) if args.h_file else None
@@ -384,9 +391,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print("bad input file: %s" % exc, file=sys.stderr)
         return 2
 
 

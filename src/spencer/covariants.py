@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import (AmbientMismatch, DegreeUnderflow, EquationNotInvariant,
-                     NotASubcomplex, ParamOutOfRange, ShapeMismatch)
-from .exactla import (LinearMap, Subspace, TensorShape, Vec, contains,
-                      preimage, rank_of_rows, subspace_intersect,
+from .errors import (AmbientMismatch, ConsistencyCheckFailed, DegreeUnderflow,
+                     EquationNotInvariant, NotASubcomplex, ParamOutOfRange,
+                     ShapeMismatch)
+from .exactla import (LinearMap, Subspace, TensorShape, Vec, _wedge_index,
+                      contains, preimage, rank_of_rows, subspace_intersect,
                       subspace_sum, sym_basis, tensor_rows_with_wedge,
                       wedge_basis)
 from .symbolic import (SymbolicSystem, _lowered, _raised, _wedge_insert,
@@ -174,7 +175,7 @@ def restriction_kernel(ctx: FlagContext, l: int) -> Subspace:
     shp = TensorShape(m, l, 0, m)
     sym_pos = {mo: i for i, mo in enumerate(shp.sym_list())}
     rows: List[Vec] = []
-    for alpha in ctx.ann.rows:
+    for alpha in ctx.ann.int_rows:
         for mono in sym_basis(m, l - 1):
             for b in range(m):
                 vec: Vec = {}
@@ -261,18 +262,22 @@ def covariants(ctx: FlagContext, g_l: Subspace,
     elif h_l.ambient != h_shape:
         raise AmbientMismatch("equation grade has the wrong shape")
     lam = restriction_map(ctx, l)
-    image_rows = [lam.apply(r) for r in g_l.rows]
+    image_rows = [lam.apply(r) for r in g_l.int_rows]
     lam_image = Subspace.from_rows(h_shape, image_rows)
     if not contains(h_l, lam_image):
         raise EquationNotInvariant(
             "restricted symbol leaves the equation at order %d" % l)
     sigma = restriction_kernel(ctx, l)
     stat = subspace_intersect(g_l, sigma)
-    assert g_l.dim - stat.dim == lam_image.dim
+    if g_l.dim - stat.dim != lam_image.dim:
+        raise ConsistencyCheckFailed(
+            "stationary and image dimensions do not add up at order %d" % l)
     dim_O = h_l.dim - lam_image.dim
     by_count = dim_O == 0
     by_spaces = subspace_sum(sigma, g_l) == preimage(lam, h_l)
-    assert by_count == by_spaces
+    if by_count != by_spaces:
+        raise ConsistencyCheckFailed(
+            "covariant count and subspace identity disagree at order %d" % l)
     return CovariantReport(
         l=l, dim_g=g_l.dim, dim_h=h_l.dim, dim_stationary=stat.dim,
         dim_lambda_image=lam_image.dim, dim_O=dim_O, transversal=by_count,
@@ -285,12 +290,12 @@ def covariants(ctx: FlagContext, g_l: Subspace,
 
 
 def _unit_wedges(count: int) -> List[Vec]:
-    return [{i: Fraction(1)} for i in range(count)]
+    return [{i: 1} for i in range(count)]
 
 
 def _tensor_cell(sub: Subspace, out_shape: TensorShape) -> Subspace:
     """sub (x) full exterior factor, inside out_shape."""
-    rows = tensor_rows_with_wedge(sub.rows, sub.ambient,
+    rows = tensor_rows_with_wedge(sub.int_rows, sub.ambient,
                                   _unit_wedges(out_shape.wedge_count),
                                   out_shape)
     return Subspace.from_rows(out_shape, rows)
@@ -314,8 +319,8 @@ def stationary_row_space(ctx: FlagContext, gsys: SymbolicSystem,
     rows: List[Vec] = []
     if s >= 1:
         wedge_rows: List[Vec] = []
-        wpos = _wedge_index_map(m, s)
-        for alpha in ctx.ann.rows:
+        wpos = _wedge_index(m, s)
+        for alpha in ctx.ann.int_rows:
             for L in wedge_basis(m, s - 1):
                 wrow: Vec = {}
                 for j, coef in alpha.items():
@@ -331,16 +336,12 @@ def stationary_row_space(ctx: FlagContext, gsys: SymbolicSystem,
                         del wrow[key]
                 if wrow:
                     wedge_rows.append(wrow)
-        rows.extend(tensor_rows_with_wedge(g.rows, g.ambient, wedge_rows,
+        rows.extend(tensor_rows_with_wedge(g.int_rows, g.ambient, wedge_rows,
                                            shape))
     stat = stationary_subspace(ctx, g)
-    rows.extend(tensor_rows_with_wedge(stat.rows, stat.ambient,
+    rows.extend(tensor_rows_with_wedge(stat.int_rows, stat.ambient,
                                        _unit_wedges(shape.wedge_count), shape))
     return Subspace.from_rows(shape, rows)
-
-
-def _wedge_index_map(n: int, e: int) -> Dict[Tuple[int, ...], int]:
-    return {J: i for i, J in enumerate(wedge_basis(n, e))}
 
 
 def _outgoing(cell: Subspace, dmat: Optional[LinearMap],
@@ -348,7 +349,7 @@ def _outgoing(cell: Subspace, dmat: Optional[LinearMap],
     """Rank of the differential on the cell; containment in the next cell."""
     if dmat is None or cell.dim == 0:
         return 0
-    images = [dmat.apply(r) for r in cell.rows]
+    images = [dmat.apply(r) for r in cell.int_rows]
     if next_cell is not None:
         for img in images:
             if not next_cell.contains_vector(img):
@@ -393,11 +394,7 @@ def _tau_cell(ctx: FlagContext, gsys: SymbolicSystem, d: int, s: int,
     if d < 0 or s > ctx.n:
         return Subspace.zero(shape)
     g = gsys.grade(d)
-    if stationary:
-        g = stationary_subspace(ctx, g)
-    rows = tensor_rows_with_wedge(g.rows, g.ambient,
-                                  _unit_wedges(shape.wedge_count), shape)
-    return Subspace.from_rows(shape, rows)
+    return _tensor_cell(stationary_subspace(ctx, g) if stationary else g, shape)
 
 
 def _tau_form_cohomology(ctx: FlagContext, gsys: SymbolicSystem,
@@ -431,7 +428,7 @@ def _image_cell(ctx: FlagContext, gsys: SymbolicSystem, d: int,
         rows = list(lam.rows)
     else:
         dom_rows = tensor_rows_with_wedge(
-            g.rows, g.ambient, _unit_wedges(lam.domain.wedge_count),
+            g.int_rows, g.ambient, _unit_wedges(lam.domain.wedge_count),
             lam.domain)
         rows = [lam.apply(r) for r in dom_rows]
     return Subspace.from_rows(cod, rows)
@@ -470,18 +467,18 @@ def covariant_cohomology(ctx: FlagContext, gsys: SymbolicSystem,
     V_next = _image_cell(ctx, gsys, d - 1, s + 1)
     d_out = delta_map(C.ambient) if d >= 1 and s < n else None
     if d_out is not None:
-        for row in V.rows:
+        for row in V.int_rows:
             img = d_out.apply(row)
             if not V_next.contains_vector(img):
                 raise NotASubcomplex(
                     "restricted images are not differential-stable")
         C_next = _equation_cell(hsys, d - 1, s + 1, n)
         qrows = []
-        for row in C.rows:
+        for row in C.int_rows:
             img = d_out.apply(row)
             if not C_next.contains_vector(img):
                 raise NotASubcomplex("equation cells are not a complex")
-            qrows.append(V_next.quotient_coords(img) if V_next.rows
+            qrows.append(V_next.quotient_coords(img) if V_next.dim
                          else dict(img))
         z_dim = C.dim - rank_of_rows(qrows)
     else:
@@ -491,7 +488,7 @@ def covariant_cohomology(ctx: FlagContext, gsys: SymbolicSystem,
         prev = _equation_cell(hsys, d + 1, s - 1, n)
         if prev.dim:
             d_in = delta_map(prev.ambient)
-            imgs = [d_in.apply(rw) for rw in prev.rows]
+            imgs = [d_in.apply(rw) for rw in prev.int_rows]
             boundary = subspace_sum(
                 boundary, Subspace.from_rows(C.ambient, imgs))
     h = z_dim - boundary.dim
@@ -578,7 +575,7 @@ def transversality_scan(ctx: FlagContext, gsys: SymbolicSystem,
 
     Once both hypothesis flags hold from some order on and the covariants
     vanish there, they must keep vanishing at every later computed order;
-    this consequence is asserted.
+    this consequence is checked and raises ConsistencyCheckFailed.
     """
     n, r = ctx.n, ctx.r
     if hsys is None:
@@ -596,9 +593,10 @@ def transversality_scan(ctx: FlagContext, gsys: SymbolicSystem,
                 settled = l
         else:
             if f2 and f1:
-                assert rep.dim_O == 0, (
-                    "covariants reappeared after the vanishing hypotheses "
-                    "held at order %d" % settled)
+                if rep.dim_O != 0:
+                    raise ConsistencyCheckFailed(
+                        "covariants reappeared after the vanishing hypotheses "
+                        "held at order %d" % settled)
             else:
                 settled = None
     return entries

@@ -41,6 +41,10 @@ class NotASubcomplex(SpencerError):
     """A family of subspaces is not closed under the differential."""
 
 
+class ConsistencyCheckFailed(SpencerError):
+    """Two independent computations of the same result disagree."""
+
+
 class ParamOutOfRange(SpencerError):
     """A catalogue parameter is outside its documented range."""
 

@@ -1,9 +1,12 @@
 """Exact rational linear algebra over enumerated bases of graded tensor spaces.
 
-All arithmetic is over the rationals: scalars are ``fractions.Fraction``,
-elimination is fraction-free on gcd-reduced integer rows, and every subspace
-is kept in canonical reduced row echelon form, so equality of subspaces is
-literal equality of their basis matrices.  No floating point anywhere.
+All arithmetic is over the rationals: scalars are ints or
+``fractions.Fraction``s, and integer data stays integer.  Elimination is
+fraction-free on sparse integer rows, and every subspace is stored as its
+canonical reduced row echelon form scaled to primitive integer rows (gcd 1,
+positive pivot), so equality of subspaces is literal equality of their
+integer rows.  Fraction rows appear only at the API boundary.  No floating
+point anywhere.
 
 Frozen basis conventions (all stored expected values depend on these):
 
@@ -31,7 +34,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import AmbientMismatch, DegreeUnderflow, NotASubspace, ShapeMismatch
 
-Vec = Dict[int, Fraction]
+Vec = Dict[int, int | Fraction]
 IntVec = Dict[int, int]
 
 
@@ -132,13 +135,13 @@ class TensorShape:
 
 
 def _as_int_row(vec: Mapping[int, object]) -> IntVec:
-    items = [(c, Fraction(v)) for c, v in vec.items() if v]
-    if not items:
-        return {}
-    denom_lcm = 1
-    for _, v in items:
-        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-    row = {c: int(v * denom_lcm) for c, v in items}
+    """An integer row with gcd 1 along vec, zero entries dropped."""
+    row = {c: v for c, v in vec.items() if v}
+    if any(type(v) is not int for v in row.values()):
+        row = {c: Fraction(v) for c, v in row.items()}
+        denom = math.lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (denom // v.denominator)
+               for c, v in row.items()}
     return _gcd_reduce(row)
 
 
@@ -147,15 +150,14 @@ def _gcd_reduce(row: IntVec) -> IntVec:
     for v in row.values():
         g = math.gcd(g, v)
         if g == 1:
-            break
+            return row
     if g > 1:
         row = {c: v // g for c, v in row.items()}
-    if row and row[min(row)] < 0:
-        row = {c: -v for c, v in row.items()}
     return row
 
+
 def _combine(a: int, row_a: IntVec, b: int, row_b: IntVec) -> IntVec:
-    out = {c: a * v for c, v in row_a.items()}
+    out = dict(row_a) if a == 1 else {c: a * v for c, v in row_a.items()}
     for c, v in row_b.items():
         w = out.get(c, 0) + b * v
         if w:
@@ -165,54 +167,56 @@ def _combine(a: int, row_a: IntVec, b: int, row_b: IntVec) -> IntVec:
     return _gcd_reduce(out)
 
 
+def _clear_pivots(row: IntVec, hits: List[int],
+                  piv: Mapping[int, IntVec]) -> IntVec:
+    """Primitive row minus its multiples of the pivot rows in hits, which
+    hold no pivot column of hits but their own; the leading entry stays."""
+    scale = 1
+    for h in hits:
+        scale = math.lcm(scale, piv[h][h])
+    out = {c: scale * v for c, v in row.items()}
+    for h in hits:
+        prow = piv[h]
+        f = scale // prow[h] * row[h]
+        for c, v in prow.items():
+            w = out.get(c, 0) - f * v
+            if w:
+                out[c] = w
+            else:
+                del out[c]
+    return _gcd_reduce(out)
+
+
 def echelon(rows: Iterable[Mapping[int, object]],
             canonical: bool = True) -> Dict[int, IntVec]:
-    """Row reduce sparse rows; returns pivot column -> gcd-reduced integer row.
+    """Row reduce sparse rows; returns pivot column -> primitive integer row.
 
     With canonical=True the result is fully back-substituted (each pivot
     column occurs in exactly one row), which pins the unique reduced echelon
-    form of the row space.
+    form of the row space.  Pivots are back-substituted in descending order,
+    so each row meets only already reduced rows, at the columns it holds.
     """
     piv: Dict[int, IntVec] = {}
     for raw in rows:
-        r = dict(raw) if _is_int_row(raw) else _as_int_row(raw)
+        r = _as_int_row(raw)
         while r:
             c = min(r)
             p = piv.get(c)
             if p is None:
-                piv[c] = _gcd_reduce(r)
+                piv[c] = r if r[c] > 0 else {k: -v for k, v in r.items()}
                 break
             r = _combine(p[c], r, -r[c], p)
     if canonical:
         for c in sorted(piv, reverse=True):
-            prow = piv[c]
-            for c2 in piv:
-                if c2 < c:
-                    other = piv[c2]
-                    if c in other:
-                        piv[c2] = _combine(prow[c], other, -other[c], prow)
+            row = piv[c]
+            hits = [h for h in row if h != c and h in piv]
+            if hits:
+                piv[c] = _clear_pivots(row, hits, piv)
     return piv
-
-
-def _is_int_row(row) -> bool:
-    if not isinstance(row, dict):
-        return False
-    for v in row.values():
-        return isinstance(v, int)
-    return True
 
 
 def rank_of_rows(rows: Iterable[Mapping[int, object]]) -> int:
     return len(echelon(rows, canonical=False))
-
-
-def _canonical_fraction_rows(piv: Dict[int, IntVec]) -> Tuple[Tuple[int, ...], Tuple[Vec, ...]]:
-    pivots = tuple(sorted(piv))
-    rows = []
-    for c in pivots:
-        lead = piv[c][c]
-        rows.append({col: Fraction(v, lead) for col, v in sorted(piv[c].items())})
-    return pivots, tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +225,19 @@ def _canonical_fraction_rows(piv: Dict[int, IntVec]) -> Tuple[Tuple[int, ...], T
 class Subspace:
     """A subspace of a shaped ambient space, stored in canonical RREF.
 
-    Rows are sparse mappings column -> Fraction with pivot entries 1 and all
-    other pivot columns cleared; two subspaces are equal exactly when their
-    ambients and row matrices are equal.
+    ``piv`` maps each pivot column to its primitive integer row, all other
+    pivot columns cleared, as ``echelon`` returns it; two subspaces are equal
+    exactly when their ambients and rows are equal.  ``rows`` is the same
+    basis as mappings column -> Fraction with pivot entries 1.
     """
 
-    __slots__ = ("ambient", "rows", "pivots", "_qpos")
+    __slots__ = ("ambient", "pivots", "_piv", "_rows", "_qpos")
 
-    def __init__(self, ambient: TensorShape, rows: Tuple[Vec, ...],
-                 pivots: Tuple[int, ...]):
+    def __init__(self, ambient: TensorShape, piv: Mapping[int, IntVec]):
         self.ambient = ambient
-        self.rows = rows
-        self.pivots = pivots
+        self._piv = {c: piv[c] for c in sorted(piv)}
+        self.pivots = tuple(self._piv)
+        self._rows = None
         self._qpos = None
 
     @classmethod
@@ -242,8 +247,7 @@ class Subspace:
         piv = echelon(rows)
         if piv and max(piv) >= n:
             raise ShapeMismatch("row entries outside the ambient space")
-        pivots, canon = _canonical_fraction_rows(piv)
-        return cls(ambient, canon, pivots)
+        return cls(ambient, piv)
 
     @classmethod
     def from_dense(cls, ambient: TensorShape,
@@ -259,17 +263,29 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: TensorShape) -> "Subspace":
-        one = Fraction(1)
-        rows = tuple({i: one} for i in range(ambient.dim))
-        return cls(ambient, rows, tuple(range(ambient.dim)))
+        return cls(ambient, {i: {i: 1} for i in range(ambient.dim)})
 
     @classmethod
     def zero(cls, ambient: TensorShape) -> "Subspace":
-        return cls(ambient, (), ())
+        return cls(ambient, {})
+
+    @property
+    def int_rows(self) -> Tuple[IntVec, ...]:
+        """The primitive integer basis rows, in pivot order."""
+        return tuple(self._piv.values())
+
+    @property
+    def rows(self) -> Tuple[Vec, ...]:
+        """The reduced basis rows with Fraction entries and pivot entries 1."""
+        if self._rows is None:
+            self._rows = tuple(
+                {col: Fraction(v, row[c]) for col, v in sorted(row.items())}
+                for c, row in self._piv.items())
+        return self._rows
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._piv)
 
     @property
     def is_full(self) -> bool:
@@ -277,27 +293,30 @@ class Subspace:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient
-                and self.rows == other.rows)
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
+                and self._piv == other._piv)
 
     def __repr__(self) -> str:
         return "Subspace(dim=%d, ambient_dim=%d)" % (self.dim, self.ambient.dim)
 
     def reduce_vector(self, vec: Mapping[int, object]) -> Vec:
-        """Residual of vec after eliminating all pivot columns."""
-        out: Vec = {c: Fraction(v) for c, v in vec.items() if v}
-        for c, row in zip(self.pivots, self.rows):
-            coef = out.get(c)
-            if not coef:
-                continue
+        """Residual of vec after eliminating all pivot columns.
+
+        Clearing a pivot column brings in no other, so only those in vec are
+        visited."""
+        piv = self._piv
+        out = {c: v for c, v in vec.items() if v}
+        for c in [c for c in out if c in piv]:
+            row = piv[c]
+            coef = out.pop(c)
+            if row[c] != 1:
+                coef = Fraction(coef, row[c])
             for col, v in row.items():
-                w = out.get(col, 0) - coef * v
-                if w:
-                    out[col] = w
-                elif col in out:
-                    del out[col]
+                if col != c:
+                    w = out.get(col, 0) - coef * v
+                    if w:
+                        out[col] = w
+                    else:
+                        del out[col]
         return out
 
     def contains_vector(self, vec: Mapping[int, object]) -> bool:
@@ -305,9 +324,9 @@ class Subspace:
 
     def _quotient_positions(self) -> Dict[int, int]:
         if self._qpos is None:
-            pivset = set(self.pivots)
+            piv = self._piv
             self._qpos = {c: i for i, c in enumerate(
-                col for col in range(self.ambient.dim) if col not in pivset)}
+                col for col in range(self.ambient.dim) if col not in piv)}
         return self._qpos
 
     @property
@@ -336,11 +355,11 @@ class LinearMap:
 
     def apply(self, vec: Mapping[int, object]) -> Vec:
         out: Vec = {}
+        rows = self.rows
         for i, coef in vec.items():
             if not coef:
                 continue
-            coef = Fraction(coef)
-            for c, v in self.rows[i].items():
+            for c, v in rows[i].items():
                 w = out.get(c, 0) + coef * v
                 if w:
                     out[c] = w
@@ -367,20 +386,20 @@ def _check_same_ambient(a: Subspace, b: Subspace):
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_same_ambient(a, b)
-    return Subspace.from_rows(a.ambient, list(a.rows) + list(b.rows))
+    return Subspace.from_rows(a.ambient, a.int_rows + b.int_rows)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Zassenhaus intersection via a block echelon computation."""
     _check_same_ambient(a, b)
     n = a.ambient.dim
-    stacked: List[Vec] = []
-    for r in a.rows:
+    stacked: List[IntVec] = []
+    for r in a.int_rows:
         row = dict(r)
         for c, v in r.items():
             row[c + n] = v
         stacked.append(row)
-    stacked.extend(dict(r) for r in b.rows)
+    stacked.extend(b.int_rows)
     piv = echelon(stacked, canonical=False)
     inter = [{c - n: v for c, v in row.items()} for c0, row in piv.items()
              if c0 >= n]
@@ -389,7 +408,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def contains(big: Subspace, small: Subspace) -> bool:
     _check_same_ambient(big, small)
-    return all(big.contains_vector(r) for r in small.rows)
+    return all(big.contains_vector(r) for r in small.int_rows)
 
 
 def quotient_dim(big: Subspace, small: Subspace) -> int:
@@ -404,7 +423,7 @@ def image(f: LinearMap, s: Optional[Subspace] = None) -> Subspace:
     else:
         if s.ambient != f.domain:
             raise AmbientMismatch("subspace does not match map domain")
-        rows = (f.apply(r) for r in s.rows)
+        rows = (f.apply(r) for r in s.int_rows)
     return Subspace.from_rows(f.codomain, rows)
 
 
@@ -413,8 +432,8 @@ def kernel_of_rows(rows: Sequence[Mapping[int, object]], width: int,
     """Left kernel of a row family: combinations summing to zero."""
     stacked: List[Vec] = []
     for i, r in enumerate(rows):
-        row = {c: Fraction(v) for c, v in r.items() if v}
-        row[width + i] = Fraction(1)
+        row = {c: v for c, v in r.items() if v}
+        row[width + i] = 1
         stacked.append(row)
     piv = echelon(stacked, canonical=False)
     combos = [{c - width: v for c, v in row.items()} for c0, row in piv.items()
@@ -432,10 +451,6 @@ def preimage(f: LinearMap, s: Subspace) -> Subspace:
         raise AmbientMismatch("subspace does not match map codomain")
     qrows = [s.quotient_coords(r) for r in f.rows]
     return kernel_of_rows(qrows, s.codim, f.domain)
-
-
-def rank_of_image(rows: Iterable[Mapping[int, object]]) -> int:
-    return rank_of_rows(rows)
 
 
 def tensor_rows_with_wedge(g_rows: Iterable[Vec], g_shape: TensorShape,

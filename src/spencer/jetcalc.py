@@ -24,6 +24,7 @@ from .errors import (AmbientMismatch, CancellationFailure, CapExceeded,
                      ParamOutOfRange, SingularJacobian)
 from .exactla import (Subspace, TensorShape, Vec, echelon, rank_of_rows,
                       sym_basis)
+from .symbolic import _raised
 
 Var = Tuple
 Monomial = Tuple[Tuple[Var, int], ...]
@@ -163,19 +164,6 @@ class JetPolynomial:
     def k_max(self) -> int:
         """Highest jet order among the variables that appear."""
         return max((var_order(v) for v in self.variables()), default=0)
-
-    def degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
-    def min_degree(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return min(sum(e for _, e in m) for m in self.terms)
-
-    def homogeneous_part(self, d: int) -> "JetPolynomial":
-        return JetPolynomial(self.n, self.r,
-                             {m: c for m, c in self.terms.items()
-                              if sum(e for _, e in m) == d})
 
     def evaluate(self, point) -> Fraction:
         value = point.value if isinstance(point, JetPoint) else point.__getitem__
@@ -394,10 +382,6 @@ class LieField:
             self.n, self.r, self.k, len(self.coeffs))
 
 
-def _raise_index(sigma: Tuple[int, ...], i: int) -> Tuple[int, ...]:
-    return sigma[:i] + (sigma[i] + 1,) + sigma[i + 1:]
-
-
 def prolong_point(a: Sequence[JetPolynomial], b: Sequence[JetPolynomial],
                   k: int) -> LieField:
     """Lift of the field sum a^i d/dx_i + sum b^j d/du_j to order-k jets.
@@ -417,7 +401,8 @@ def prolong_point(a: Sequence[JetPolynomial], b: Sequence[JetPolynomial],
         if f.k_max > 0:
             raise ParamOutOfRange(
                 "generating components must only use order-0 variables")
-    phi = [b[j] - sum((a[i] * JetPolynomial.variable(n, r, p_var(j, _unit(n, i)))
+    phi = [b[j] - sum((a[i] * JetPolynomial.variable(
+                           n, r, p_var(j, _raised((0,) * n, i)))
                        for i in range(n)), JetPolynomial.zero(n, r))
            for j in range(r)]
     coeffs: Dict[Var, JetPolynomial] = {}
@@ -431,17 +416,13 @@ def prolong_point(a: Sequence[JetPolynomial], b: Sequence[JetPolynomial],
                 for i in range(n):
                     if a[i]:
                         c = c + a[i] * JetPolynomial.variable(
-                            n, r, p_var(j, _raise_index(sigma, i)))
+                            n, r, p_var(j, _raised(sigma, i)))
                 if c.k_max > k:
                     raise CancellationFailure(
                         "top-order variables failed to cancel at %r" % (sigma,))
                 if c:
                     coeffs[p_var(j, sigma)] = c
     return LieField(n, r, k, coeffs)
-
-
-def _unit(n: int, i: int) -> Tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def prolong_contact(phi: JetPolynomial, k: int) -> LieField:
@@ -455,7 +436,7 @@ def prolong_contact(phi: JetPolynomial, k: int) -> LieField:
     if phi.k_max > 1:
         raise ParamOutOfRange(
             "generating function must only use variables of order <= 1")
-    a = [-phi.diff(p_var(0, _unit(n, i))) for i in range(n)]
+    a = [-phi.diff(p_var(0, _raised((0,) * n, i))) for i in range(n)]
     coeffs: Dict[Var, JetPolynomial] = {}
     for i in range(n):
         if a[i]:
@@ -466,7 +447,7 @@ def prolong_contact(phi: JetPolynomial, k: int) -> LieField:
             for i in range(n):
                 if a[i]:
                     c = c + a[i] * JetPolynomial.variable(
-                        n, r, p_var(0, _raise_index(sigma, i)))
+                        n, r, p_var(0, _raised(sigma, i)))
             if c.k_max > k:
                 raise CancellationFailure(
                     "top-order variables failed to cancel at %r" % (sigma,))
@@ -551,7 +532,7 @@ def _structure_forms(n: int, r: int, k: int) -> List[Dict[Var, JetPolynomial]]:
                     p_var(j, sigma): JetPolynomial.const(n, r, 1)}
                 for i in range(n):
                     omega[x_var(i)] = -JetPolynomial.variable(
-                        n, r, p_var(j, _raise_index(sigma, i)))
+                        n, r, p_var(j, _raised(sigma, i)))
                 forms.append(omega)
     return forms
 
@@ -623,21 +604,9 @@ class TresseFrame:
         self.point = point
         self.jacobian = [[total_derivative(fb, ia).evaluate(point)
                           for fb in functions] for ia in range(n)]
-        if _det(self.jacobian) == 0:
+        if rank_of_rows(dict(enumerate(row)) for row in self.jacobian) < n:
             raise SingularJacobian(
                 "total-derivative Jacobian is singular at the point")
-
-
-def _det(m: List[List[Fraction]]) -> Fraction:
-    size = len(m)
-    if size == 1:
-        return m[0][0]
-    total = Fraction(0)
-    for c in range(size):
-        if m[0][c]:
-            minor = [row[:c] + row[c + 1:] for row in m[1:]]
-            total += (-1) ** c * m[0][c] * _det(minor)
-    return total
 
 
 def _solve(m: List[List[Fraction]], rhs: List[Fraction]) -> List[Fraction]:
@@ -716,7 +685,7 @@ def _contact_generators(n: int, k: int, cutoff: int):
     r = 1
     gens = []
     vars1 = [x_var(i) for i in range(n)] + [u_var(0, n)] \
-        + [p_var(0, _unit(n, i)) for i in range(n)]
+        + [p_var(0, _raised((0,) * n, i)) for i in range(n)]
     wts = [_weight(v, r) for v in vars1]
     for d in range(cutoff + 1):
         for exps in sym_basis(2 * n + 1, d):
@@ -846,6 +815,6 @@ def _embed(kind, n, r, k, l, cutoff, shape: TensorShape) -> Subspace:
             vec: Vec = {}
             for local, c in row.items():
                 _, exp, vp = high[local - n_low]
-                vec[shape.index(shape.sym_pos(exp), 0, vp)] = Fraction(c)
+                vec[shape.index(shape.sym_pos(exp), 0, vp)] = c
             out_rows.append(vec)
     return Subspace.from_rows(shape, out_rows)

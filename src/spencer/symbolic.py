@@ -68,7 +68,7 @@ def delta_map(shape: TensorShape) -> LinearMap:
                     continue
                 sign, J2 = ins
                 moves.append((low_index[_lowered(mono, i)], cod.wedge_pos(J2),
-                              Fraction(sign * mono[i])))
+                              sign * mono[i]))
             for b in range(w):
                 rows.append({cod.index(si, wi, b): v for si, wi, v in moves})
     return LinearMap(shape, cod, rows)
@@ -88,13 +88,15 @@ def restrict_delta(tau: Sequence[Sequence[object]], shape: TensorShape) -> Linea
     if shape.sym_degree < 1:
         raise DegreeUnderflow("differential needs symmetric degree >= 1")
     n, w = shape.base_dim, shape.value_dim
-    tau = [[Fraction(x) for x in row] for row in tau]
+    # Integral entries stay ints, so an integer flag gives an integer map.
+    tau = [[v.numerator if v.denominator == 1 else v
+            for v in map(Fraction, row)] for row in tau]
     cod = TensorShape(n, shape.sym_degree - 1, shape.ext_degree + 1, w, ext_dim=p)
     low_index = {m: i for i, m in enumerate(cod.sym_list())}
     rows: List[Vec] = []
     for mono in shape.sym_list():
         for J in shape.wedge_list():
-            moves: Dict[Tuple[int, int], Fraction] = {}
+            moves: Dict[Tuple[int, int], int | Fraction] = {}
             for i in range(n):
                 if mono[i] == 0:
                     continue
@@ -145,8 +147,7 @@ def prolong(g: Subspace) -> Subspace:
             for i in range(n):
                 if mono[i] == 0:
                     continue
-                vec = {shp.index(low_index[_lowered(mono, i)], 0, b):
-                       Fraction(mono[i])}
+                vec = {shp.index(low_index[_lowered(mono, i)], 0, b): mono[i]}
                 for pos, v in g.quotient_coords(vec).items():
                     cur = row.get(i * q + pos, 0) + v
                     if cur:
@@ -196,7 +197,7 @@ class SymbolicSystem:
             low_index = {m: i for i, m in
                          enumerate(sym_basis(self.base_dim, l - 1))}
             lshape = lower.ambient
-            for row in self._grades[l].rows:
+            for row in self._grades[l].int_rows:
                 for i in range(self.base_dim):
                     vec: Vec = {}
                     for flat, v in row.items():
@@ -241,8 +242,8 @@ def _cell_rank_after_delta(system: SymbolicSystem, i: int, j: int) -> int:
     if g.is_full:
         return system.value_dim * _delta_rank_scalar(system.base_dim, i, j)
     dmat = delta_map(shape)
-    unit_wedges = [{wi: Fraction(1)} for wi in range(shape.wedge_count)]
-    rows = tensor_rows_with_wedge(g.rows, g.ambient, unit_wedges, shape)
+    unit_wedges = [{wi: 1} for wi in range(shape.wedge_count)]
+    rows = tensor_rows_with_wedge(g.int_rows, g.ambient, unit_wedges, shape)
     return rank_of_rows(dmat.apply(r) for r in rows)
 
 
@@ -344,7 +345,7 @@ def noncharacteristic_obstruction(tau: Sequence[Sequence[object]],
     ann = annihilator(tau, n)
     sym_pos = {m: i for i, m in enumerate(shp.sym_list())}
     rows: List[Vec] = []
-    for alpha in ann.rows:
+    for alpha in ann.int_rows:
         for mono in sym_basis(n, k - 1):
             for b in range(w):
                 vec: Vec = {}

@@ -240,3 +240,38 @@ def test_bad_flag_spec_is_usage_error(capsys):
 
 def test_missing_file_is_usage_error(capsys):
     assert main(["tresse", "--poly-file", "/nonexistent/p.json"]) == 2
+
+
+def test_zero_denominator_flag_is_usage_error(capsys):
+    code = main(["covariants", "--group", "general:m=5",
+                 "--flag", "tau=1/0,0,0,0,0", "--l", "1..1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
+def test_form_range_past_top_degree_is_usage_error(capsys):
+    # complex:nc=2 lives on a 4-dimensional model, the flag on a line.
+    assert main(["cohomology", "--table", "spencer", "--group",
+                 "complex:nc=2", "--s", "5..9", "--l", "1..2"]) == 2
+    assert main(["cohomology", "--table", "stationary", "--group",
+                 "general:m=2", "--flag", "tau=1,0", "--s", "2..3",
+                 "--l", "1..2"]) == 2
+    assert "usage error:" in capsys.readouterr().err
+
+
+def test_failed_cross_check_is_precondition_failure(capsys, monkeypatch):
+    import importlib
+
+    from spencer.exactla import Subspace
+
+    # The package exports a function named covariants, hence import_module.
+    covariants_module = importlib.import_module("spencer.covariants")
+    # A wrong preimage makes the subspace identity disagree with the count.
+    monkeypatch.setattr(covariants_module, "preimage",
+                        lambda f, s: Subspace.zero(f.domain))
+    code = main(["covariants", "--group", "general:m=2",
+                 "--flag", "tau=1,0", "--l", "1..1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("precondition failed:") and "Traceback" not in err

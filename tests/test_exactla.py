@@ -1,5 +1,6 @@
 """Exact linear algebra: echelon canonicity, subspace lattice, map calculus."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -266,3 +267,248 @@ def test_kernel_of_rows_finds_vanishing_combinations():
                 total[j] = total.get(j, Fraction(0)) + c * val
         assert all(v == 0 for v in total.values())
     assert ker.dim == 5 - rank_of_rows(rows)
+
+
+def test_integer_data_stays_integer():
+    shp = TensorShape.vector(3)
+    f = LinearMap(shp, shp, [{0: 2, 1: -1}, {2: 3}, {}])
+    assert all(type(v) is int for v in f.apply({0: 1, 1: 4}).values())
+    sub = Subspace.from_dense(shp, [[2, 4, 0], [0, 3, 6]])
+    assert sub.int_rows == ({0: 1, 2: -4}, {1: 1, 2: 2})
+    half = Subspace.from_dense(TensorShape.vector(2), [[Fraction(4), 2]])
+    assert half.int_rows == ({0: 2, 1: 1},)
+    assert half.rows == ({0: Fraction(1), 1: Fraction(1, 2)},)
+    assert all(type(v) is Fraction for v in half.rows[0].values())
+
+
+def test_echelon_drops_explicit_zero_entries():
+    assert echelon([{0: 0, 1: 2, 2: -4}]) == {1: {1: 1, 2: -2}}
+    assert rank_of_rows([{0: 0}, {3: Fraction(0), 1: Fraction(1, 2)}]) == 1
+
+
+# ------------------------------------------------- reference implementations
+#
+# The elimination kernels as they were before the sparse rewrite: a
+# back-substitution over every pivot pair and a reduction that walks every
+# pivot.  They are kept only as the reference the kernels must match exactly.
+# One difference: integer rows also go through the conversion that drops
+# zero entries (the old shortcut for them kept explicit zeros).
+
+
+def _ref_gcd_reduce(row):
+    g = 0
+    for v in row.values():
+        g = math.gcd(g, v)
+        if g == 1:
+            break
+    if g > 1:
+        row = {c: v // g for c, v in row.items()}
+    if row and row[min(row)] < 0:
+        row = {c: -v for c, v in row.items()}
+    return row
+
+
+def _ref_as_int_row(vec):
+    items = [(c, Fraction(v)) for c, v in vec.items() if v]
+    if not items:
+        return {}
+    denom_lcm = 1
+    for _, v in items:
+        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm,
+                                                          v.denominator)
+    return _ref_gcd_reduce({c: int(v * denom_lcm) for c, v in items})
+
+
+def _ref_combine(a, row_a, b, row_b):
+    out = {c: a * v for c, v in row_a.items()}
+    for c, v in row_b.items():
+        w = out.get(c, 0) + b * v
+        if w:
+            out[c] = w
+        elif c in out:
+            del out[c]
+    return _ref_gcd_reduce(out)
+
+
+def ref_echelon(rows, canonical=True):
+    piv = {}
+    for raw in rows:
+        r = _ref_as_int_row(raw)
+        while r:
+            c = min(r)
+            p = piv.get(c)
+            if p is None:
+                piv[c] = _ref_gcd_reduce(r)
+                break
+            r = _ref_combine(p[c], r, -r[c], p)
+    if canonical:
+        for c in sorted(piv, reverse=True):
+            prow = piv[c]
+            for c2 in piv:
+                if c2 < c:
+                    other = piv[c2]
+                    if c in other:
+                        piv[c2] = _ref_combine(prow[c], other, -other[c], prow)
+    return piv
+
+
+def ref_canonical_rows(rows):
+    """(pivots, Fraction RREF rows with pivot 1) of the span of rows."""
+    piv = ref_echelon(rows)
+    pivots = tuple(sorted(piv))
+    return pivots, tuple({col: Fraction(v, piv[c][c])
+                          for col, v in sorted(piv[c].items())}
+                         for c in pivots)
+
+
+def ref_reduce_vector(pivots, rows, vec):
+    out = {c: Fraction(v) for c, v in vec.items() if v}
+    for c, row in zip(pivots, rows):
+        coef = out.get(c)
+        if not coef:
+            continue
+        for col, v in row.items():
+            w = out.get(col, 0) - coef * v
+            if w:
+                out[col] = w
+            elif col in out:
+                del out[col]
+    return out
+
+
+def ref_quotient_coords(pivots, rows, dim, vec):
+    free = [c for c in range(dim) if c not in pivots]
+    pos = {c: i for i, c in enumerate(free)}
+    return {pos[c]: v
+            for c, v in ref_reduce_vector(pivots, rows, vec).items()}
+
+
+def ref_intersect(a_rows, b_rows, n):
+    stacked = []
+    for r in a_rows:
+        row = dict(r)
+        for c, v in r.items():
+            row[c + n] = v
+        stacked.append(row)
+    stacked.extend(dict(r) for r in b_rows)
+    piv = ref_echelon(stacked, canonical=False)
+    return ref_canonical_rows([{c - n: v for c, v in row.items()}
+                               for c0, row in piv.items() if c0 >= n])
+
+
+def ref_preimage(f_rows, s_rows, n):
+    pivots, rows = ref_canonical_rows(s_rows)
+    width = n - len(pivots)
+    stacked = []
+    for i, r in enumerate(f_rows):
+        row = ref_quotient_coords(pivots, rows, n, r)
+        row[width + i] = Fraction(1)
+        stacked.append(row)
+    piv = ref_echelon(stacked, canonical=False)
+    return ref_canonical_rows([{c - width: v for c, v in row.items()}
+                               for c0, row in piv.items() if c0 >= width])
+
+
+# ------------------------------------------------- property checks
+
+KINDS = ("int", "fraction", "mixed")
+
+
+def _strategies():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    settings = hyp.settings(max_examples=40, deadline=None, database=None,
+                            derandomize=True)
+    return hyp.given, settings, st
+
+
+def _row_lists(st, kind, width, max_rows=7, min_rows=0):
+    """Random sparse rows over range(width) with nonzero entries."""
+    ints = st.sampled_from([v for v in range(-9, 10) if v])
+    fracs = st.builds(Fraction, ints, st.integers(1, 9))
+    value = {"int": ints, "fraction": fracs,
+             "mixed": st.one_of(ints, fracs)}[kind]
+    row = st.dictionaries(st.integers(0, width - 1), value, max_size=width)
+    return st.lists(row, min_size=min_rows, max_size=max_rows)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_echelon_matches_reference(kind):
+    given, settings, st = _strategies()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        width = data.draw(st.integers(1, 10))
+        rows = data.draw(_row_lists(st, kind, width, max_rows=9))
+        for canonical in (True, False):
+            assert echelon(iter(rows), canonical) == \
+                ref_echelon(rows, canonical)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_reduce_vector_and_quotient_coords_match_reference(kind):
+    given, settings, st = _strategies()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        width = data.draw(st.integers(1, 10))
+        rows = data.draw(_row_lists(st, kind, width))
+        sub = Subspace.from_rows(TensorShape.vector(width), rows)
+        pivots, ref_rows = ref_canonical_rows(rows)
+        assert (sub.pivots, sub.rows) == (pivots, ref_rows)
+        for c, row in zip(sub.pivots, sub.int_rows):
+            assert row[c] > 0 and math.gcd(*row.values()) == 1
+        for vec in data.draw(_row_lists(st, kind, width, max_rows=4)):
+            assert sub.reduce_vector(vec) == \
+                ref_reduce_vector(pivots, ref_rows, vec)
+            assert sub.quotient_coords(vec) == \
+                ref_quotient_coords(pivots, ref_rows, width, vec)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_intersect_and_preimage_match_reference(kind):
+    given, settings, st = _strategies()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 8))
+        shp = TensorShape.vector(n)
+        a_rows = data.draw(_row_lists(st, kind, n, max_rows=5))
+        b_rows = data.draw(_row_lists(st, kind, n, max_rows=5))
+        a = Subspace.from_rows(shp, a_rows)
+        b = Subspace.from_rows(shp, b_rows)
+        meet = subspace_intersect(a, b)
+        assert (meet.pivots, meet.rows) == \
+            ref_intersect(a.rows, b.rows, n)
+        k = data.draw(st.integers(1, 6))
+        f_rows = data.draw(_row_lists(st, kind, n, max_rows=k, min_rows=k))
+        f = LinearMap(TensorShape.vector(k), shp, f_rows)
+        back = preimage(f, b)
+        assert (back.pivots, back.rows) == ref_preimage(f_rows, b_rows, n)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rank_matches_sympy(kind):
+    sympy = pytest.importorskip("sympy")
+    given, settings, st = _strategies()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        width = data.draw(st.integers(1, 9))
+        rows = data.draw(_row_lists(st, kind, width, max_rows=9))
+        dense = [[sympy.Rational(r.get(j, 0)) for j in range(width)]
+                 for r in rows]
+        expected = sympy.Matrix(dense).rank() if rows else 0
+        assert rank_of_rows(rows) == expected
+
+    check()

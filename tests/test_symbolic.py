@@ -80,6 +80,7 @@ def test_delta_carries_monomial_multiplicity():
     # first entry of S^2 in two variables is the square of the first variable
     dm = delta_map(TensorShape(2, 2, 0, 1))
     assert dm.rows[0] == {0: Fraction(2)}
+    assert all(type(v) is int for row in dm.rows for v in row.values())
 
 
 def test_delta_injective_on_zero_forms():
