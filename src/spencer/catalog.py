@@ -31,7 +31,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ParamOutOfRange, ShapeMismatch, UnsupportedDegree
-from .exactla import Subspace, TensorShape, Vec, kernel_of_rows, sym_basis
+from .exactla import (Subspace, TensorShape, Vec, _sym_index, kernel_of_rows,
+                      sym_basis)
 from .symbolic import SymbolicSystem, _lowered, prolong
 
 DEFAULT_CAP = 5000
@@ -242,8 +243,7 @@ def symbol(spec: PseudogroupSpec, l: int,
 
 def _volume_symbol(m: int, l: int, shp: TensorShape) -> Subspace:
     """Divergence-free symbols; order 1 is the trace-free condition."""
-    low = sym_basis(m, l - 1)
-    lpos = {mo: i for i, mo in enumerate(low)}
+    lpos = _sym_index(m, l - 1)
     rows: List[Vec] = []
     for mono in shp.sym_list():
         for b in range(m):
@@ -251,13 +251,13 @@ def _volume_symbol(m: int, l: int, shp: TensorShape) -> Subspace:
             if mono[b] > 0:
                 row[lpos[_lowered(mono, b)]] = Fraction(mono[b])
             rows.append(row)
-    return kernel_of_rows(rows, len(low), shp)
+    return kernel_of_rows(rows, len(lpos), shp)
 
 
 def _complex_symbol(nc: int, l: int, shp: TensorShape) -> Subspace:
     """Real and imaginary parts of monomial holomorphic fields z^s d/dz_j."""
     m = 2 * nc
-    spos = {mo: i for i, mo in enumerate(shp.sym_list())}
+    spos = _sym_index(m, l)
     rows: List[Vec] = []
     for sig in sym_basis(nc, l):
         acc: Dict[Tuple[int, ...], Tuple[int, int]] = {(0,) * m: (1, 0)}
@@ -292,7 +292,7 @@ def _symplectic_symbol(N: int, l: int, shp: TensorShape) -> Subspace:
     """Hamiltonian directions: for H in S^(l+1), take
     sum_i dH/dx_(N+i) (x) e_i - dH/dx_i (x) e_(N+i)."""
     m = 2 * N
-    spos = {mo: i for i, mo in enumerate(shp.sym_list())}
+    spos = _sym_index(m, l)
     rows: List[Vec] = []
     for H in sym_basis(m, l + 1):
         row: Vec = {}
@@ -317,7 +317,7 @@ def _contact_symbol(n: int, l: int, shp: TensorShape) -> Subspace:
     """
     m = 2 * n + 1
     u = n
-    spos = {mo: i for i, mo in enumerate(shp.sym_list())}
+    spos = _sym_index(m, l)
     rows: List[Vec] = []
     for f in sym_basis(m, l + 1):
         row: Vec = {}

@@ -34,9 +34,9 @@ from .errors import (AmbientMismatch, CancellationFailure, CapExceeded,
                      ShapeMismatch, SingularJacobian, UnsupportedDegree,
                      ZeroVector)
 from .exactla import Subspace, TensorShape
-from .symbolic import CohomologyTable, SymbolicSystem, spencer_table
-from .covariants import (FlagContext, covariant_cohomology, covariants,
-                         restricted_spencer_H, stationary_row_cohomology,
+from .symbolic import CohomologyTable, SymbolicSystem, spencer_complex
+from .covariants import (FlagContext, covariant_complex, covariants,
+                         stationary_row_complex, tau_form_complex,
                          transversality_scan)
 from .catalog import (GEOMETRIC_KINDS, PseudogroupSpec, contact_lie_dim,
                       parse_pseudogroup, point_lie_total, stratum_tau,
@@ -155,33 +155,23 @@ def cmd_cohomology(args) -> int:
         raise ParamOutOfRange("form degrees from %d exceed the top degree %d"
                               % (s_lo, top))
     s_hi = min(s_hi, top)
-    if table == "spencer":
-        tab = spencer_table(gsys, range(lo, hi + 1), range(s_lo, s_hi + 1))
+    hsys = _load_h_system(args.h_file, ctx) \
+        if args.h_file and table in ("obstruction", "covariant") else None
+    if table == "obstruction":
+        cells = {(l, 0): covariants(ctx, gsys.grade(l),
+                                    hsys.grade(l) if hsys else None).dim_O
+                 for l in range(lo, hi + 1)}
+        tab = CohomologyTable("obstruction-dims", cells)
     else:
-        cells: Dict[Tuple[int, int], int] = {}
-        if table == "obstruction":
-            hsys = _load_h_system(args.h_file, ctx) if args.h_file else None
-            for l in range(lo, hi + 1):
-                h_l = hsys.grade(l) if hsys else None
-                cells[(l, 0)] = covariants(ctx, gsys.grade(l), h_l).dim_O
-            tab = CohomologyTable("obstruction-dims", cells)
+        if table == "spencer":
+            cx = spencer_complex(gsys)
+        elif table == "covariant":
+            cx = covariant_complex(ctx, gsys, hsys)
+        elif table == "restricted":
+            cx = tau_form_complex(ctx, gsys, stationary=False)
         else:
-            if table == "covariant":
-                hsys = _load_h_system(args.h_file, ctx) if args.h_file \
-                    else None
-
-                def fn(a, s):
-                    return covariant_cohomology(ctx, gsys, hsys, a + s, s)
-            elif table == "restricted":
-                def fn(a, s):
-                    return restricted_spencer_H(ctx, gsys, a + s, s)
-            else:
-                def fn(a, s):
-                    return stationary_row_cohomology(ctx, gsys, a + s, s)
-            for a in range(lo, hi + 1):
-                for s in range(s_lo, s_hi + 1):
-                    cells[(a, s)] = fn(a, s)
-            tab = CohomologyTable(table, cells)
+            cx = stationary_row_complex(ctx, gsys)
+        tab = cx.table(range(lo, hi + 1), range(s_lo, s_hi + 1), table)
     payload = {"group": str(spec), "table": tab.to_jsonable()}
     rows = [[i, j, v] for (i, j), v in sorted(tab.cells.items())]
     _emit(args, payload, ["sym_degree", "form_degree", "dim"], rows)

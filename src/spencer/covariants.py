@@ -18,17 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (AmbientMismatch, ConsistencyCheckFailed, DegreeUnderflow,
-                     EquationNotInvariant, NotASubcomplex, ParamOutOfRange,
-                     ShapeMismatch)
-from .exactla import (LinearMap, Subspace, TensorShape, Vec, _wedge_index,
-                      contains, preimage, rank_of_rows, subspace_intersect,
-                      subspace_sum, sym_basis, tensor_rows_with_wedge,
+                     EquationNotInvariant, ParamOutOfRange, ShapeMismatch)
+from .exactla import (LinearMap, Subspace, TensorShape, Vec, _sym_index,
+                      _wedge_index, contains, preimage, subspace_intersect,
+                      subspace_sum, tensor_all_forms, tensor_rows_with_wedge,
                       wedge_basis)
-from .symbolic import (SymbolicSystem, _lowered, _raised, _wedge_insert,
-                       annihilator, delta_map, restrict_delta)
+from .symbolic import (CochainComplex, SymbolicSystem, _cone_rows, _lowered,
+                       _raised, _wedge_insert, annihilator, delta_map,
+                       restrict_delta, spencer_complex,
+                       strongly_noncharacteristic)
 
 Poly = Dict[Tuple[int, ...], Fraction]
 
@@ -117,13 +118,11 @@ class FlagContext:
         cached = self._wedge_cache.get(J)
         if cached is not None:
             return cached
-        s = len(J)
-        pos = {K: i for i, K in enumerate(wedge_basis(self.n, s))}
         out: Vec = {}
-        for K in wedge_basis(self.n, s):
+        for i, K in enumerate(wedge_basis(self.n, len(J))):
             det = _minor_det([[self.tau[a][j] for j in J] for a in K])
             if det:
-                out[pos[K]] = det
+                out[i] = det
         self._wedge_cache[J] = out
         return out
 
@@ -140,7 +139,7 @@ def restriction_map(ctx: FlagContext, l: int, s: int = 0) -> LinearMap:
     m, n, r = ctx.m, ctx.n, ctx.r
     dom = TensorShape(m, l, s, m)
     cod = TensorShape(n, l, s, r)
-    cod_sym = {mo: i for i, mo in enumerate(cod.sym_list())}
+    cod_sym = _sym_index(n, l)
     proj = [ctx.value_projection(b) for b in range(m)]
     rows: List[Vec] = []
     for mono in dom.sym_list():
@@ -171,18 +170,8 @@ def restriction_kernel(ctx: FlagContext, l: int) -> Subspace:
     """
     if l < 1:
         raise DegreeUnderflow("restriction kernel needs order >= 1")
-    m = ctx.m
-    shp = TensorShape(m, l, 0, m)
-    sym_pos = {mo: i for i, mo in enumerate(shp.sym_list())}
-    rows: List[Vec] = []
-    for alpha in ctx.ann.int_rows:
-        for mono in sym_basis(m, l - 1):
-            for b in range(m):
-                vec: Vec = {}
-                for j, coef in alpha.items():
-                    key = shp.index(sym_pos[_raised(mono, j)], 0, b)
-                    vec[key] = vec.get(key, 0) + coef
-                rows.append(vec)
+    shp = TensorShape(ctx.m, l, 0, ctx.m)
+    rows = _cone_rows(ctx.ann, shp)
     for mono_i in range(shp.sym_count):
         for t in ctx.tau:
             rows.append({shp.index(mono_i, 0, b): c
@@ -286,19 +275,7 @@ def covariants(ctx: FlagContext, g_l: Subspace,
 
 
 # ---------------------------------------------------------------------------
-# the four-row diagram: cell constructors and cohomology
-
-
-def _unit_wedges(count: int) -> List[Vec]:
-    return [{i: 1} for i in range(count)]
-
-
-def _tensor_cell(sub: Subspace, out_shape: TensorShape) -> Subspace:
-    """sub (x) full exterior factor, inside out_shape."""
-    rows = tensor_rows_with_wedge(sub.int_rows, sub.ambient,
-                                  _unit_wedges(out_shape.wedge_count),
-                                  out_shape)
-    return Subspace.from_rows(out_shape, rows)
+# the four-row diagram: cell constructors and cochain complexes
 
 
 def stationary_row_space(ctx: FlagContext, gsys: SymbolicSystem,
@@ -322,124 +299,80 @@ def stationary_row_space(ctx: FlagContext, gsys: SymbolicSystem,
         wpos = _wedge_index(m, s)
         for alpha in ctx.ann.int_rows:
             for L in wedge_basis(m, s - 1):
+                # Each j outside L gives its own form e^j ^ e^L.
                 wrow: Vec = {}
                 for j, coef in alpha.items():
                     ins = _wedge_insert(j, L)
-                    if ins is None:
-                        continue
-                    sign, J2 = ins
-                    key = wpos[J2]
-                    cur = wrow.get(key, 0) + sign * coef
-                    if cur:
-                        wrow[key] = cur
-                    elif key in wrow:
-                        del wrow[key]
+                    if ins is not None:
+                        wrow[wpos[ins[1]]] = ins[0] * coef
                 if wrow:
                     wedge_rows.append(wrow)
         rows.extend(tensor_rows_with_wedge(g.int_rows, g.ambient, wedge_rows,
                                            shape))
-    stat = stationary_subspace(ctx, g)
-    rows.extend(tensor_rows_with_wedge(stat.int_rows, stat.ambient,
-                                       _unit_wedges(shape.wedge_count), shape))
+    rows.extend(tensor_all_forms(stationary_subspace(ctx, g), shape).int_rows)
     return Subspace.from_rows(shape, rows)
 
 
-def _outgoing(cell: Subspace, dmat: Optional[LinearMap],
-              next_cell: Optional[Subspace]) -> int:
-    """Rank of the differential on the cell; containment in the next cell."""
-    if dmat is None or cell.dim == 0:
-        return 0
-    images = [dmat.apply(r) for r in cell.int_rows]
-    if next_cell is not None:
-        for img in images:
-            if not next_cell.contains_vector(img):
-                raise NotASubcomplex("differential leaves the row complex")
-    return rank_of_rows(images)
+def stationary_row_complex(ctx: FlagContext,
+                           gsys: SymbolicSystem) -> CochainComplex:
+    """Stationary-row cells with the lowering differential."""
+    return CochainComplex(
+        ctx.m, lambda d, s: stationary_row_space(ctx, gsys, d + s, s),
+        delta_map)
+
+
+def tau_form_complex(ctx: FlagContext, gsys: SymbolicSystem,
+                     stationary: bool) -> CochainComplex:
+    """g_d, or its stationary part, (x) Lambda^s tau* with the differential
+    restricted along tau."""
+
+    def cell(d: int, s: int) -> Subspace:
+        g = gsys.grade(d)
+        return tensor_all_forms(stationary_subspace(ctx, g) if stationary else g,
+                                TensorShape(ctx.m, d, s, ctx.m, ext_dim=ctx.n))
+
+    return CochainComplex(ctx.n, cell,
+                          lambda shape: restrict_delta(ctx.tau, shape))
+
+
+def covariant_complex(ctx: FlagContext, gsys: SymbolicSystem,
+                      hsys: Optional[SymbolicSystem]) -> CochainComplex:
+    """Equation cells h_d (x) Lambda^s tau* modulo the image of
+    g_d (x) Lambda^s V* under the restriction of everything."""
+    n, r = ctx.n, ctx.r
+    if hsys is None:
+        hsys = SymbolicSystem(n, r, {}, fill="full")
+    if hsys.base_dim != n or hsys.value_dim != r:
+        raise AmbientMismatch("equation system has the wrong shape")
+
+    def cell(d: int, s: int) -> Subspace:
+        return tensor_all_forms(hsys.grade(d), TensorShape(n, d, s, r))
+
+    def image(d: int, s: int) -> Subspace:
+        lam = restriction_map(ctx, d, s)
+        g = tensor_all_forms(gsys.grade(d), lam.domain)
+        return Subspace.from_rows(lam.codomain,
+                                  [lam.apply(row) for row in g.int_rows])
+
+    return CochainComplex(n, cell, delta_map, image)
 
 
 def stationary_row_cohomology(ctx: FlagContext, gsys: SymbolicSystem,
                               l: int, s: int) -> int:
     """Cohomology dimension of the stationary row at the (l-s, s) cell."""
-    cell = stationary_row_space(ctx, gsys, l, s)
-    nxt = stationary_row_space(ctx, gsys, l, s + 1) if s + 1 <= ctx.m else None
-    d_out = (delta_map(cell.ambient)
-             if l - s >= 1 and s < ctx.m else None)
-    out_rank = _outgoing(cell, d_out, nxt)
-    in_rank = 0
-    if s >= 1:
-        prev = stationary_row_space(ctx, gsys, l, s - 1)
-        d_in = delta_map(prev.ambient) if l - s + 1 >= 1 else None
-        in_rank = _outgoing(prev, d_in, cell)
-    h = cell.dim - out_rank - in_rank
-    if h < 0:
-        raise NotASubcomplex("negative cohomology in the stationary row")
-    return h
+    return stationary_row_complex(ctx, gsys).H(l - s, s)
 
 
 def restricted_spencer_H(ctx: FlagContext, gsys: SymbolicSystem,
                          l: int, s: int) -> int:
     """Cohomology of g-cells with forms restricted along tau."""
-    return _tau_form_cohomology(ctx, gsys, l, s, stationary=False)
+    return tau_form_complex(ctx, gsys, stationary=False).H(l - s, s)
 
 
 def stationary_tau_cohomology(ctx: FlagContext, gsys: SymbolicSystem,
                               l: int, s: int) -> int:
     """Cohomology of stationary-subspace cells with forms along tau."""
-    return _tau_form_cohomology(ctx, gsys, l, s, stationary=True)
-
-
-def _tau_cell(ctx: FlagContext, gsys: SymbolicSystem, d: int, s: int,
-              stationary: bool) -> Subspace:
-    shape = TensorShape(ctx.m, max(d, 0), s, ctx.m, ext_dim=ctx.n)
-    if d < 0 or s > ctx.n:
-        return Subspace.zero(shape)
-    g = gsys.grade(d)
-    return _tensor_cell(stationary_subspace(ctx, g) if stationary else g, shape)
-
-
-def _tau_form_cohomology(ctx: FlagContext, gsys: SymbolicSystem,
-                         l: int, s: int, stationary: bool) -> int:
-    cell = _tau_cell(ctx, gsys, l - s, s, stationary)
-    nxt = _tau_cell(ctx, gsys, l - s - 1, s + 1, stationary) \
-        if s + 1 <= ctx.n else None
-    d_out = (restrict_delta(ctx.tau, cell.ambient)
-             if l - s >= 1 and s < ctx.n else None)
-    out_rank = _outgoing(cell, d_out, nxt)
-    in_rank = 0
-    if s >= 1 and l - s + 1 >= 1:
-        prev = _tau_cell(ctx, gsys, l - s + 1, s - 1, stationary)
-        d_in = restrict_delta(ctx.tau, prev.ambient)
-        in_rank = _outgoing(prev, d_in, cell)
-    h = cell.dim - out_rank - in_rank
-    if h < 0:
-        raise NotASubcomplex("negative cohomology over the restricted forms")
-    return h
-
-
-def _image_cell(ctx: FlagContext, gsys: SymbolicSystem, d: int,
-                s: int) -> Subspace:
-    """Image of g^d (x) Lambda^s V* under the restriction of everything."""
-    cod = TensorShape(ctx.n, max(d, 0), s, ctx.r)
-    if d < 0 or s > ctx.n:
-        return Subspace.zero(cod)
-    g = gsys.grade(d)
-    lam = restriction_map(ctx, d, s)
-    if g.is_full:
-        rows = list(lam.rows)
-    else:
-        dom_rows = tensor_rows_with_wedge(
-            g.int_rows, g.ambient, _unit_wedges(lam.domain.wedge_count),
-            lam.domain)
-        rows = [lam.apply(r) for r in dom_rows]
-    return Subspace.from_rows(cod, rows)
-
-
-def _equation_cell(hsys: SymbolicSystem, d: int, s: int, n: int) -> Subspace:
-    shape = TensorShape(n, max(d, 0), s, hsys.value_dim)
-    if d < 0 or s > n:
-        return Subspace.zero(shape)
-    h = hsys.grade(d)
-    return _tensor_cell(h, shape)
+    return tau_form_complex(ctx, gsys, stationary=True).H(l - s, s)
 
 
 def covariant_cohomology(ctx: FlagContext, gsys: SymbolicSystem,
@@ -451,50 +384,7 @@ def covariant_cohomology(ctx: FlagContext, gsys: SymbolicSystem,
     falls into the next restricted-symbol image, modulo that image and the
     differentials from the previous cell.
     """
-    n, r = ctx.n, ctx.r
-    if hsys is None:
-        hsys = SymbolicSystem(n, r, {}, fill="full")
-    if hsys.base_dim != n or hsys.value_dim != r:
-        raise AmbientMismatch("equation system has the wrong shape")
-    d = l - s
-    C = _equation_cell(hsys, d, s, n)
-    if C.dim == 0:
-        return 0
-    V = _image_cell(ctx, gsys, d, s)
-    if not contains(C, V):
-        raise EquationNotInvariant(
-            "restricted symbol leaves the equation at cell (%d, %d)" % (d, s))
-    V_next = _image_cell(ctx, gsys, d - 1, s + 1)
-    d_out = delta_map(C.ambient) if d >= 1 and s < n else None
-    if d_out is not None:
-        for row in V.int_rows:
-            img = d_out.apply(row)
-            if not V_next.contains_vector(img):
-                raise NotASubcomplex(
-                    "restricted images are not differential-stable")
-        C_next = _equation_cell(hsys, d - 1, s + 1, n)
-        qrows = []
-        for row in C.int_rows:
-            img = d_out.apply(row)
-            if not C_next.contains_vector(img):
-                raise NotASubcomplex("equation cells are not a complex")
-            qrows.append(V_next.quotient_coords(img) if V_next.dim
-                         else dict(img))
-        z_dim = C.dim - rank_of_rows(qrows)
-    else:
-        z_dim = C.dim
-    boundary = V
-    if s >= 1 and d + 1 >= 1:
-        prev = _equation_cell(hsys, d + 1, s - 1, n)
-        if prev.dim:
-            d_in = delta_map(prev.ambient)
-            imgs = [d_in.apply(rw) for rw in prev.int_rows]
-            boundary = subspace_sum(
-                boundary, Subspace.from_rows(C.ambient, imgs))
-    h = z_dim - boundary.dim
-    if h < 0:
-        raise NotASubcomplex("negative cohomology in the quotient row")
-    return h
+    return covariant_complex(ctx, gsys, hsys).H(l - s, s)
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +398,10 @@ def acyclicity_window(gsys: SymbolicSystem, i_lo: int, i_hi: int,
     Measured over symbol degrees i_lo..i_hi; returns 0 when even form
     degree 1 has a nonzero cell there.
     """
-    from .symbolic import spencer_H
+    spencer = spencer_complex(gsys)
     q = 0
     for j in range(1, j_max + 1):
-        if all(spencer_H(gsys, i, j) == 0 for i in range(i_lo, i_hi + 1)):
+        if all(spencer.H(i, j) == 0 for i in range(i_lo, i_hi + 1)):
             q = j
         else:
             break
@@ -546,7 +436,6 @@ def restriction_isomorphism_check(ctx: FlagContext, gsys: SymbolicSystem,
     Both sides are computed unconditionally so inapplicable cases can be
     inspected.
     """
-    from .symbolic import strongly_noncharacteristic
     snc = strongly_noncharacteristic(ctx.tau, gsys.grade(k))
     q = acyclicity_window(gsys, k, max(l, k), gsys.base_dim)
     applicable = snc and s < min(l - k, q)
@@ -577,16 +466,14 @@ def transversality_scan(ctx: FlagContext, gsys: SymbolicSystem,
     vanish there, they must keep vanishing at every later computed order;
     this consequence is checked and raises ConsistencyCheckFailed.
     """
-    n, r = ctx.n, ctx.r
-    if hsys is None:
-        hsys = SymbolicSystem(n, r, {}, fill="full")
+    stationary_tau = tau_form_complex(ctx, gsys, stationary=True)
+    restricted = tau_form_complex(ctx, gsys, stationary=False)
     entries: List[ScanEntry] = []
     settled = None
     for l in range(1, l_max + 1):
-        rep = covariants(ctx, gsys.grade(l), hsys.grade(l))
-        f2 = stationary_tau_cohomology(ctx, gsys, l, 2) == 0 if ctx.n >= 2 \
-            else True
-        f1 = restricted_spencer_H(ctx, gsys, l, 1) == 0
+        rep = covariants(ctx, gsys.grade(l), hsys.grade(l) if hsys else None)
+        f2 = stationary_tau.H(l - 2, 2) == 0
+        f1 = restricted.H(l - 1, 1) == 0
         entries.append(ScanEntry(rep, f2, f1))
         if settled is None:
             if f2 and f1 and rep.dim_O == 0:

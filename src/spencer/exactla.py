@@ -231,21 +231,31 @@ class Subspace:
     basis as mappings column -> Fraction with pivot entries 1.
     """
 
-    __slots__ = ("ambient", "pivots", "_piv", "_rows", "_qpos")
+    __slots__ = ("ambient", "dim", "pivots", "_piv", "_rows", "_qpos")
 
     def __init__(self, ambient: TensorShape, piv: Mapping[int, IntVec]):
         self.ambient = ambient
         self._piv = {c: piv[c] for c in sorted(piv)}
         self.pivots = tuple(self._piv)
+        self.dim = len(self._piv)
         self._rows = None
         self._qpos = None
+
+    def __getattr__(self, name: str):
+        # Only unset slots get here: a full space builds its unit rows on
+        # first use, so a cell that is only measured is never materialized.
+        if name not in ("_piv", "pivots"):
+            raise AttributeError(name)
+        self._piv = {i: {i: 1} for i in range(self.ambient.dim)}
+        self.pivots = tuple(self._piv)
+        return getattr(self, name)
 
     @classmethod
     def from_rows(cls, ambient: TensorShape,
                   rows: Iterable[Mapping[int, object]]) -> "Subspace":
         n = ambient.dim
         piv = echelon(rows)
-        if piv and max(piv) >= n:
+        if any(max(row) >= n for row in piv.values()):
             raise ShapeMismatch("row entries outside the ambient space")
         return cls(ambient, piv)
 
@@ -263,7 +273,10 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: TensorShape) -> "Subspace":
-        return cls(ambient, {i: {i: 1} for i in range(ambient.dim)})
+        sub = cls(ambient, {})
+        del sub._piv, sub.pivots
+        sub.dim = ambient.dim
+        return sub
 
     @classmethod
     def zero(cls, ambient: TensorShape) -> "Subspace":
@@ -282,10 +295,6 @@ class Subspace:
                 {col: Fraction(v, row[c]) for col, v in sorted(row.items())}
                 for c, row in self._piv.items())
         return self._rows
-
-    @property
-    def dim(self) -> int:
-        return len(self._piv)
 
     @property
     def is_full(self) -> bool:
@@ -477,3 +486,14 @@ def tensor_rows_with_wedge(g_rows: Iterable[Vec], g_shape: TensorShape,
                     row[(sym_i * wc + wedge_i) * w + val_i] = gv * wv
             out.append(row)
     return out
+
+
+def tensor_all_forms(sub: Subspace, out_shape: TensorShape) -> Subspace:
+    """sub tensor the whole exterior factor of out_shape.  Canonical
+    primitive rows tensor unit forms stay canonical, with each leading
+    column the pivot, so they are stored without elimination."""
+    if sub.is_full:
+        return Subspace.full(out_shape)
+    units = [{i: 1} for i in range(out_shape.wedge_count)]
+    rows = tensor_rows_with_wedge(sub.int_rows, sub.ambient, units, out_shape)
+    return Subspace(out_shape, {min(row): row for row in rows})

@@ -15,16 +15,17 @@ grade extends the system by prolongation on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
-from .errors import (AmbientMismatch, DegreeUnderflow, MissingGrade,
-                     NotASubcomplex, ShapeMismatch, ZeroVector)
-from .exactla import (LinearMap, Subspace, TensorShape, Vec, kernel_of_rows,
-                      rank_of_rows, sym_basis, tensor_rows_with_wedge,
-                      wedge_basis)
+from .errors import (AmbientMismatch, DegreeUnderflow, EquationNotInvariant,
+                     MissingGrade, NotASubcomplex, ShapeMismatch, ZeroVector)
+from .exactla import (LinearMap, Subspace, TensorShape, Vec, _sym_index,
+                      _wedge_index, contains, kernel_of_rows, rank_of_rows,
+                      subspace_intersect, sym_basis, tensor_all_forms)
 
 
 def _lowered(mono: Tuple[int, ...], i: int) -> Tuple[int, ...]:
@@ -55,7 +56,8 @@ def delta_map(shape: TensorShape) -> LinearMap:
         raise DegreeUnderflow("differential needs symmetric degree >= 1")
     n, w = shape.base_dim, shape.value_dim
     cod = TensorShape(n, shape.sym_degree - 1, shape.ext_degree + 1, w)
-    low_index = {m: i for i, m in enumerate(cod.sym_list())}
+    low_index = _sym_index(n, cod.sym_degree)
+    wedge_index = _wedge_index(n, cod.ext_degree)
     rows: List[Vec] = []
     for mono in shape.sym_list():
         for J in shape.wedge_list():
@@ -67,10 +69,10 @@ def delta_map(shape: TensorShape) -> LinearMap:
                 if ins is None:
                     continue
                 sign, J2 = ins
-                moves.append((low_index[_lowered(mono, i)], cod.wedge_pos(J2),
-                              sign * mono[i]))
+                moves.append((cod.index(low_index[_lowered(mono, i)],
+                                        wedge_index[J2], 0), sign * mono[i]))
             for b in range(w):
-                rows.append({cod.index(si, wi, b): v for si, wi, v in moves})
+                rows.append({c + b: v for c, v in moves})
     return LinearMap(shape, cod, rows)
 
 
@@ -92,11 +94,12 @@ def restrict_delta(tau: Sequence[Sequence[object]], shape: TensorShape) -> Linea
     tau = [[v.numerator if v.denominator == 1 else v
             for v in map(Fraction, row)] for row in tau]
     cod = TensorShape(n, shape.sym_degree - 1, shape.ext_degree + 1, w, ext_dim=p)
-    low_index = {m: i for i, m in enumerate(cod.sym_list())}
+    low_index = _sym_index(n, cod.sym_degree)
+    wedge_index = _wedge_index(p, cod.ext_degree)
     rows: List[Vec] = []
     for mono in shape.sym_list():
         for J in shape.wedge_list():
-            moves: Dict[Tuple[int, int], int | Fraction] = {}
+            moves: Dict[int, int | Fraction] = {}
             for i in range(n):
                 if mono[i] == 0:
                     continue
@@ -109,24 +112,15 @@ def restrict_delta(tau: Sequence[Sequence[object]], shape: TensorShape) -> Linea
                     if ins is None:
                         continue
                     sign, J2 = ins
-                    key = (si, cod.wedge_pos(J2))
+                    key = cod.index(si, wedge_index[J2], 0)
                     val = moves.get(key, 0) + sign * mono[i] * coef
                     if val:
                         moves[key] = val
                     elif key in moves:
                         del moves[key]
             for b in range(w):
-                rows.append({cod.index(si, wi, b): v
-                             for (si, wi), v in moves.items()})
+                rows.append({c + b: v for c, v in moves.items()})
     return LinearMap(shape, cod, rows)
-
-
-@lru_cache(maxsize=None)
-def _delta_rank_scalar(n: int, d: int, e: int) -> int:
-    """Rank of the differential on the full scalar-valued space."""
-    if d < 1 or e >= n:
-        return 0
-    return rank_of_rows(delta_map(TensorShape(n, d, e, 1)).rows)
 
 
 def prolong(g: Subspace) -> Subspace:
@@ -139,7 +133,7 @@ def prolong(g: Subspace) -> Subspace:
     if g.is_full:
         return Subspace.full(dom)
     q = g.codim
-    low_index = {m: i for i, m in enumerate(shp.sym_list())}
+    low_index = _sym_index(n, k)
     rows: List[Vec] = []
     for mono in dom.sym_list():
         for b in range(w):
@@ -167,8 +161,7 @@ class SymbolicSystem:
     """
 
     def __init__(self, base_dim: int, value_dim: int,
-                 grades: Mapping[int, Subspace], fill: str = "prolong",
-                 validate: bool = True):
+                 grades: Mapping[int, Subspace], fill: str = "prolong"):
         if fill not in ("prolong", "full"):
             raise ValueError("fill must be 'prolong' or 'full'")
         self.base_dim = base_dim
@@ -183,33 +176,22 @@ class SymbolicSystem:
                 raise AmbientMismatch("grade %d has wrong ambient" % l)
             self._grades[l] = sub
         self.top = max(self._grades, default=0)
-        if validate:
-            self._check_closure()
+        self._check_closure()
 
     def _check_closure(self):
+        """Each grade lowers into the one below: delta(g_l) in g_(l-1) (x) V*."""
         for l in sorted(self._grades):
             if l < 1:
                 continue
             lower = self.grade(l - 1)
             if lower.is_full:
                 continue
-            shp = self._grades[l].ambient
-            low_index = {m: i for i, m in
-                         enumerate(sym_basis(self.base_dim, l - 1))}
-            lshape = lower.ambient
-            for row in self._grades[l].int_rows:
-                for i in range(self.base_dim):
-                    vec: Vec = {}
-                    for flat, v in row.items():
-                        si, _, b = shp.unpack(flat)
-                        mono = shp.sym_list()[si]
-                        if mono[i] == 0:
-                            continue
-                        key = lshape.index(low_index[_lowered(mono, i)], 0, b)
-                        vec[key] = vec.get(key, 0) + mono[i] * v
-                    if not lower.contains_vector(vec):
-                        raise NotASubcomplex(
-                            "grade %d is not closed under lowering" % l)
+            dmap = delta_map(self._grades[l].ambient)
+            forms = tensor_all_forms(
+                lower, TensorShape(self.base_dim, l - 1, 1, self.value_dim))
+            if not all(forms.contains_vector(dmap.apply(row))
+                       for row in self._grades[l].int_rows):
+                raise NotASubcomplex("grade %d is not closed under lowering" % l)
 
     def grade(self, l: int) -> Subspace:
         if l < 0:
@@ -231,38 +213,10 @@ class SymbolicSystem:
         return self.grade(l).dim
 
 
-def _cell_rank_after_delta(system: SymbolicSystem, i: int, j: int) -> int:
-    """Rank of the differential restricted to g_i (x) Lambda^j."""
-    if i < 1 or j >= system.base_dim:
-        return 0
-    g = system.grade(i)
-    if g.dim == 0:
-        return 0
-    shape = TensorShape(system.base_dim, i, j, system.value_dim)
-    if g.is_full:
-        return system.value_dim * _delta_rank_scalar(system.base_dim, i, j)
-    dmat = delta_map(shape)
-    unit_wedges = [{wi: 1} for wi in range(shape.wedge_count)]
-    rows = tensor_rows_with_wedge(g.int_rows, g.ambient, unit_wedges, shape)
-    return rank_of_rows(dmat.apply(r) for r in rows)
-
-
 def cell_dim(system: SymbolicSystem, i: int, j: int) -> int:
     if i < 0 or j < 0 or j > system.base_dim:
         return 0
     return system.grade(i).dim * math.comb(system.base_dim, j)
-
-
-def spencer_H(system: SymbolicSystem, i: int, j: int) -> int:
-    """Dimension of the lowering-complex cohomology at bidegree (i, j)."""
-    if i < 0 or j < 0 or j > system.base_dim:
-        return 0
-    ker = cell_dim(system, i, j) - _cell_rank_after_delta(system, i, j)
-    incoming = _cell_rank_after_delta(system, i + 1, j - 1) if j > 0 else 0
-    h = ker - incoming
-    if h < 0:
-        raise NotASubcomplex("negative cohomology: system is not a complex")
-    return h
 
 
 @dataclass
@@ -279,13 +233,125 @@ class CohomologyTable:
         }
 
 
+class CochainComplex:
+    """Cells C(d, s), d >= 0 and 0 <= s <= top, modulo an optional
+    subcomplex V(d, s), with a differential from (d, s) to (d - 1, s + 1)
+    that ``differential(shape)`` gives as the identity on the value factor.
+
+    H(d, s) counts the cell elements whose differential falls in
+    V(d - 1, s + 1), modulo V(d, s) and the differential of C(d + 1, s - 1).
+    Maps and ranks are memoized, and a cell is kept until both ranks that
+    read it are known, so a table builds each cell and takes each rank once.
+    Raises EquationNotInvariant when V is not inside C, and NotASubcomplex
+    when the differential leaves V or C or a count is negative;
+    ``cells_closed`` skips the check on C for cells closed by construction.
+    """
+
+    def __init__(self, top: int, cell: Callable[[int, int], Subspace],
+                 differential: Callable[[TensorShape], LinearMap],
+                 sub: Optional[Callable[[int, int], Subspace]] = None, *,
+                 cells_closed: bool = False):
+        self.top = top
+        self._cell = cell
+        self._sub = sub
+        self._differential = lru_cache(maxsize=None)(differential)
+        # Whether the ranks of a cell read the next cell too.
+        self._reads_next = sub is not None or not cells_closed
+        self._cells: Dict[Tuple[int, int], Tuple[Subspace, Optional[Subspace]]] = {}
+        self._ranks: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+    def _subspaces(self, d: int, s: int) -> Tuple[Subspace, Optional[Subspace]]:
+        """C(d, s) and V(d, s) (None without a subcomplex), V checked in C."""
+        if (d, s) not in self._cells:
+            C = self._cell(d, s)
+            V = None if self._sub is None else self._sub(d, s)
+            if V is not None and not contains(C, V):
+                raise EquationNotInvariant(
+                    "subcomplex leaves the cell at (%d, %d)" % (d, s))
+            self._cells[(d, s)] = (C, V)
+        return self._cells[(d, s)]
+
+    def _release(self, d: int, s: int):
+        """Drop C(d, s) once the ranks that read it are known: its own and
+        those of C(d + 1, s - 1), whose differential lands in it."""
+        if (d, s) in self._ranks and (not self._reads_next or s == 0
+                                      or (d + 1, s - 1) in self._ranks):
+            self._cells.pop((d, s), None)
+
+    def _cell_ranks(self, d: int, s: int) -> Tuple[int, int]:
+        """dim C(d, s) - dim V(d, s), and the differential's rank there."""
+        if (d, s) not in self._ranks:
+            C, V = self._subspaces(d, s)
+            self._ranks[(d, s)] = (C.dim - (0 if V is None else V.dim),
+                                   self._differential_rank(d, s, C, V))
+            self._release(d, s)
+            self._release(d - 1, s + 1)
+        return self._ranks[(d, s)]
+
+    def _differential_rank(self, d: int, s: int, C: Subspace,
+                           V: Optional[Subspace]) -> int:
+        """Rank of the differential on C(d, s) modulo V(d - 1, s + 1)."""
+        if d < 1 or s >= self.top or C.dim == 0:
+            return 0
+        C_next = V_next = None
+        if self._reads_next:
+            C_next, V_next = self._subspaces(d - 1, s + 1)
+        if V is not None and not all(map(
+                V_next.contains_vector,
+                map(self._differential(C.ambient).apply, V.int_rows))):
+            raise NotASubcomplex(
+                "subcomplex is not differential-stable at (%d, %d)" % (d, s))
+        mod_next = V_next is not None and V_next.dim > 0
+        if C.is_full and not mod_next and (C_next is None or C_next.is_full):
+            unit = self._differential(replace(C.ambient, value_dim=1))
+            return C.ambient.value_dim * rank_of_rows(unit.rows)
+        images = map(self._differential(C.ambient).apply, C.int_rows)
+        if C_next is not None:
+            images = list(images)
+            if not all(map(C_next.contains_vector, images)):
+                raise NotASubcomplex(
+                    "differential leaves the cells at (%d, %d)" % (d, s))
+        if mod_next:
+            images = map(V_next.quotient_coords, images)
+        return rank_of_rows(images)
+
+    def H(self, d: int, s: int) -> int:
+        """Cohomology dimension at (d, s); 0 outside the complex."""
+        if d < 0 or s < 0 or s > self.top:
+            return 0
+        quotient, outgoing = self._cell_ranks(d, s)
+        h = quotient - outgoing
+        if s >= 1:
+            h -= self._cell_ranks(d + 1, s - 1)[1]
+        if h < 0:
+            raise NotASubcomplex("negative cohomology at (%d, %d)" % (d, s))
+        return h
+
+    def table(self, d_range: Iterable[int], s_range: Iterable[int],
+              source: str) -> CohomologyTable:
+        return CohomologyTable(source, {(d, s): self.H(d, s)
+                                        for d in d_range for s in s_range})
+
+
+def spencer_complex(system: SymbolicSystem) -> CochainComplex:
+    """g_d (x) Lambda^s V* with the lowering differential; SymbolicSystem
+    has checked that the grades are closed under it."""
+    n, w = system.base_dim, system.value_dim
+
+    def cell(d: int, s: int) -> Subspace:
+        return tensor_all_forms(system.grade(d), TensorShape(n, d, s, w))
+
+    return CochainComplex(n, cell, delta_map, cells_closed=True)
+
+
+def spencer_H(system: SymbolicSystem, i: int, j: int) -> int:
+    """Dimension of the lowering-complex cohomology at bidegree (i, j)."""
+    return spencer_complex(system).H(i, j)
+
+
 def spencer_table(system: SymbolicSystem, i_range: Iterable[int],
                   j_range: Iterable[int], source: str = "spencer") -> CohomologyTable:
-    cells = {}
-    for i in i_range:
-        for j in j_range:
-            cells[(i, j)] = spencer_H(system, i, j)
-    return CohomologyTable(source, cells)
+    return spencer_complex(system).table(i_range, j_range, source)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +384,7 @@ def char_fiber(covector: Sequence[object], g_k: Subspace) -> Subspace:
     if not any(coeffs):
         raise ZeroVector("characteristic fiber of the zero covector")
     power = _linear_power(coeffs, shp.sym_degree, shp.base_dim)
-    sym_pos = {m: i for i, m in enumerate(shp.sym_list())}
+    sym_pos = _sym_index(shp.base_dim, shp.sym_degree)
     w = shp.value_dim
     rows = []
     for b in range(w):
@@ -335,26 +401,30 @@ def annihilator(tau: Sequence[Sequence[object]], m: int) -> Subspace:
     return kernel_of_rows(rows, len(tau), TensorShape.vector(m))
 
 
-def noncharacteristic_obstruction(tau: Sequence[Sequence[object]],
-                                  g_k: Subspace) -> Subspace:
-    """Intersection of Ann(tau) o S^(k-1) V* (x) V with the symbol grade."""
-    shp = g_k.ambient
-    n, k, w = shp.base_dim, shp.sym_degree, shp.value_dim
-    if k < 1:
-        raise DegreeUnderflow("needs symbol order at least 1")
-    ann = annihilator(tau, n)
-    sym_pos = {m: i for i, m in enumerate(shp.sym_list())}
+def _cone_rows(ann: Subspace, shp: TensorShape) -> List[Vec]:
+    """Rows spanning ann o S^(k-1) V* (x) W inside the degree-k shape."""
+    n, k = shp.base_dim, shp.sym_degree
+    sym_pos = _sym_index(n, k)
     rows: List[Vec] = []
     for alpha in ann.int_rows:
         for mono in sym_basis(n, k - 1):
-            for b in range(w):
+            for b in range(shp.value_dim):
                 vec: Vec = {}
                 for j, coef in alpha.items():
                     key = shp.index(sym_pos[_raised(mono, j)], 0, b)
                     vec[key] = vec.get(key, 0) + coef
                 rows.append(vec)
-    from .exactla import subspace_intersect
-    cone = Subspace.from_rows(shp, rows)
+    return rows
+
+
+def noncharacteristic_obstruction(tau: Sequence[Sequence[object]],
+                                  g_k: Subspace) -> Subspace:
+    """Intersection of Ann(tau) o S^(k-1) V* (x) V with the symbol grade."""
+    shp = g_k.ambient
+    if shp.sym_degree < 1:
+        raise DegreeUnderflow("needs symbol order at least 1")
+    cone = Subspace.from_rows(
+        shp, _cone_rows(annihilator(tau, shp.base_dim), shp))
     return subspace_intersect(cone, g_k)
 
 

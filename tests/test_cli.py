@@ -92,6 +92,21 @@ def test_covariants_with_equation_file(capsys, tmp_path):
     assert [r["dim_h"] for r in data["reports"]] == [1, 1, 1]
 
 
+def test_zero_equation_cell_is_precondition_failure(capsys, tmp_path):
+    # h_1 = 0 cannot contain the restricted symbol of the complex group, and
+    # the cohomology table must say so even though the cell has dimension 0.
+    h_path = tmp_path / "h.json"
+    h_path.write_text(json.dumps({"ambient": {"m": 4, "n": 2},
+                                  "h": {"1": []}}))
+    common = ["--group", "complex:nc=2", "--flag", "stratum=totally-real",
+              "--l", "1..2", "--h-file", str(h_path)]
+    assert main(["covariants"] + common) == 3
+    assert main(["cohomology", "--table", "covariant", "--s", "0..0"]
+                + common) == 3
+    err = capsys.readouterr().err
+    assert err.count("precondition failed:") == 2 and "Traceback" not in err
+
+
 def test_named_stratum_flag(capsys):
     code, data = run_json(capsys, ["covariants", "--group", "symplectic:2n=4",
                                    "--flag", "stratum=lagrangian",

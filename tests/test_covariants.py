@@ -1,17 +1,24 @@
 """Flag restriction calculus: stationary subspaces, obstruction spaces,
 row cohomology, and the restriction comparison maps."""
 
+import collections
+import importlib
+
 import pytest
 
-from spencer.errors import EquationNotInvariant
+from spencer.cli import main
+from spencer.errors import EquationNotInvariant, NotASubcomplex
 from spencer.exactla import TensorShape, Subspace, kernel
-from spencer.symbolic import SymbolicSystem, spencer_H, strongly_noncharacteristic
+from spencer.symbolic import (CochainComplex, SymbolicSystem, delta_map,
+                              spencer_complex, spencer_H,
+                              strongly_noncharacteristic)
 from spencer.covariants import (
     FlagContext, restriction_map, restriction_kernel, stationary_subspace,
     covariants, ORDER_ONE_CAVEAT,
     stationary_row_cohomology, restricted_spencer_H, stationary_tau_cohomology,
     covariant_cohomology, acyclicity_window,
     restriction_isomorphism_check, transversality_scan,
+    covariant_complex, stationary_row_complex, tau_form_complex,
 )
 from spencer.catalog import parse_pseudogroup, symbol, system, stratum_tau
 
@@ -223,3 +230,78 @@ def test_transversality_scan_planar_hamiltonian():
     flat = entries[0].to_jsonable()
     assert flat["l"] == 1
     assert flat["stationary_tau_H2_zero"] is True
+
+
+# ---------------------------------------------------------------- cochain engine
+
+def test_one_complex_table_matches_the_per_cell_functions():
+    cx = parse_pseudogroup("complex:nc=2")
+    ctx = FlagContext(4, stratum_tau(cx, "totally-real"))
+    gsys = system(cx, 6)
+    cases = [
+        (spencer_complex(gsys), lambda d, s: spencer_H(gsys, d, s)),
+        (stationary_row_complex(ctx, gsys),
+         lambda d, s: stationary_row_cohomology(ctx, gsys, d + s, s)),
+        (tau_form_complex(ctx, gsys, stationary=False),
+         lambda d, s: restricted_spencer_H(ctx, gsys, d + s, s)),
+        (tau_form_complex(ctx, gsys, stationary=True),
+         lambda d, s: stationary_tau_cohomology(ctx, gsys, d + s, s)),
+        (covariant_complex(ctx, gsys, None),
+         lambda d, s: covariant_cohomology(ctx, gsys, None, d + s, s)),
+    ]
+    nonzero = 0
+    for complex_, per_cell in cases:
+        d_range, s_range = range(-1, 4), range(-1, complex_.top + 2)
+        table = complex_.table(d_range, s_range, "t").cells
+        assert table == {(d, s): per_cell(d, s)
+                         for d in d_range for s in s_range}
+        assert all(v == 0 for (d, s), v in table.items()
+                   if d < 0 or s < 0 or s > complex_.top)
+        nonzero += sum(1 for v in table.values() if v)
+    assert nonzero
+
+
+def _full(d, s):
+    return Subspace.full(TensorShape(2, d, s, 1))
+
+
+def _zero(d, s):
+    return Subspace.zero(TensorShape(2, d, s, 1))
+
+
+def test_engine_rejects_cells_that_are_not_differential_stable():
+    # The differential of the full (1, 0) cell does not vanish, so it
+    # cannot land in a zero (0, 1) cell.
+    def cell(d, s):
+        return _zero(d, s) if (d, s) == (0, 1) else _full(d, s)
+
+    with pytest.raises(NotASubcomplex):
+        CochainComplex(2, cell, delta_map).H(1, 0)
+
+    def sub(d, s):
+        return _full(d, s) if (d, s) == (1, 0) else _zero(d, s)
+
+    with pytest.raises(NotASubcomplex):
+        CochainComplex(2, _full, delta_map, sub).H(1, 0)
+
+
+def test_engine_rejects_a_subcomplex_outside_the_cells():
+    with pytest.raises(EquationNotInvariant):
+        CochainComplex(2, _zero, delta_map, _full).H(0, 0)
+
+
+def test_stationary_table_builds_each_cell_once(monkeypatch, capsys):
+    covariants_module = importlib.import_module("spencer.covariants")
+    built = collections.Counter()
+    original = covariants_module.stationary_row_space
+
+    def counting(ctx, gsys, l, s):
+        built[(l, s)] += 1
+        return original(ctx, gsys, l, s)
+
+    monkeypatch.setattr(covariants_module, "stationary_row_space", counting)
+    assert main(["cohomology", "--table", "stationary", "--group",
+                 "general:m=3", "--flag", "tau=1,0,0;0,1,0",
+                 "--l", "1..3"]) == 0
+    capsys.readouterr()
+    assert built and set(built.values()) == {1}

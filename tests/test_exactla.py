@@ -183,6 +183,27 @@ def test_from_dense_rejects_wrong_row_length():
         Subspace.from_dense(shp, [[1, 0]])
 
 
+def test_full_subspace_equals_the_span_of_unit_rows():
+    shp = TensorShape(2, 2, 1, 2)
+    full = Subspace.full(shp)
+    assert full.dim == shp.dim and full.is_full
+    units = Subspace.from_rows(shp, [{i: 1} for i in range(shp.dim)])
+    assert full.pivots == units.pivots == tuple(range(shp.dim))
+    assert full == units and full.int_rows == units.int_rows
+    assert full.reduce_vector({3: 5, 7: -1}) == {}
+    assert Subspace.full(shp).rows == units.rows
+
+
+def test_from_rows_rejects_columns_outside_the_ambient():
+    shp = TensorShape.vector(2)
+    # Column 5 is not a pivot column of the echelon form.
+    with pytest.raises(ShapeMismatch):
+        Subspace.from_rows(shp, [{0: 1, 5: 1}])
+    with pytest.raises(ShapeMismatch):
+        Subspace.from_rows(shp, [{2: 1}])
+    assert Subspace.from_rows(shp, [{0: 1, 1: 1}]).dim == 1
+
+
 def test_ambient_mismatch_raises():
     a = Subspace.full(TensorShape.vector(3))
     b = Subspace.full(TensorShape.vector(4))

@@ -175,6 +175,13 @@ def test_non_subcomplex_grades_rejected():
     full2 = Subspace.full(TensorShape(2, 2, 0, 1))
     with pytest.raises(NotASubcomplex):
         SymbolicSystem(2, 1, {1: zero1, 2: full2})
+    # g_1 = span{x}: x^2 lowers into it, but x*y lowers to y along x.
+    x = Subspace.from_rows(TensorShape(2, 1, 0, 1), [{0: 1}])
+    x_sq = Subspace.from_rows(TensorShape(2, 2, 0, 1), [{0: 1}])
+    xy = Subspace.from_rows(TensorShape(2, 2, 0, 1), [{1: 1}])
+    assert SymbolicSystem(2, 1, {1: x, 2: x_sq}).dim(2) == 1
+    with pytest.raises(NotASubcomplex):
+        SymbolicSystem(2, 1, {1: x, 2: xy})
 
 
 def test_negative_degree_raises():
