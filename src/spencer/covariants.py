@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (AmbientMismatch, ConsistencyCheckFailed, DegreeUnderflow,
                      EquationNotInvariant, ParamOutOfRange, ShapeMismatch)
 from .exactla import (LinearMap, Subspace, TensorShape, Vec, _sym_index,
-                      _wedge_index, contains, preimage, subspace_intersect,
+                      _wedge_index, contains, det, preimage, subspace_intersect,
                       subspace_sum, tensor_all_forms, tensor_rows_with_wedge,
                       wedge_basis)
 from .symbolic import (CochainComplex, SymbolicSystem, _cone_rows, _lowered,
@@ -32,23 +32,6 @@ from .symbolic import (CochainComplex, SymbolicSystem, _cone_rows, _lowered,
                        strongly_noncharacteristic)
 
 Poly = Dict[Tuple[int, ...], Fraction]
-
-
-def _minor_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    s = len(matrix)
-    if s == 0:
-        return Fraction(1)
-    if s == 1:
-        return matrix[0][0]
-    total = Fraction(0)
-    for col in range(s):
-        v = matrix[0][col]
-        if not v:
-            continue
-        sub = [[row[c] for c in range(s) if c != col] for row in matrix[1:]]
-        term = v * _minor_det(sub)
-        total += -term if col % 2 else term
-    return total
 
 
 class FlagContext:
@@ -120,9 +103,9 @@ class FlagContext:
             return cached
         out: Vec = {}
         for i, K in enumerate(wedge_basis(self.n, len(J))):
-            det = _minor_det([[self.tau[a][j] for j in J] for a in K])
-            if det:
-                out[i] = det
+            minor = det([[self.tau[a][j] for j in J] for a in K])
+            if minor:
+                out[i] = minor
         self._wedge_cache[J] = out
         return out
 

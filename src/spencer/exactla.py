@@ -220,6 +220,53 @@ def rank_of_rows(rows: Iterable[Mapping[int, object]]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# dense square systems
+
+
+def det(matrix: Sequence[Sequence[object]]) -> int | Fraction:
+    """Determinant of a square matrix of ints and Fractions: an int when
+    every entry is an int, else a Fraction.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on the rows
+    scaled to integers: each entry stays an integer minor, so every
+    division is exact, and the last pivot is the determinant."""
+    rows, scale = [], 1
+    for row in matrix:
+        den = math.lcm(*(Fraction(v).denominator for v in row))
+        rows.append([int(v * den) for v in row])
+        scale *= den
+    sign, prev = 1, 1
+    for k in range(len(rows)):
+        p = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if p is None:
+            sign = 0
+            break
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        top = rows[k]
+        for row in rows[k + 1:]:
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * top[k] - row[k] * top[j]) // prev
+        prev = top[k]
+    if all(type(v) is int for row in matrix for v in row):
+        return sign * prev
+    return Fraction(sign * prev, scale)
+
+
+def solve(matrix: Sequence[Sequence[object]],
+          rhs: Sequence[object]) -> Optional[List[Fraction]]:
+    """The unique x with matrix x = rhs, as Fractions by Cramer's rule, or
+    None when the square matrix is singular."""
+    d = det(matrix)
+    if not d:
+        return None
+    return [Fraction(det([list(row[:i]) + [b] + list(row[i + 1:])
+                          for row, b in zip(matrix, rhs)])) / d
+            for i in range(len(matrix))]
+
+
+# ---------------------------------------------------------------------------
 
 
 class Subspace:

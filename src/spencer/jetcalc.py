@@ -5,7 +5,8 @@ the jet coordinate of the j-th fibre component along the multi-index
 sigma (length n).  ('p', j, (0,...,0)) is the fibre coordinate itself.
 A JetPolynomial is a sparse map from canonical monomials (variables
 sorted x-first, then by fibre index and graded-lex multi-index) to
-Fraction coefficients.
+exact coefficients: an int when the coefficient is integral, a Fraction
+otherwise, so integer data stays integer.
 
 The total derivative sends order-m polynomials to order m+1.  Vector
 fields on the order-k jet space are assembled from generating data
@@ -18,13 +19,14 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (AmbientMismatch, CancellationFailure, CapExceeded,
                      ParamOutOfRange, SingularJacobian)
-from .exactla import (Subspace, TensorShape, Vec, echelon, rank_of_rows,
-                      sym_basis)
-from .symbolic import _raised
+from .exactla import (Subspace, TensorShape, Vec, det, echelon, rank_of_rows,
+                      solve, sym_basis)
+from .symbolic import _lowered, _raised
 
 Var = Tuple
 Monomial = Tuple[Tuple[Var, int], ...]
@@ -48,6 +50,7 @@ def var_order(v: Var) -> int:
     return 0 if v[0] == "x" else sum(v[2])
 
 
+@lru_cache(maxsize=4096)
 def _var_key(v: Var):
     if v[0] == "x":
         return (0, v[1], 0, ())
@@ -55,22 +58,73 @@ def _var_key(v: Var):
 
 
 def _canonical(exps: Dict[Var, int]) -> Monomial:
-    return tuple(sorted(((v, e) for v, e in exps.items() if e),
-                        key=lambda p: _var_key(p[0])))
+    return tuple((v, exps[v]) for v in sorted(exps, key=_var_key) if exps[v])
+
+
+def _lowered_at(m: Monomial, t: int) -> Monomial:
+    """m with the exponent of its t-th variable lowered by one."""
+    v, e = m[t]
+    if e == 1:
+        return m[:t] + m[t + 1:]
+    return m[:t] + ((v, e - 1),) + m[t + 1:]
+
+
+def _times_var(m: Monomial, v: Var) -> Monomial:
+    """m times the variable v, kept in canonical order."""
+    key = _var_key(v)
+    for t, (w, e) in enumerate(m):
+        if w == v:
+            return m[:t] + ((v, e + 1),) + m[t + 1:]
+        if _var_key(w) > key:
+            return m[:t] + ((v, 1),) + m[t:]
+    return m + ((v, 1),)
+
+
+def _coef(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _accumulate(out: Dict[Monomial, object], m: Monomial, c) -> None:
+    """out[m] += c, dropping a zero sum and keeping integral sums int."""
+    w = out.get(m, 0) + c
+    if not w:
+        del out[m]
+    elif type(w) is int:
+        out[m] = w
+    else:
+        out[m] = w.numerator if w.denominator == 1 else w
 
 
 class JetPolynomial:
-    """Polynomial in base and jet coordinates with Fraction coefficients."""
+    """Polynomial in base and jet coordinates with exact coefficients:
+    integral coefficients are stored as int, the others as Fraction."""
 
     __slots__ = ("n", "r", "terms")
 
     def __init__(self, n: int, r: int,
-                 terms: Optional[Dict[Monomial, Fraction]] = None):
+                 terms: Optional[Dict[Monomial, object]] = None):
         if n < 1 or r < 1:
             raise ParamOutOfRange("need n, r >= 1")
         self.n = n
         self.r = r
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+        self.terms = {}
+        for m, c in (terms or {}).items():
+            c = _coef(c)
+            if c:
+                self.terms[m] = c
+
+    @classmethod
+    def _of(cls, n: int, r: int, terms: Dict[Monomial, object]):
+        """Wrap terms that are already nonzero, canonical and normalized."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.r = r
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, n, r):
@@ -78,7 +132,7 @@ class JetPolynomial:
 
     @classmethod
     def const(cls, n, r, c) -> "JetPolynomial":
-        return cls(n, r, {(): Fraction(c)})
+        return cls(n, r, {(): c})
 
     @classmethod
     def variable(cls, n, r, v: Var) -> "JetPolynomial":
@@ -88,7 +142,7 @@ class JetPolynomial:
         else:
             if not 0 <= v[1] < r or len(v[2]) != n:
                 raise ParamOutOfRange("jet variable out of range")
-        return cls(n, r, {((v, 1),): Fraction(1)})
+        return cls(n, r, {((v, 1),): 1})
 
     def _check(self, other: "JetPolynomial"):
         if self.n != other.n or self.r != other.r:
@@ -106,32 +160,33 @@ class JetPolynomial:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return JetPolynomial(self.n, self.r, out)
+            _accumulate(out, m, c)
+        return JetPolynomial._of(self.n, self.r, out)
 
     def __neg__(self):
-        return JetPolynomial(self.n, self.r,
-                             {m: -c for m, c in self.terms.items()})
+        return JetPolynomial._of(self.n, self.r,
+                                 {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+            q = _coef(other)
+            if not q:
+                return JetPolynomial.zero(self.n, self.r)
             return JetPolynomial(self.n, self.r,
                                  {m: c * q for m, c in self.terms.items()})
         self._check(other)
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, object] = {}
         for m1, c1 in self.terms.items():
             d1 = dict(m1)
             for m2, c2 in other.terms.items():
                 exps = dict(d1)
                 for v, e in m2:
                     exps[v] = exps.get(v, 0) + e
-                key = _canonical(exps)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return JetPolynomial(self.n, self.r, out)
+                _accumulate(out, _canonical(exps), c1 * c2)
+        return JetPolynomial._of(self.n, self.r, out)
 
     __rmul__ = __mul__
 
@@ -142,28 +197,19 @@ class JetPolynomial:
         return out
 
     def diff(self, v: Var) -> "JetPolynomial":
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, object] = {}
         for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.get(v, 0)
-            if not e:
-                continue
-            exps[v] = e - 1
-            key = _canonical(exps)
-            out[key] = out.get(key, Fraction(0)) + c * e
-        return JetPolynomial(self.n, self.r, out)
-
-    def variables(self) -> List[Var]:
-        seen = set()
-        for m in self.terms:
-            for v, _ in m:
-                seen.add(v)
-        return sorted(seen, key=_var_key)
+            for t, (w, e) in enumerate(m):
+                if w == v:
+                    _accumulate(out, _lowered_at(m, t), c * e)
+                    break
+        return JetPolynomial._of(self.n, self.r, out)
 
     @property
     def k_max(self) -> int:
         """Highest jet order among the variables that appear."""
-        return max((var_order(v) for v in self.variables()), default=0)
+        return max((_var_key(v)[2] for m in self.terms for v, _ in m),
+                   default=0)
 
     def evaluate(self, point) -> Fraction:
         value = point.value if isinstance(point, JetPoint) else point.__getitem__
@@ -285,15 +331,19 @@ def total_derivative(f: JetPolynomial, i: int) -> JetPolynomial:
     """Derivative along the i-th base direction through all jet variables."""
     if not 0 <= i < f.n:
         raise ParamOutOfRange("base direction out of range")
-    out = f.diff(x_var(i))
-    for v in f.variables():
-        if v[0] != "p":
-            continue
-        sigma = v[2]
-        raised = sigma[:i] + (sigma[i] + 1,) + sigma[i + 1:]
-        out = out + f.diff(v) * JetPolynomial.variable(f.n, f.r,
-                                                       p_var(v[1], raised))
-    return out
+    xi = x_var(i)
+    out: Dict[Monomial, object] = {}
+    for m, c in f.terms.items():
+        for t, (v, e) in enumerate(m):
+            if v[0] == "p":
+                key = _times_var(_lowered_at(m, t),
+                                 p_var(v[1], _raised(v[2], i)))
+            elif v == xi:
+                key = _lowered_at(m, t)
+            else:
+                continue
+            _accumulate(out, key, c * e)
+    return JetPolynomial._of(f.n, f.r, out)
 
 
 def total_derivative_multi(f: JetPolynomial,
@@ -382,6 +432,38 @@ class LieField:
             self.n, self.r, self.k, len(self.coeffs))
 
 
+def _derivatives(phi: JetPolynomial, k: int) -> Dict[Tuple[int, ...],
+                                                     JetPolynomial]:
+    """D_sigma phi for every |sigma| <= k, each one total derivative of a
+    derivative of the degree below: D_sigma = D_i D_(sigma - 1_i), with i
+    the first direction that sigma holds."""
+    n = phi.n
+    out = {(0,) * n: phi}
+    for d in range(1, k + 1):
+        for sigma in sym_basis(n, d):
+            i = next(t for t, e in enumerate(sigma) if e)
+            out[sigma] = total_derivative(out[_lowered(sigma, i)], i)
+    return out
+
+
+def _fibre_coefficients(j: int, phi: JetPolynomial,
+                        a: Sequence[JetPolynomial], k: int,
+                        coeffs: Dict[Var, JetPolynomial]) -> None:
+    """Enter the coefficients D_sigma phi + sum_i a^i p^j_(sigma+1_i) of the
+    order-<=k jet coordinates of the j-th fibre component into coeffs."""
+    n, r = phi.n, phi.r
+    for sigma, c in _derivatives(phi, k).items():
+        for i in range(n):
+            if a[i]:
+                c = c + a[i] * JetPolynomial.variable(
+                    n, r, p_var(j, _raised(sigma, i)))
+        if c.k_max > k:
+            raise CancellationFailure(
+                "top-order variables failed to cancel at %r" % (sigma,))
+        if c:
+            coeffs[p_var(j, sigma)] = c
+
+
 def prolong_point(a: Sequence[JetPolynomial], b: Sequence[JetPolynomial],
                   k: int) -> LieField:
     """Lift of the field sum a^i d/dx_i + sum b^j d/du_j to order-k jets.
@@ -401,27 +483,17 @@ def prolong_point(a: Sequence[JetPolynomial], b: Sequence[JetPolynomial],
         if f.k_max > 0:
             raise ParamOutOfRange(
                 "generating components must only use order-0 variables")
-    phi = [b[j] - sum((a[i] * JetPolynomial.variable(
-                           n, r, p_var(j, _raised((0,) * n, i)))
-                       for i in range(n)), JetPolynomial.zero(n, r))
-           for j in range(r)]
     coeffs: Dict[Var, JetPolynomial] = {}
     for i in range(n):
         if a[i]:
             coeffs[x_var(i)] = a[i]
     for j in range(r):
-        for d in range(k + 1):
-            for sigma in sym_basis(n, d):
-                c = total_derivative_multi(phi[j], sigma)
-                for i in range(n):
-                    if a[i]:
-                        c = c + a[i] * JetPolynomial.variable(
-                            n, r, p_var(j, _raised(sigma, i)))
-                if c.k_max > k:
-                    raise CancellationFailure(
-                        "top-order variables failed to cancel at %r" % (sigma,))
-                if c:
-                    coeffs[p_var(j, sigma)] = c
+        phi = b[j]
+        for i in range(n):
+            if a[i]:
+                phi = phi - a[i] * JetPolynomial.variable(
+                    n, r, p_var(j, _raised((0,) * n, i)))
+        _fibre_coefficients(j, phi, a, k, coeffs)
     return LieField(n, r, k, coeffs)
 
 
@@ -441,18 +513,7 @@ def prolong_contact(phi: JetPolynomial, k: int) -> LieField:
     for i in range(n):
         if a[i]:
             coeffs[x_var(i)] = a[i]
-    for d in range(k + 1):
-        for sigma in sym_basis(n, d):
-            c = total_derivative_multi(phi, sigma)
-            for i in range(n):
-                if a[i]:
-                    c = c + a[i] * JetPolynomial.variable(
-                        n, r, p_var(0, _raised(sigma, i)))
-            if c.k_max > k:
-                raise CancellationFailure(
-                    "top-order variables failed to cancel at %r" % (sigma,))
-            if c:
-                coeffs[p_var(0, sigma)] = c
+    _fibre_coefficients(0, phi, a, k, coeffs)
     return LieField(n, r, k, coeffs)
 
 
@@ -604,26 +665,9 @@ class TresseFrame:
         self.point = point
         self.jacobian = [[total_derivative(fb, ia).evaluate(point)
                           for fb in functions] for ia in range(n)]
-        if rank_of_rows(dict(enumerate(row)) for row in self.jacobian) < n:
+        if not det(self.jacobian):
             raise SingularJacobian(
                 "total-derivative Jacobian is singular at the point")
-
-
-def _solve(m: List[List[Fraction]], rhs: List[Fraction]) -> List[Fraction]:
-    size = len(m)
-    aug = [list(m[i]) + [rhs[i]] for i in range(size)]
-    for col in range(size):
-        piv = next((row for row in range(col, size) if aug[row][col]), None)
-        if piv is None:
-            raise SingularJacobian("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [inv * v for v in aug[col]]
-        for row in range(size):
-            if row != col and aug[row][col]:
-                f = aug[row][col]
-                aug[row] = [a - f * b for a, b in zip(aug[row], aug[col])]
-    return [aug[i][size] for i in range(size)]
 
 
 def tresse(f: JetPolynomial, frame: TresseFrame) -> List[Fraction]:
@@ -631,7 +675,10 @@ def tresse(f: JetPolynomial, frame: TresseFrame) -> List[Fraction]:
     at the frame's point: the unique solution of the horizontal chain rule."""
     rhs = [total_derivative(f, i).evaluate(frame.point)
            for i in range(f.n)]
-    return _solve(frame.jacobian, rhs)
+    out = solve(frame.jacobian, rhs)
+    if out is None:
+        raise SingularJacobian("singular system")
+    return out
 
 
 def tresse_symbolic(f: JetPolynomial,
@@ -661,41 +708,63 @@ def _wsum(w1, w2, sign=1):
     return tuple(a + sign * b for a, b in zip(w1, w2))
 
 
-def _point_generators(n: int, r: int, k: int, cutoff: int):
+def _point_lifts(n: int, r: int, k: int, d: int):
+    """Lifts of the point fields with one degree-d monomial component."""
     zero = JetPolynomial.zero(n, r)
     gens = []
     vars0 = [x_var(i) for i in range(n)] + [u_var(j, n) for j in range(r)]
-    for d in range(cutoff + 1):
-        for exps in sym_basis(n + r, d):
-            mono = JetPolynomial(n, r, {_canonical(
-                {vars0[t]: exps[t] for t in range(n + r)}): Fraction(1)})
-            w = (d - sum(exps[n:]),) + tuple(exps[n:])
-            for i in range(n):
-                a = [mono if t == i else zero for t in range(n)]
-                field = prolong_point(a, [zero] * r, k)
-                gens.append((_wsum(w, _weight(x_var(i), r), -1), field))
-            for j in range(r):
-                b = [mono if t == j else zero for t in range(r)]
-                field = prolong_point([zero] * n, b, k)
-                gens.append((_wsum(w, _weight(u_var(j, n), r), -1), field))
+    for exps in sym_basis(n + r, d):
+        mono = JetPolynomial._of(n, r, {_canonical(
+            {vars0[t]: exps[t] for t in range(n + r)}): 1})
+        w = (d - sum(exps[n:]),) + tuple(exps[n:])
+        for i in range(n):
+            a = [mono if t == i else zero for t in range(n)]
+            field = prolong_point(a, [zero] * r, k)
+            gens.append((_wsum(w, _weight(x_var(i), r), -1), field))
+        for j in range(r):
+            b = [mono if t == j else zero for t in range(r)]
+            field = prolong_point([zero] * n, b, k)
+            gens.append((_wsum(w, _weight(u_var(j, n), r), -1), field))
     return gens
 
 
-def _contact_generators(n: int, k: int, cutoff: int):
+def _contact_lifts(n: int, k: int, d: int):
+    """Lifts of the contact fields with a degree-d monomial generating
+    function."""
     r = 1
     gens = []
     vars1 = [x_var(i) for i in range(n)] + [u_var(0, n)] \
         + [p_var(0, _raised((0,) * n, i)) for i in range(n)]
     wts = [_weight(v, r) for v in vars1]
+    for exps in sym_basis(2 * n + 1, d):
+        phi = JetPolynomial._of(n, r, {_canonical(
+            {vars1[t]: exps[t] for t in range(2 * n + 1)}): 1})
+        w = (0, 0)
+        for t in range(2 * n + 1):
+            w = _wsum(w, tuple(exps[t] * c for c in wts[t]))
+        field = prolong_contact(phi, k)
+        gens.append((_wsum(w, _weight(u_var(0, n), r), -1), field))
+    return gens
+
+
+@lru_cache(maxsize=1)
+def _lift_store(kind: str, n: int, r: int, k: int) -> Dict[int, list]:
+    """Degree -> lifts of one family's monomial generators, filled on
+    demand.  One family is kept at a time, so the cutoffs and degrees l of
+    one oracle run share their lifts, and the next family frees them."""
+    return {}
+
+
+def _generators(kind: str, n: int, r: int, k: int, cutoff: int):
+    """(weight, lift) for every monomial generator of degree <= cutoff;
+    each degree is lifted once per family."""
+    store = _lift_store(kind, n, r, k)
+    gens = []
     for d in range(cutoff + 1):
-        for exps in sym_basis(2 * n + 1, d):
-            phi = JetPolynomial(n, r, {_canonical(
-                {vars1[t]: exps[t] for t in range(2 * n + 1)}): Fraction(1)})
-            w = (0, 0)
-            for t in range(2 * n + 1):
-                w = _wsum(w, tuple(exps[t] * c for c in wts[t]))
-            field = prolong_contact(phi, k)
-            gens.append((_wsum(w, _weight(u_var(0, n), r), -1), field))
+        if d not in store:
+            store[d] = (_point_lifts(n, r, k, d) if kind == "point"
+                        else _contact_lifts(n, k, d))
+        gens.extend(store[d])
     return gens
 
 
@@ -733,16 +802,13 @@ def _group_split(rows, l: int):
 
 
 def _lie_symbol_data(kind: str, n: int, r: int, k: int, l: int, cutoff: int):
-    if kind == "point":
-        gens = _point_generators(n, r, k, cutoff)
-    elif kind == "contact":
-        if r != 1:
-            raise ParamOutOfRange("contact lifts need fibre rank 1")
-        gens = _contact_generators(n, k, cutoff)
-    else:
+    if kind not in ("point", "contact"):
         raise ParamOutOfRange("oracle kind must be point or contact")
+    if kind == "contact" and r != 1:
+        raise ParamOutOfRange("contact lifts need fibre rank 1")
     coords = jet_coords(n, r, k)
-    return coords, _taylor_groups(gens, coords, l)
+    return coords, _taylor_groups(_generators(kind, n, r, k, cutoff),
+                                  coords, l)
 
 
 def _oracle_dim(kind, n, r, k, l, cutoff) -> int:
@@ -755,6 +821,18 @@ def _oracle_dim(kind, n, r, k, l, cutoff) -> int:
                    for row in indexed]
         total += full - rank_of_rows(lowpart)
     return total
+
+
+def _cutoff(k: int, l: int, cutoff: Optional[int]) -> int:
+    """The generator degree cutoff, k + l + 1 unless given.  Generators of
+    degree below l add nothing to the order-l symbol, so below l both the
+    pass at the cutoff and the one above it can read 0, and the saturation
+    check would pass on a wrong value."""
+    if cutoff is None:
+        return k + l + 1
+    if cutoff < l:
+        raise ParamOutOfRange("degree cutoff %d is below l = %d" % (cutoff, l))
+    return cutoff
 
 
 def symbol_oracle(kind: str, n: int, r: int, k: int, l: int,
@@ -771,7 +849,7 @@ def symbol_oracle(kind: str, n: int, r: int, k: int, l: int,
     columns = width * sum(math.comb(width + d - 1, d) for d in range(l + 1))
     if columns > (cap if cap is not None else ORACLE_COLUMN_CAP):
         raise CapExceeded("oracle matrix would have %d columns" % columns)
-    c0 = cutoff if cutoff is not None else k + l + 1
+    c0 = _cutoff(k, l, cutoff)
     dim = _oracle_dim(kind, n, r, k, l, c0)
     if saturate:
         again = _oracle_dim(kind, n, r, k, l, c0 + 1)
@@ -795,7 +873,7 @@ def lie_symbol_subspace(kind: str, n: int, r: int, k: int, l: int,
     if cap is not None and shape.dim > cap:
         raise CapExceeded("ambient dimension %d exceeds the cap %d"
                           % (shape.dim, cap))
-    c0 = cutoff if cutoff is not None else k + l + 1
+    c0 = _cutoff(k, l, cutoff)
     first = _embed(kind, n, r, k, l, c0, shape)
     if saturate:
         if _embed(kind, n, r, k, l, c0 + 1, shape) != first:

@@ -179,18 +179,27 @@ class SymbolicSystem:
         self._check_closure()
 
     def _check_closure(self):
-        """Each grade lowers into the one below: delta(g_l) in g_(l-1) (x) V*."""
-        for l in sorted(self._grades):
+        """Each grade lowers into the one below: delta(g_l) in g_(l-1) (x) V*.
+
+        Checked on every supplied grade and, with fill="full", on each full
+        grade filled in directly above a supplied one."""
+        supplied = sorted(self._grades)
+        filled = [l + 1 for l in supplied
+                  if self.fill == "full" and l + 1 not in self._grades]
+        for l in supplied + filled:
             if l < 1:
                 continue
             lower = self.grade(l - 1)
             if lower.is_full:
                 continue
-            dmap = delta_map(self._grades[l].ambient)
+            shape = TensorShape(self.base_dim, l, 0, self.value_dim)
+            upper = (self._grades[l] if l in self._grades
+                     else Subspace.full(shape))
+            dmap = delta_map(shape)
             forms = tensor_all_forms(
                 lower, TensorShape(self.base_dim, l - 1, 1, self.value_dim))
             if not all(forms.contains_vector(dmap.apply(row))
-                       for row in self._grades[l].int_rows):
+                       for row in upper.int_rows):
                 raise NotASubcomplex("grade %d is not closed under lowering" % l)
 
     def grade(self, l: int) -> Subspace:

@@ -11,7 +11,7 @@ from spencer.exactla import (
     TensorShape, Subspace, LinearMap,
     sym_basis, wedge_basis, echelon, rank_of_rows,
     subspace_sum, subspace_intersect, contains, quotient_dim,
-    image, kernel, kernel_of_rows, preimage,
+    image, kernel, kernel_of_rows, preimage, det, solve,
 )
 
 
@@ -533,3 +533,65 @@ def test_rank_matches_sympy(kind):
         assert rank_of_rows(rows) == expected
 
     check()
+
+
+# ---------------------------------------------------------------- square systems
+
+def cofactor_det(matrix):
+    """Reference determinant by cofactor expansion along the first row."""
+    if not matrix:
+        return 1
+    total = 0
+    for col, v in enumerate(matrix[0]):
+        minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
+        total += (-1) ** col * v * cofactor_det(minor)
+    return total
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_det_and_solve_match_cofactor_reference(kind):
+    rng = random.Random(5)
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        if kind == "int":
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    singular = 0
+    for _ in range(60):
+        size = rng.randint(1, 5)
+        matrix = [[entry() for _ in range(size)] for _ in range(size)]
+        if rng.random() < 0.2:
+            matrix[-1] = [2 * v for v in matrix[0]]
+        want = cofactor_det(matrix)
+        got = det(matrix)
+        assert got == want
+        integral = all(type(v) is int for row in matrix for v in row)
+        assert type(got) is (int if integral else Fraction)
+        rhs = [entry() for _ in range(size)]
+        x = solve(matrix, rhs)
+        if not want:
+            singular += 1
+            assert x is None
+            continue
+        assert all(type(v) is Fraction for v in x)
+        assert [sum(a * b for a, b in zip(row, x)) for row in matrix] == rhs
+    assert singular
+    assert det([]) == 1
+
+
+def test_restricted_wedge_minors_are_cofactor_minors():
+    from spencer.covariants import FlagContext
+    tau = [[1, 0, Fraction(2, 3), -1, 5], [0, 1, 4, Fraction(-7, 2), 1],
+           [3, Fraction(1, 9), 0, 2, -2]]
+    ctx = FlagContext(5, tau)
+    for e in range(4):
+        for J in wedge_basis(5, e):
+            want = {}
+            for i, K in enumerate(wedge_basis(3, e)):
+                minor = cofactor_det([[ctx.tau[a][j] for j in J] for a in K])
+                if minor:
+                    want[i] = minor
+            assert ctx.restricted_wedge(J) == want

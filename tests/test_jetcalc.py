@@ -1,10 +1,13 @@
 """Jet-space calculus: total derivatives, lifted fields, moving-frame
 derivatives, and the filtered dimension oracle."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from spencer import jetcalc
+from spencer.cli import main
 from spencer.errors import (CancellationFailure, ParamOutOfRange,
                             SingularJacobian, CapExceeded)
 from spencer.jetcalc import (
@@ -77,6 +80,43 @@ def test_partial_derivative_basics():
     assert f.diff(x_var(0)) == JetPolynomial.const(1, 1, 2) * x * u
     assert f.diff(u_var(0, 1)) == x * x
     assert f.diff(p_var(0, (1,))) == JetPolynomial.const(1, 1, 1)
+
+
+def test_integer_data_stays_integer():
+    def int_coefficients(f):
+        return all(type(c) is int for c in f.terms.values())
+
+    rng = RationalLCG(41)
+    f = random_poly(rng, 2, 1, 1)
+    g = random_poly(rng, 2, 1, 1)
+    assert int_coefficients(f) and int_coefficients(g)
+    for h in (f + g, f - g, f * g, f * 3, f.diff(x_var(0)),
+              f.diff(p_var(0, (1, 0))), total_derivative(f, 1)):
+        assert int_coefficients(h)
+    x = JetPolynomial.variable(1, 1, x_var(0))
+    u = JetPolynomial.variable(1, 1, u_var(0, 1))
+    point = prolong_point([x * u], [u * u - x], 3)
+    contact = prolong_contact(poly("x1*p[1,1]^2 - u^2", 1, 1), 3)
+    for field in (point, contact):
+        assert all(int_coefficients(c) for c in field.coeffs.values())
+
+    two = JetPolynomial.const(1, 1, Fraction(4, 2))
+    assert two.terms == {(): 2} and type(two.terms[()]) is int
+    half = poly("3/2*x1", 1, 1)
+    assert list(half.terms.values()) == [Fraction(3, 2)]
+    assert type((half + half).terms[((x_var(0), 1),)]) is int
+    by_fraction = JetPolynomial(1, 1, {((x_var(0), 2),): Fraction(6, 3),
+                                       (): Fraction(1, 2)})
+    by_int = JetPolynomial.const(1, 1, 2) * x * x \
+        + JetPolynomial.const(1, 1, Fraction(1, 2))
+    assert by_fraction == by_int
+
+    pt = JetPoint(1, 1, 1, {x_var(0): 2, u_var(0, 1): 3, p_var(0, (1,)): 1})
+    assert type((x * u).evaluate(pt)) is Fraction
+    assert type(JetPolynomial.zero(1, 1).evaluate(pt)) is Fraction
+    frame = TresseFrame([poly("x1 + u", 1, 1)], JetPoint.origin(1, 1, 1))
+    got = tresse(poly("2*x1", 1, 1), frame)
+    assert got == [2] and all(type(v) is Fraction for v in got)
 
 
 # ---------------------------------------------------------------- total derivatives
@@ -344,3 +384,50 @@ def test_materialized_symbol_space_matches_oracle_dimension():
     assert sub.ambient.base_dim == 5
     assert sub == point_lie_embed(1, 2, 1, 1)
     assert lie_symbol_subspace("point", 1, 2, 0, 1).dim == 9
+
+
+def test_oracle_refuses_cutoff_below_l():
+    # Below l both passes could read 0 and saturation would pass; the
+    # true values are 30, 15 and 24.
+    with pytest.raises(ParamOutOfRange):
+        symbol_oracle("point", 1, 2, 0, 3, cutoff=1)
+    with pytest.raises(ParamOutOfRange):
+        symbol_oracle("contact", 1, 1, 1, 3, cutoff=1)
+    with pytest.raises(ParamOutOfRange):
+        lie_symbol_subspace("point", 1, 2, 1, 2, cutoff=0)
+    assert symbol_oracle("point", 1, 2, 0, 3, cutoff=3) == 30
+    with pytest.raises(CancellationFailure):
+        symbol_oracle("contact", 1, 1, 1, 3, cutoff=3)
+
+
+@pytest.mark.parametrize("group, name, lifts", [
+    ("point_lie:n=1,r=2,k=1", "prolong_point", 252),
+    ("contact_lie:n=1,k=1", "prolong_contact", 84),
+])
+def test_oracle_lifts_each_generator_once(monkeypatch, capsys, group, name,
+                                          lifts):
+    # Degrees 0..6 serve l = 1..3 at both cutoffs; for the point family
+    # that is 3 * C(d + 2, 2) generators of degree d, for the contact
+    # family C(d + 2, 2).
+    calls = []
+    lift = getattr(jetcalc, name)
+
+    def counting(*args):
+        calls.append(args)
+        return lift(*args)
+
+    jetcalc._lift_store.cache_clear()
+    monkeypatch.setattr(jetcalc, name, counting)
+    assert main(["oracle", "--group", group, "--l", "1..3"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert all(r["match"] for r in rows)
+    assert len(calls) == lifts
+
+
+def test_saturation_recomputes_with_a_warm_lift_store():
+    jetcalc._lift_store.cache_clear()
+    assert symbol_oracle("point", 1, 2, 1, 2) == 24
+    with pytest.raises(CancellationFailure, match=r"not saturated \(12 -> 24\)"):
+        symbol_oracle("point", 1, 2, 1, 2, cutoff=2)
+    with pytest.raises(CancellationFailure):
+        lie_symbol_subspace("point", 1, 2, 1, 2, cutoff=2)

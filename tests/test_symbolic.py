@@ -184,6 +184,18 @@ def test_non_subcomplex_grades_rejected():
         SymbolicSystem(2, 1, {1: x, 2: xy})
 
 
+def test_full_fill_checks_the_grade_it_fills_above_a_supplied_one():
+    # With fill="full" the missing grade 2 is full, and x*y lowers to y
+    # along x, which g_1 = span{x} does not hold.
+    x = Subspace.from_rows(TensorShape(2, 1, 0, 1), [{0: 1}])
+    with pytest.raises(NotASubcomplex):
+        SymbolicSystem(2, 1, {1: x}, fill="full")
+    full1 = Subspace.full(TensorShape(2, 1, 0, 1))
+    sysm = SymbolicSystem(2, 1, {1: full1}, fill="full")
+    assert sysm.dim(2) == 3
+    assert spencer_H(sysm, 0, 1) == 0
+
+
 def test_negative_degree_raises():
     sysm = SymbolicSystem(2, 1, {}, fill="full")
     with pytest.raises(DegreeUnderflow):
