@@ -370,6 +370,13 @@ def system(spec: PseudogroupSpec, l_max: int,
 # jet-lift dimension formulas
 
 
+def _point_rank_opt_in(r: int, allow_r1_point_lift: bool) -> None:
+    if r == 1 and not allow_r1_point_lift:
+        raise ParamOutOfRange(
+            "rank-1 point lifts are opt-in; contact lifts are the natural "
+            "transformation class there")
+
+
 def point_lie_dim(n: int, r: int, k: int, l: int,
                   allow_r1_point_lift: bool = False) -> Tuple[int, int]:
     """Split (horizontal, vertical) dimensions of the order-l symbol of
@@ -379,10 +386,7 @@ def point_lie_dim(n: int, r: int, k: int, l: int,
     """
     if n < 1 or r < 1 or k < 0 or l < 1:
         raise ParamOutOfRange("need n, r, l >= 1 and k >= 0")
-    if r == 1 and not allow_r1_point_lift:
-        raise ParamOutOfRange(
-            "rank-1 point lifts are opt-in; contact lifts are the natural "
-            "transformation class there")
+    _point_rank_opt_in(r, allow_r1_point_lift)
     C = math.comb
     if k == 0:
         base = C(n + r + l - 1, l)
@@ -466,10 +470,7 @@ def point_lie_embed(n: int, r: int, k: int, l: int,
     """Materialized order-l symbol of point-transformation lifts, inside
     the symmetric tensors over the full jet-space coordinates.  Small
     parameters only; the enumerated ambient dimension is capped."""
-    if r == 1 and not allow_r1_point_lift:
-        raise ParamOutOfRange(
-            "rank-1 point lifts are opt-in; contact lifts are the natural "
-            "transformation class there")
+    _point_rank_opt_in(r, allow_r1_point_lift)
     from .jetcalc import lie_symbol_subspace
     return lie_symbol_subspace("point", n, r, k, l,
                                cap=materialization_cap(cap))

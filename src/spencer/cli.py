@@ -218,31 +218,28 @@ def cmd_transversality(args) -> int:
 def cmd_oracle(args) -> int:
     spec = parse_pseudogroup(args.group)
     lo, hi = _parse_range(args.l)
-    rows = []
     if spec.kind == "point_lie":
         n, r, k = (spec.param(p) for p in ("n", "r", "k"))
-        for l in range(lo, hi + 1):
-            formula = point_lie_total(n, r, k, l, args.allow_r1_point_lift)
-            brute = symbol_oracle("point", n, r, k, l, cap=args.cap)
-            rows.append({"l": l, "formula": formula, "oracle": brute,
-                         "match": formula == brute})
+        formula, brute = (
+            lambda l: point_lie_total(n, r, k, l, args.allow_r1_point_lift),
+            lambda l: symbol_oracle("point", n, r, k, l, cap=args.cap))
     elif spec.kind == "contact_lie":
         n, k = spec.param("n"), spec.param("k")
-        for l in range(lo, hi + 1):
-            formula = contact_lie_dim(n, k, l)
-            brute = symbol_oracle("contact", n, 1, k, l, cap=args.cap)
-            rows.append({"l": l, "formula": formula, "oracle": brute,
-                         "match": formula == brute})
+        formula, brute = (
+            lambda l: contact_lie_dim(n, k, l),
+            lambda l: symbol_oracle("contact", n, 1, k, l, cap=args.cap))
     elif spec.kind == "volume":
         m = spec.param("m")
-        for l in range(lo, hi + 1):
-            ref = volume_claimed_dim(m, l)
-            computed = symbol_dim(spec, l)
-            rows.append({"l": l, "formula": ref, "oracle": computed,
-                         "match": ref == computed})
+        formula, brute = (lambda l: volume_claimed_dim(m, l),
+                          lambda l: symbol_dim(spec, l))
     else:
         raise ParamOutOfRange(
             "oracle compares point_lie, contact_lie or volume groups")
+    rows = []
+    for l in range(lo, hi + 1):
+        ref, computed = formula(l), brute(l)
+        rows.append({"l": l, "formula": ref, "oracle": computed,
+                     "match": ref == computed})
     payload = {"group": str(spec), "rows": rows}
     table = [[r["l"], r["formula"], r["oracle"], r["match"]] for r in rows]
     _emit(args, payload, ["l", "formula", "oracle", "match"], table)

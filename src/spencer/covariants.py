@@ -22,16 +22,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (AmbientMismatch, ConsistencyCheckFailed, DegreeUnderflow,
                      EquationNotInvariant, ParamOutOfRange, ShapeMismatch)
-from .exactla import (LinearMap, Subspace, TensorShape, Vec, _sym_index,
-                      _wedge_index, contains, det, preimage, subspace_intersect,
-                      subspace_sum, tensor_all_forms, tensor_rows_with_wedge,
-                      wedge_basis)
+from .exactla import (LinearMap, Subspace, TensorShape, Vec, _exact,
+                      _sym_index, _wedge_index, contains, det, preimage,
+                      subspace_intersect, subspace_sum, tensor_all_forms,
+                      tensor_rows_with_wedge, wedge_basis)
 from .symbolic import (CochainComplex, SymbolicSystem, _cone_rows, _lowered,
                        _raised, _wedge_insert, annihilator, delta_map,
                        restrict_delta, spencer_complex,
                        strongly_noncharacteristic)
 
-Poly = Dict[Tuple[int, ...], Fraction]
+Poly = Dict[Tuple[int, ...], int | Fraction]
 
 
 class FlagContext:
@@ -45,7 +45,7 @@ class FlagContext:
 
     def __init__(self, m: int, tau_basis: Sequence[Sequence[object]]):
         self.m = m
-        self.tau = tuple(tuple(Fraction(x) for x in row) for row in tau_basis)
+        self.tau = tuple(tuple(_exact(x) for x in row) for row in tau_basis)
         self.n = len(self.tau)
         self.r = m - self.n
         if self.n < 1 or self.r < 1:
@@ -59,10 +59,11 @@ class FlagContext:
         self.ann = annihilator(self.tau, m)
         self._sym_cache: Dict[Tuple[int, ...], Poly] = {}
         self._wedge_cache: Dict[Tuple[int, ...], Vec] = {}
+        self._stationary: Dict[Tuple[SymbolicSystem, int], Subspace] = {}
 
     def value_projection(self, b: int) -> Vec:
         """Coordinates of the b-th ambient basis vector in nu = V/tau."""
-        return self.tau_space.quotient_coords({b: Fraction(1)})
+        return self.tau_space.quotient_coords({b: 1})
 
     def restricted_covector(self, j: int) -> Poly:
         """The covector e^j restricted to tau, as a degree-1 polynomial."""
@@ -79,7 +80,7 @@ class FlagContext:
         if cached is not None:
             return cached
         if not any(mono):
-            out: Poly = {(0,) * self.n: Fraction(1)}
+            out: Poly = {(0,) * self.n: 1}
         else:
             j = next(i for i, e in enumerate(mono) if e)
             rest = self.restricted_monomial(_lowered(mono, j))
@@ -174,6 +175,16 @@ def stationary_subspace(ctx: FlagContext, g_l: Subspace) -> Subspace:
     if shp.sym_degree == 0:
         return subspace_intersect(g_l, Subspace.from_dense(shp, ctx.tau))
     return subspace_intersect(g_l, restriction_kernel(ctx, shp.sym_degree))
+
+
+def _stationary_grade(ctx: FlagContext, gsys: SymbolicSystem,
+                      d: int) -> Subspace:
+    """stationary_subspace of g_d, computed once per flag, system and d:
+    every cell of a table over degree d reads the same one."""
+    key = (gsys, d)
+    if key not in ctx._stationary:
+        ctx._stationary[key] = stationary_subspace(ctx, gsys.grade(d))
+    return ctx._stationary[key]
 
 
 def dimension_necessary(g_l: Subspace, h_l: Subspace) -> bool:
@@ -292,7 +303,8 @@ def stationary_row_space(ctx: FlagContext, gsys: SymbolicSystem,
                     wedge_rows.append(wrow)
         rows.extend(tensor_rows_with_wedge(g.int_rows, g.ambient, wedge_rows,
                                            shape))
-    rows.extend(tensor_all_forms(stationary_subspace(ctx, g), shape).int_rows)
+    rows.extend(tensor_all_forms(_stationary_grade(ctx, gsys, d),
+                                 shape).int_rows)
     return Subspace.from_rows(shape, rows)
 
 
@@ -310,9 +322,9 @@ def tau_form_complex(ctx: FlagContext, gsys: SymbolicSystem,
     restricted along tau."""
 
     def cell(d: int, s: int) -> Subspace:
-        g = gsys.grade(d)
-        return tensor_all_forms(stationary_subspace(ctx, g) if stationary else g,
-                                TensorShape(ctx.m, d, s, ctx.m, ext_dim=ctx.n))
+        g = _stationary_grade(ctx, gsys, d) if stationary else gsys.grade(d)
+        return tensor_all_forms(g, TensorShape(ctx.m, d, s, ctx.m,
+                                               ext_dim=ctx.n))
 
     return CochainComplex(ctx.n, cell,
                           lambda shape: restrict_delta(ctx.tau, shape))

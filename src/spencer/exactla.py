@@ -118,9 +118,6 @@ class TensorShape:
     def sym_pos(self, mono: Tuple[int, ...]) -> int:
         return _sym_index(self.base_dim, self.sym_degree)[mono]
 
-    def wedge_pos(self, wedge: Tuple[int, ...]) -> int:
-        return _wedge_index(self.ext_dim, self.ext_degree)[wedge]
-
     def index(self, sym_i: int, wedge_i: int, value_i: int) -> int:
         return (sym_i * self.wedge_count + wedge_i) * self.value_dim + value_i
 
@@ -128,6 +125,14 @@ class TensorShape:
         value_i = flat % self.value_dim
         rest = flat // self.value_dim
         return rest // self.wedge_count, rest % self.wedge_count, value_i
+
+
+def _exact(c) -> int | Fraction:
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +195,9 @@ def _clear_pivots(row: IntVec, hits: List[int],
 def echelon(rows: Iterable[Mapping[int, object]],
             canonical: bool = True) -> Dict[int, IntVec]:
     """Row reduce sparse rows; returns pivot column -> primitive integer row.
+
+    Columns are ints, or any keys with a total order: a row's pivot is its
+    least column.
 
     With canonical=True the result is fully back-substituted (each pivot
     column occurs in exactly one row), which pins the unique reduced echelon

@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (AmbientMismatch, CancellationFailure, CapExceeded,
                      ParamOutOfRange, SingularJacobian)
-from .exactla import (Subspace, TensorShape, Vec, det, echelon, rank_of_rows,
-                      solve, sym_basis)
+from .exactla import (Subspace, TensorShape, Vec, _exact, det, echelon,
+                      rank_of_rows, solve, sym_basis)
 from .symbolic import _lowered, _raised
 
 Var = Tuple
@@ -80,14 +80,6 @@ def _times_var(m: Monomial, v: Var) -> Monomial:
     return m + ((v, 1),)
 
 
-def _coef(c):
-    """c as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _accumulate(out: Dict[Monomial, object], m: Monomial, c) -> None:
     """out[m] += c, dropping a zero sum and keeping integral sums int."""
     w = out.get(m, 0) + c
@@ -113,9 +105,12 @@ class JetPolynomial:
         self.r = r
         self.terms = {}
         for m, c in (terms or {}).items():
-            c = _coef(c)
+            c = _exact(c)
             if c:
-                self.terms[m] = c
+                exps: Dict[Var, int] = {}
+                for v, e in m:
+                    exps[v] = exps.get(v, 0) + e
+                _accumulate(self.terms, _canonical(exps), c)
 
     @classmethod
     def _of(cls, n: int, r: int, terms: Dict[Monomial, object]):
@@ -142,7 +137,7 @@ class JetPolynomial:
         else:
             if not 0 <= v[1] < r or len(v[2]) != n:
                 raise ParamOutOfRange("jet variable out of range")
-        return cls(n, r, {((v, 1),): 1})
+        return cls._of(n, r, {((v, 1),): 1})
 
     def _check(self, other: "JetPolynomial"):
         if self.n != other.n or self.r != other.r:
@@ -172,11 +167,11 @@ class JetPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _coef(other)
+            q = _exact(other)
             if not q:
                 return JetPolynomial.zero(self.n, self.r)
-            return JetPolynomial(self.n, self.r,
-                                 {m: c * q for m, c in self.terms.items()})
+            return JetPolynomial._of(self.n, self.r, {
+                m: _exact(c * q) for m, c in self.terms.items()})
         self._check(other)
         out: Dict[Monomial, object] = {}
         for m1, c1 in self.terms.items():
@@ -704,135 +699,111 @@ def _weight(v: Var, r: int) -> Tuple[int, ...]:
     return tuple(w)
 
 
-def _wsum(w1, w2, sign=1):
-    return tuple(a + sign * b for a, b in zip(w1, w2))
+def _taylor_row(field: LieField, cpos: Dict[Var, int]) -> Dict[Tuple, object]:
+    """The Taylor data of a lift, (degree, exponents, coordinate) ->
+    coefficient, over every term of every coefficient of the field."""
+    row = {}
+    for v, poly in field.coeffs.items():
+        vp = cpos[v]
+        for mono, c in poly.terms.items():
+            exp = [0] * len(cpos)
+            for var, e in mono:
+                exp[cpos[var]] = e
+            row[(sum(exp), tuple(exp), vp)] = c
+    return row
 
 
-def _point_lifts(n: int, r: int, k: int, d: int):
-    """Lifts of the point fields with one degree-d monomial component."""
+def _lifted_rows(kind: str, n: int, r: int, k: int, d: int) -> list:
+    """(weight, Taylor row) of the lift of every degree-d monomial
+    generator, for each variable the generator can move.  The weight, the
+    monomial's minus the moved variable's, is a scaling weight that the
+    lift preserves."""
+    cpos = {v: i for i, v in enumerate(jet_coords(n, r, k))}
+    base = [x_var(i) for i in range(n)] + [u_var(j, n) for j in range(r)]
+    variables = base if kind == "point" else \
+        base + [p_var(0, _raised((0,) * n, i)) for i in range(n)]
+    weights = [_weight(v, r) for v in variables]
     zero = JetPolynomial.zero(n, r)
-    gens = []
-    vars0 = [x_var(i) for i in range(n)] + [u_var(j, n) for j in range(r)]
-    for exps in sym_basis(n + r, d):
-        mono = JetPolynomial._of(n, r, {_canonical(
-            {vars0[t]: exps[t] for t in range(n + r)}): 1})
-        w = (d - sum(exps[n:]),) + tuple(exps[n:])
-        for i in range(n):
-            a = [mono if t == i else zero for t in range(n)]
-            field = prolong_point(a, [zero] * r, k)
-            gens.append((_wsum(w, _weight(x_var(i), r), -1), field))
-        for j in range(r):
-            b = [mono if t == j else zero for t in range(r)]
-            field = prolong_point([zero] * n, b, k)
-            gens.append((_wsum(w, _weight(u_var(j, n), r), -1), field))
-    return gens
-
-
-def _contact_lifts(n: int, k: int, d: int):
-    """Lifts of the contact fields with a degree-d monomial generating
-    function."""
-    r = 1
-    gens = []
-    vars1 = [x_var(i) for i in range(n)] + [u_var(0, n)] \
-        + [p_var(0, _raised((0,) * n, i)) for i in range(n)]
-    wts = [_weight(v, r) for v in vars1]
-    for exps in sym_basis(2 * n + 1, d):
-        phi = JetPolynomial._of(n, r, {_canonical(
-            {vars1[t]: exps[t] for t in range(2 * n + 1)}): 1})
-        w = (0, 0)
-        for t in range(2 * n + 1):
-            w = _wsum(w, tuple(exps[t] * c for c in wts[t]))
-        field = prolong_contact(phi, k)
-        gens.append((_wsum(w, _weight(u_var(0, n), r), -1), field))
-    return gens
+    out = []
+    for exps in sym_basis(len(variables), d):
+        mono = JetPolynomial._of(
+            n, r, {_canonical(dict(zip(variables, exps))): 1})
+        weight = [sum(e * w[c] for e, w in zip(exps, weights))
+                  for c in range(r + 1)]
+        if kind == "point":
+            lifts = []
+            for t, v in enumerate(base):
+                comps = [mono if s == t else zero for s in range(n + r)]
+                lifts.append((v, prolong_point(comps[:n], comps[n:], k)))
+        else:
+            lifts = [(base[n], prolong_contact(mono, k))]
+        for v, field in lifts:
+            out.append((tuple(a - b for a, b in zip(weight, _weight(v, r))),
+                        _taylor_row(field, cpos)))
+    return out
 
 
 @lru_cache(maxsize=1)
 def _lift_store(kind: str, n: int, r: int, k: int) -> Dict[int, list]:
-    """Degree -> lifts of one family's monomial generators, filled on
-    demand.  One family is kept at a time, so the cutoffs and degrees l of
-    one oracle run share their lifts, and the next family frees them."""
+    """Degree -> (weight, Taylor row) of the lifts of one family's monomial
+    generators, filled on demand.  One family is kept at a time, so the
+    cutoffs and degrees l of one oracle run share their lifts, and the
+    next family frees them."""
     return {}
 
 
-def _generators(kind: str, n: int, r: int, k: int, cutoff: int):
-    """(weight, lift) for every monomial generator of degree <= cutoff;
-    each degree is lifted once per family."""
+def _order_l_rows(kind: str, n: int, r: int, k: int, l: int,
+                  cutoff: int) -> List[Dict[Tuple, object]]:
+    """Rows spanning the order-l symbol of the lifts of the generators of
+    degree <= cutoff, keyed (l, exponents, coordinate).
+
+    The Taylor rows of degree <= l are grouped by weight (the groups have
+    disjoint column support) and row reduced without back-substitution.
+    Columns sort by degree first, so the rows whose pivot has degree l are
+    exactly the echelon rows with no part below degree l, and they span
+    the lifts vanishing to order l; their number is the dimension."""
     store = _lift_store(kind, n, r, k)
-    gens = []
+    groups: Dict[Tuple, List[Dict]] = {}
     for d in range(cutoff + 1):
         if d not in store:
-            store[d] = (_point_lifts(n, r, k, d) if kind == "point"
-                        else _contact_lifts(n, k, d))
-        gens.extend(store[d])
-    return gens
+            store[d] = _lifted_rows(kind, n, r, k, d)
+        for weight, row in store[d]:
+            part = {c: v for c, v in row.items() if c[0] <= l}
+            if part:
+                groups.setdefault(weight, []).append(part)
+    return [row for rows in groups.values()
+            for pivot, row in echelon(rows, canonical=False).items()
+            if pivot[0] == l]
 
 
-def _taylor_groups(gens, coords, l: int):
-    """Rows of degree-<=l Taylor data, grouped by the scaling weight that
-    the lift construction preserves (disjoint column support per group)."""
-    cpos = {v: i for i, v in enumerate(coords)}
-    groups: Dict[Tuple, List[Dict]] = {}
-    for key, field in gens:
-        row: Dict[Tuple, Fraction] = {}
-        for v, poly in field.coeffs.items():
-            vp = cpos[v]
-            for mono, c in poly.terms.items():
-                d = sum(e for _, e in mono)
-                if d > l:
-                    continue
-                exp = [0] * len(coords)
-                for var, e in mono:
-                    exp[cpos[var]] = e
-                row[(d, tuple(exp), vp)] = c
-        if row:
-            groups.setdefault(key, []).append(row)
-    return groups
-
-
-def _group_split(rows, l: int):
-    cols = set()
-    for row in rows:
-        cols.update(row)
-    low = sorted(c for c in cols if c[0] < l)
-    high = sorted(c for c in cols if c[0] == l)
-    idx = {c: i for i, c in enumerate(low + high)}
-    indexed = [{idx[c]: val for c, val in row.items()} for row in rows]
-    return indexed, len(low), high
-
-
-def _lie_symbol_data(kind: str, n: int, r: int, k: int, l: int, cutoff: int):
+def _saturated(kind: str, n: int, r: int, k: int, l: int,
+               cutoff: Optional[int], saturate: bool, measure_for):
+    """measure(order-l rows) at the degree cutoff, k + l + 1 unless given,
+    where measure is measure_for(number of jet coordinates), which checks
+    its cap before any lift.  With saturate, the rows are recomputed at
+    cutoff + 1 and must measure the same."""
+    if n < 1 or r < 1 or k < 0 or l < 1:
+        raise ParamOutOfRange("need n, r, l >= 1 and k >= 0")
     if kind not in ("point", "contact"):
         raise ParamOutOfRange("oracle kind must be point or contact")
     if kind == "contact" and r != 1:
         raise ParamOutOfRange("contact lifts need fibre rank 1")
-    coords = jet_coords(n, r, k)
-    return coords, _taylor_groups(_generators(kind, n, r, k, cutoff),
-                                  coords, l)
-
-
-def _oracle_dim(kind, n, r, k, l, cutoff) -> int:
-    _, groups = _lie_symbol_data(kind, n, r, k, l, cutoff)
-    total = 0
-    for rows in groups.values():
-        indexed, n_low, _ = _group_split(rows, l)
-        full = rank_of_rows(indexed)
-        lowpart = [{i: c for i, c in row.items() if i < n_low}
-                   for row in indexed]
-        total += full - rank_of_rows(lowpart)
-    return total
-
-
-def _cutoff(k: int, l: int, cutoff: Optional[int]) -> int:
-    """The generator degree cutoff, k + l + 1 unless given.  Generators of
-    degree below l add nothing to the order-l symbol, so below l both the
-    pass at the cutoff and the one above it can read 0, and the saturation
-    check would pass on a wrong value."""
+    measure = measure_for(len(jet_coords(n, r, k)))
     if cutoff is None:
-        return k + l + 1
-    if cutoff < l:
+        cutoff = k + l + 1
+    elif cutoff < l:
+        # Generators of degree below l add nothing to the order-l symbol:
+        # both passes could read 0, and saturation would pass on a wrong 0.
         raise ParamOutOfRange("degree cutoff %d is below l = %d" % (cutoff, l))
-    return cutoff
+    rows = _order_l_rows(kind, n, r, k, l, cutoff)
+    first = measure(rows)
+    if saturate:
+        more = _order_l_rows(kind, n, r, k, l, cutoff + 1)
+        if measure(more) != first:
+            raise CancellationFailure(
+                "degree cutoff %d is not saturated (%d -> %d)"
+                % (cutoff, len(rows), len(more)))
+    return first
 
 
 def symbol_oracle(kind: str, n: int, r: int, k: int, l: int,
@@ -842,22 +813,14 @@ def symbol_oracle(kind: str, n: int, r: int, k: int, l: int,
     computed by brute force: enumerate monomial generating data, lift each
     to the order-k jet space, and take the rank of the degree-l Taylor
     parts of lifts vanishing to order l."""
-    if n < 1 or r < 1 or k < 0 or l < 1:
-        raise ParamOutOfRange("need n, r, l >= 1 and k >= 0")
-    coords = jet_coords(n, r, k)
-    width = len(coords)
-    columns = width * sum(math.comb(width + d - 1, d) for d in range(l + 1))
-    if columns > (cap if cap is not None else ORACLE_COLUMN_CAP):
-        raise CapExceeded("oracle matrix would have %d columns" % columns)
-    c0 = _cutoff(k, l, cutoff)
-    dim = _oracle_dim(kind, n, r, k, l, c0)
-    if saturate:
-        again = _oracle_dim(kind, n, r, k, l, c0 + 1)
-        if again != dim:
-            raise CancellationFailure(
-                "degree cutoff %d is not saturated (%d -> %d)"
-                % (c0, dim, again))
-    return dim
+
+    def count(width: int):
+        columns = width * sum(math.comb(width + d - 1, d) for d in range(l + 1))
+        if columns > (cap if cap is not None else ORACLE_COLUMN_CAP):
+            raise CapExceeded("oracle matrix would have %d columns" % columns)
+        return len
+
+    return _saturated(kind, n, r, k, l, cutoff, saturate, count)
 
 
 def lie_symbol_subspace(kind: str, n: int, r: int, k: int, l: int,
@@ -865,34 +828,14 @@ def lie_symbol_subspace(kind: str, n: int, r: int, k: int, l: int,
                         cap: Optional[int] = None) -> Subspace:
     """The order-l symbol of jet-lifted transformations materialized inside
     the symmetric tensors over the full jet-space coordinates."""
-    if n < 1 or r < 1 or k < 0 or l < 1:
-        raise ParamOutOfRange("need n, r, l >= 1 and k >= 0")
-    coords = jet_coords(n, r, k)
-    width = len(coords)
-    shape = TensorShape(width, l, 0, width)
-    if cap is not None and shape.dim > cap:
-        raise CapExceeded("ambient dimension %d exceeds the cap %d"
-                          % (shape.dim, cap))
-    c0 = _cutoff(k, l, cutoff)
-    first = _embed(kind, n, r, k, l, c0, shape)
-    if saturate:
-        if _embed(kind, n, r, k, l, c0 + 1, shape) != first:
-            raise CancellationFailure("degree cutoff %d is not saturated" % c0)
-    return first
 
+    def span(width: int):
+        shape = TensorShape(width, l, 0, width)
+        if cap is not None and shape.dim > cap:
+            raise CapExceeded("ambient dimension %d exceeds the cap %d"
+                              % (shape.dim, cap))
+        return lambda rows: Subspace.from_rows(shape, [
+            {shape.index(shape.sym_pos(exp), 0, vp): c
+             for (_, exp, vp), c in row.items()} for row in rows])
 
-def _embed(kind, n, r, k, l, cutoff, shape: TensorShape) -> Subspace:
-    _, groups = _lie_symbol_data(kind, n, r, k, l, cutoff)
-    out_rows: List[Vec] = []
-    for rows in groups.values():
-        indexed, n_low, high = _group_split(rows, l)
-        ech = echelon(indexed)
-        for piv, row in ech.items():
-            if piv < n_low:
-                continue
-            vec: Vec = {}
-            for local, c in row.items():
-                _, exp, vp = high[local - n_low]
-                vec[shape.index(shape.sym_pos(exp), 0, vp)] = c
-            out_rows.append(vec)
-    return Subspace.from_rows(shape, out_rows)
+    return _saturated(kind, n, r, k, l, cutoff, saturate, span)

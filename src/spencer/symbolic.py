@@ -23,9 +23,10 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 
 from .errors import (AmbientMismatch, DegreeUnderflow, EquationNotInvariant,
                      MissingGrade, NotASubcomplex, ShapeMismatch, ZeroVector)
-from .exactla import (LinearMap, Subspace, TensorShape, Vec, _sym_index,
-                      _wedge_index, contains, kernel_of_rows, rank_of_rows,
-                      subspace_intersect, sym_basis, tensor_all_forms)
+from .exactla import (LinearMap, Subspace, TensorShape, Vec, _exact,
+                      _sym_index, _wedge_index, contains, kernel_of_rows,
+                      rank_of_rows, subspace_intersect, sym_basis,
+                      tensor_all_forms)
 
 
 def _lowered(mono: Tuple[int, ...], i: int) -> Tuple[int, ...]:
@@ -91,8 +92,7 @@ def restrict_delta(tau: Sequence[Sequence[object]], shape: TensorShape) -> Linea
         raise DegreeUnderflow("differential needs symmetric degree >= 1")
     n, w = shape.base_dim, shape.value_dim
     # Integral entries stay ints, so an integer flag gives an integer map.
-    tau = [[v.numerator if v.denominator == 1 else v
-            for v in map(Fraction, row)] for row in tau]
+    tau = [[_exact(v) for v in row] for row in tau]
     cod = TensorShape(n, shape.sym_degree - 1, shape.ext_degree + 1, w, ext_dim=p)
     low_index = _sym_index(n, cod.sym_degree)
     wedge_index = _wedge_index(p, cod.ext_degree)

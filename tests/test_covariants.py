@@ -299,9 +299,29 @@ def test_stationary_table_builds_each_cell_once(monkeypatch, capsys):
         built[(l, s)] += 1
         return original(ctx, gsys, l, s)
 
+    stationary = collections.Counter()
+    original_stationary = covariants_module.stationary_subspace
+
+    def counting_stationary(ctx, g_l):
+        stationary[g_l.ambient.sym_degree] += 1
+        return original_stationary(ctx, g_l)
+
     monkeypatch.setattr(covariants_module, "stationary_row_space", counting)
+    monkeypatch.setattr(covariants_module, "stationary_subspace",
+                        counting_stationary)
     assert main(["cohomology", "--table", "stationary", "--group",
                  "general:m=3", "--flag", "tau=1,0,0;0,1,0",
                  "--l", "1..3"]) == 0
     capsys.readouterr()
     assert built and set(built.values()) == {1}
+    # The cells of one degree share its stationary subspace.
+    assert stationary and set(stationary.values()) == {1}
+
+    stationary.clear()
+    gsys = system(parse_pseudogroup("general:m=3"), 4)
+    cx = tau_form_complex(axis_flag(3, 2), gsys, stationary=True)
+    for d in range(4):
+        for s in range(3):
+            cx.H(d, s)
+    assert sorted(stationary) == [0, 1, 2, 3, 4]
+    assert set(stationary.values()) == {1}

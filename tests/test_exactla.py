@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from spencer.covariants import FlagContext, restriction_map
 from spencer.errors import AmbientMismatch, ShapeMismatch, NotASubspace
 from spencer.exactla import (
     TensorShape, Subspace, LinearMap,
@@ -300,6 +301,10 @@ def test_integer_data_stays_integer():
     assert half.int_rows == ({0: 2, 1: 1},)
     assert half.rows == ({0: Fraction(1), 1: Fraction(1, 2)},)
     assert all(type(v) is Fraction for v in half.rows[0].values())
+    # An integer flag gives an integer restriction map.
+    lam = restriction_map(FlagContext(4, [[1, 0, 0, 0], [0, 1, 0, 0]]), 2)
+    entries = [v for row in lam.rows for v in row.values()]
+    assert entries and all(type(v) is int for v in entries)
 
 
 def test_echelon_drops_explicit_zero_entries():

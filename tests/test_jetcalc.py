@@ -10,6 +10,7 @@ from spencer import jetcalc
 from spencer.cli import main
 from spencer.errors import (CancellationFailure, ParamOutOfRange,
                             SingularJacobian, CapExceeded)
+from spencer.exactla import TensorShape
 from spencer.jetcalc import (
     JetPolynomial, parse_jet_polynomial, parse_variable,
     x_var, p_var, u_var, jet_coords,
@@ -80,6 +81,18 @@ def test_partial_derivative_basics():
     assert f.diff(x_var(0)) == JetPolynomial.const(1, 1, 2) * x * u
     assert f.diff(u_var(0, 1)) == x * x
     assert f.diff(p_var(0, (1,))) == JetPolynomial.const(1, 1, 1)
+
+
+def test_constructor_canonicalizes_monomial_keys():
+    x = JetPolynomial.variable(1, 1, x_var(0))
+    u = JetPolynomial.variable(1, 1, u_var(0, 1))
+    swapped = JetPolynomial(1, 1, {((u_var(0, 1), 1), (x_var(0), 1)): 1})
+    assert swapped == x * u
+    assert len((swapped + x * u).terms) == 1
+    merged = JetPolynomial(1, 1, {((u_var(0, 1), 1), (x_var(0), 1)): 2,
+                                  ((x_var(0), 1), (u_var(0, 1), 1)): -2,
+                                  ((x_var(0), 1), (x_var(0), 1)): 1})
+    assert merged == x * x
 
 
 def test_integer_data_stays_integer():
@@ -378,6 +391,24 @@ def test_oracle_respects_column_cap():
         symbol_oracle("point", 2, 2, 2, 3, cap=100)
 
 
+@pytest.mark.parametrize("family, dim", [
+    (("point", 1, 2, 0, 1), 9),
+    (("point", 1, 2, 1, 1), 13),
+    (("point", 1, 2, 1, 2), 24),
+    (("contact", 1, 1, 1, 1), 6),
+    (("contact", 1, 1, 1, 2), 10),
+    (("contact", 1, 1, 2, 1), 8),
+])
+def test_symbol_space_and_oracle_share_their_rows(family, dim):
+    kind, n, r, k, l = family
+    closed = point_lie_total(n, r, k, l) if kind == "point" \
+        else contact_lie_dim(n, k, l)
+    sub = lie_symbol_subspace(*family)
+    assert sub.dim == symbol_oracle(*family) == closed == dim
+    width = len(jet_coords(n, r, k))
+    assert sub.ambient == TensorShape(width, l, 0, width)
+
+
 def test_materialized_symbol_space_matches_oracle_dimension():
     sub = lie_symbol_subspace("point", 1, 2, 1, 1)
     assert sub.dim == 13
@@ -429,5 +460,5 @@ def test_saturation_recomputes_with_a_warm_lift_store():
     assert symbol_oracle("point", 1, 2, 1, 2) == 24
     with pytest.raises(CancellationFailure, match=r"not saturated \(12 -> 24\)"):
         symbol_oracle("point", 1, 2, 1, 2, cutoff=2)
-    with pytest.raises(CancellationFailure):
+    with pytest.raises(CancellationFailure, match=r"not saturated \(12 -> 24\)"):
         lie_symbol_subspace("point", 1, 2, 1, 2, cutoff=2)
