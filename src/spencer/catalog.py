@@ -25,17 +25,16 @@ Jet-lifted kinds (formula-backed; materialization lives in jetcalc):
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ParamOutOfRange, ShapeMismatch, UnsupportedDegree
 from .exactla import (Subspace, TensorShape, Vec, _sym_index, kernel_of_rows,
-                      sym_basis)
+                      materialization_cap, sym_basis)
+from .exactla import DEFAULT_CAP  # noqa: F401  (re-exported)
+from .jetcalc import lie_symbol_subspace
 from .symbolic import SymbolicSystem, _lowered, prolong
-
-DEFAULT_CAP = 5000
 
 GEOMETRIC_KINDS = ("general", "volume", "complex", "symplectic", "contact",
                    "isometry")
@@ -51,13 +50,6 @@ _KIND_PARAMS = {
     "point_lie": ("n", "r", "k"),
     "contact_lie": ("n", "k"),
 }
-
-
-def materialization_cap(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("SPENCER_CAP")
-    return int(env) if env else DEFAULT_CAP
 
 
 @dataclass(frozen=True)
@@ -358,10 +350,9 @@ def _isometry_symbol(m: int, l: int, shp: TensorShape) -> Subspace:
 
 def system(spec: PseudogroupSpec, l_max: int,
            cap: Optional[int] = None) -> SymbolicSystem:
-    """Symbolic system of the pseudogroup with grades 1..l_max materialized."""
+    """Symbolic system of the pseudogroup with grades 1..l_max built by
+    symbol(), so each is checked against the cap."""
     m = spec.ambient_dim
-    if spec.kind == "general":
-        return SymbolicSystem(m, m, {})
     grades = {l: symbol(spec, l, cap) for l in range(1, l_max + 1)}
     return SymbolicSystem(m, m, grades)
 
@@ -471,59 +462,33 @@ def point_lie_embed(n: int, r: int, k: int, l: int,
     the symmetric tensors over the full jet-space coordinates.  Small
     parameters only; the enumerated ambient dimension is capped."""
     _point_rank_opt_in(r, allow_r1_point_lift)
-    from .jetcalc import lie_symbol_subspace
-    return lie_symbol_subspace("point", n, r, k, l,
-                               cap=materialization_cap(cap))
+    return lie_symbol_subspace("point", n, r, k, l, cap=cap)
 
 
 # ---------------------------------------------------------------------------
 # named flag strata
 
 
+# name -> (the model it needs, its unit axes as a function of the ambient
+# dimension m)
+_STRATA = {
+    "lagrangian": ("symplectic", lambda m: range(m // 2)),
+    "omega-nondegenerate": ("symplectic", lambda m: (0, m // 2)),
+    "totally-real": ("complex", lambda m: range(m // 2)),
+    "j-invariant-line": ("complex", lambda m: (0, m // 2)),
+    "transversal-to-contact-plane": ("contact", lambda m: ((m - 1) // 2,)),
+    "inside-contact-plane": ("contact", lambda m: (0,)),
+}
+
+STRATUM_NAMES = tuple(_STRATA)
+
+
 def stratum_tau(spec: PseudogroupSpec, name: str) -> List[List[int]]:
     """Distinguished-subspace basis rows for a named stratum of the model."""
+    if name not in _STRATA:
+        raise ParamOutOfRange("unknown stratum %r" % name)
+    kind, axes = _STRATA[name]
+    if spec.kind != kind:
+        raise ParamOutOfRange("%s stratum needs the %s model" % (name, kind))
     m = spec.ambient_dim
-
-    def unit(i: int) -> List[int]:
-        return [1 if j == i else 0 for j in range(m)]
-
-    kind = spec.kind
-    if name == "lagrangian":
-        if kind != "symplectic":
-            raise ParamOutOfRange("lagrangian stratum needs the symplectic model")
-        N = m // 2
-        return [unit(i) for i in range(N)]
-    if name == "omega-nondegenerate":
-        if kind != "symplectic":
-            raise ParamOutOfRange(
-                "omega-nondegenerate stratum needs the symplectic model")
-        N = m // 2
-        return [unit(0), unit(N)]
-    if name == "totally-real":
-        if kind != "complex":
-            raise ParamOutOfRange("totally-real stratum needs the complex model")
-        nc = spec.param("nc")
-        return [unit(i) for i in range(nc)]
-    if name == "j-invariant-line":
-        if kind != "complex":
-            raise ParamOutOfRange(
-                "j-invariant-line stratum needs the complex model")
-        nc = spec.param("nc")
-        return [unit(0), unit(nc)]
-    if name == "transversal-to-contact-plane":
-        if kind != "contact":
-            raise ParamOutOfRange(
-                "transversal-to-contact-plane stratum needs the contact model")
-        n = (m - 1) // 2
-        return [unit(n)]
-    if name == "inside-contact-plane":
-        if kind != "contact":
-            raise ParamOutOfRange(
-                "inside-contact-plane stratum needs the contact model")
-        return [unit(0)]
-    raise ParamOutOfRange("unknown stratum %r" % name)
-
-
-STRATUM_NAMES = ("lagrangian", "omega-nondegenerate", "totally-real",
-                 "j-invariant-line", "transversal-to-contact-plane",
-                 "inside-contact-plane")
+    return [[1 if j == i else 0 for j in range(m)] for i in axes(m)]

@@ -38,9 +38,9 @@ from .symbolic import CohomologyTable, SymbolicSystem, spencer_complex
 from .covariants import (FlagContext, covariant_complex, covariants,
                          stationary_row_complex, tau_form_complex,
                          transversality_scan)
-from .catalog import (GEOMETRIC_KINDS, PseudogroupSpec, contact_lie_dim,
-                      parse_pseudogroup, point_lie_total, stratum_tau,
-                      symbol_dim, system, volume_claimed_dim)
+from .catalog import (PseudogroupSpec, contact_lie_dim, parse_pseudogroup,
+                      point_lie_total, stratum_tau, symbol_dim, system,
+                      volume_claimed_dim)
 from .jetcalc import (JetPoint, RationalLCG, TresseFrame, parse_jet_polynomial,
                       parse_variable, symbol_oracle, tresse)
 
@@ -365,6 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        # argparse reads "--opt=--" as an empty list of values.
+        if isinstance(value, list):
+            parser.error("argument --%s: expected one argument"
+                         % dest.replace("_", "-"))
     try:
         return args.func(args)
     except CAP_ERRORS as exc:

@@ -23,9 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (AmbientMismatch, ConsistencyCheckFailed, DegreeUnderflow,
                      EquationNotInvariant, ParamOutOfRange, ShapeMismatch)
 from .exactla import (LinearMap, Subspace, TensorShape, Vec, _exact,
-                      _sym_index, _wedge_index, contains, det, preimage,
-                      subspace_intersect, subspace_sum, tensor_all_forms,
-                      tensor_rows_with_wedge, wedge_basis)
+                      _sym_index, _wedge_index, contains, det, image,
+                      preimage, subspace_intersect, subspace_sum,
+                      tensor_all_forms, tensor_rows_with_wedge, wedge_basis)
 from .symbolic import (CochainComplex, SymbolicSystem, _cone_rows, _lowered,
                        _raised, _wedge_insert, annihilator, delta_map,
                        restrict_delta, spencer_complex,
@@ -130,19 +130,13 @@ def restriction_map(ctx: FlagContext, l: int, s: int = 0) -> LinearMap:
         sym_img = ctx.restricted_monomial(mono)
         for J in dom.wedge_list():
             wedge_img = ctx.restricted_wedge(J)
+            # Distinct (monomial, form, value) triples are distinct
+            # columns, and each factor is nonzero, so no entries meet.
             for b in range(m):
-                row: Vec = {}
-                for mt, sv in sym_img.items():
-                    si = cod_sym[mt]
-                    for wi, wv in wedge_img.items():
-                        for vi, pv in proj[b].items():
-                            key = cod.index(si, wi, vi)
-                            cur = row.get(key, 0) + sv * wv * pv
-                            if cur:
-                                row[key] = cur
-                            elif key in row:
-                                del row[key]
-                rows.append(row)
+                rows.append({cod.index(cod_sym[mt], wi, vi): sv * wv * pv
+                             for mt, sv in sym_img.items()
+                             for wi, wv in wedge_img.items()
+                             for vi, pv in proj[b].items()})
     return LinearMap(dom, cod, rows)
 
 
@@ -245,8 +239,7 @@ def covariants(ctx: FlagContext, g_l: Subspace,
     elif h_l.ambient != h_shape:
         raise AmbientMismatch("equation grade has the wrong shape")
     lam = restriction_map(ctx, l)
-    image_rows = [lam.apply(r) for r in g_l.int_rows]
-    lam_image = Subspace.from_rows(h_shape, image_rows)
+    lam_image = image(lam, g_l)
     if not contains(h_l, lam_image):
         raise EquationNotInvariant(
             "restricted symbol leaves the equation at order %d" % l)
@@ -343,13 +336,11 @@ def covariant_complex(ctx: FlagContext, gsys: SymbolicSystem,
     def cell(d: int, s: int) -> Subspace:
         return tensor_all_forms(hsys.grade(d), TensorShape(n, d, s, r))
 
-    def image(d: int, s: int) -> Subspace:
+    def restricted_symbol(d: int, s: int) -> Subspace:
         lam = restriction_map(ctx, d, s)
-        g = tensor_all_forms(gsys.grade(d), lam.domain)
-        return Subspace.from_rows(lam.codomain,
-                                  [lam.apply(row) for row in g.int_rows])
+        return image(lam, tensor_all_forms(gsys.grade(d), lam.domain))
 
-    return CochainComplex(n, cell, delta_map, image)
+    return CochainComplex(n, cell, delta_map, restricted_symbol)
 
 
 def stationary_row_cohomology(ctx: FlagContext, gsys: SymbolicSystem,

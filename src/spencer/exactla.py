@@ -27,6 +27,7 @@ subspace need.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +37,17 @@ from .errors import AmbientMismatch, DegreeUnderflow, NotASubspace, ShapeMismatc
 
 Vec = Dict[int, int | Fraction]
 IntVec = Dict[int, int]
+
+DEFAULT_CAP = 5000
+
+
+def materialization_cap(override: Optional[int] = None) -> int:
+    """Largest ambient dimension a space may be materialized in: override,
+    else the SPENCER_CAP environment variable, else DEFAULT_CAP."""
+    if override is not None:
+        return override
+    env = os.environ.get("SPENCER_CAP")
+    return int(env) if env else DEFAULT_CAP
 
 
 @lru_cache(maxsize=None)
@@ -453,21 +465,30 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_rows(a.ambient, a.int_rows + b.int_rows)
 
 
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus intersection via a block echelon computation."""
-    _check_same_ambient(a, b)
-    n = a.ambient.dim
-    stacked: List[IntVec] = []
-    for r in a.int_rows:
-        row = dict(r)
-        for c, v in r.items():
-            row[c + n] = v
+def _right_block_span(pairs: Iterable[Tuple[Mapping[int, object],
+                                             Mapping[int, object]]],
+                      width: int) -> List[IntVec]:
+    """Right halves of the combinations of (left, right) row pairs whose
+    left halves cancel: a non-canonical echelon of the rows
+    [left | right shifted by width], keeping the rows that pivot in the
+    right block."""
+    stacked: List[Vec] = []
+    for left, right in pairs:
+        row = {c: v for c, v in left.items() if v}
+        for c, v in right.items():
+            row[c + width] = v
         stacked.append(row)
-    stacked.extend(b.int_rows)
     piv = echelon(stacked, canonical=False)
-    inter = [{c - n: v for c, v in row.items()} for c0, row in piv.items()
-             if c0 >= n]
-    return Subspace.from_rows(a.ambient, inter)
+    return [{c - width: v for c, v in row.items()}
+            for c0, row in piv.items() if c0 >= width]
+
+
+def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Zassenhaus intersection: [a | a] over [b | 0]."""
+    _check_same_ambient(a, b)
+    pairs = [(r, r) for r in a.int_rows] + [(r, {}) for r in b.int_rows]
+    return Subspace.from_rows(a.ambient,
+                              _right_block_span(pairs, a.ambient.dim))
 
 
 def contains(big: Subspace, small: Subspace) -> bool:
@@ -494,15 +515,8 @@ def image(f: LinearMap, s: Optional[Subspace] = None) -> Subspace:
 def kernel_of_rows(rows: Sequence[Mapping[int, object]], width: int,
                    domain: TensorShape) -> Subspace:
     """Left kernel of a row family: combinations summing to zero."""
-    stacked: List[Vec] = []
-    for i, r in enumerate(rows):
-        row = {c: v for c, v in r.items() if v}
-        row[width + i] = 1
-        stacked.append(row)
-    piv = echelon(stacked, canonical=False)
-    combos = [{c - width: v for c, v in row.items()} for c0, row in piv.items()
-              if c0 >= width]
-    return Subspace.from_rows(domain, combos)
+    return Subspace.from_rows(domain, _right_block_span(
+        ((r, {i: 1}) for i, r in enumerate(rows)), width))
 
 
 def kernel(f: LinearMap) -> Subspace:

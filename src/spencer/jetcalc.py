@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (AmbientMismatch, CancellationFailure, CapExceeded,
                      ParamOutOfRange, SingularJacobian)
 from .exactla import (Subspace, TensorShape, Vec, _exact, det, echelon,
-                      rank_of_rows, solve, sym_basis)
+                      materialization_cap, rank_of_rows, solve, sym_basis)
 from .symbolic import _lowered, _raised
 
 Var = Tuple
@@ -445,16 +445,14 @@ def _fibre_coefficients(j: int, phi: JetPolynomial,
                         a: Sequence[JetPolynomial], k: int,
                         coeffs: Dict[Var, JetPolynomial]) -> None:
     """Enter the coefficients D_sigma phi + sum_i a^i p^j_(sigma+1_i) of the
-    order-<=k jet coordinates of the j-th fibre component into coeffs."""
+    order-<=k jet coordinates of the j-th fibre component into coeffs; the
+    LieField built from them checks that the order-(k+1) variables cancel."""
     n, r = phi.n, phi.r
     for sigma, c in _derivatives(phi, k).items():
         for i in range(n):
             if a[i]:
                 c = c + a[i] * JetPolynomial.variable(
                     n, r, p_var(j, _raised(sigma, i)))
-        if c.k_max > k:
-            raise CancellationFailure(
-                "top-order variables failed to cancel at %r" % (sigma,))
         if c:
             coeffs[p_var(j, sigma)] = c
 
@@ -827,13 +825,15 @@ def lie_symbol_subspace(kind: str, n: int, r: int, k: int, l: int,
                         cutoff: Optional[int] = None, saturate: bool = True,
                         cap: Optional[int] = None) -> Subspace:
     """The order-l symbol of jet-lifted transformations materialized inside
-    the symmetric tensors over the full jet-space coordinates."""
+    the symmetric tensors over the full jet-space coordinates; an ambient
+    above materialization_cap(cap) raises CapExceeded before any lift."""
 
     def span(width: int):
         shape = TensorShape(width, l, 0, width)
-        if cap is not None and shape.dim > cap:
+        limit = materialization_cap(cap)
+        if shape.dim > limit:
             raise CapExceeded("ambient dimension %d exceeds the cap %d"
-                              % (shape.dim, cap))
+                              % (shape.dim, limit))
         return lambda rows: Subspace.from_rows(shape, [
             {shape.index(shape.sym_pos(exp), 0, vp): c
              for (_, exp, vp), c in row.items()} for row in rows])

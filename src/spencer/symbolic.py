@@ -48,33 +48,45 @@ def _wedge_insert(i: int, J: Tuple[int, ...]) -> Optional[Tuple[int, Tuple[int, 
     return sign, J[:pos] + (i,) + J[pos:]
 
 
+def _lowering_map(shape: TensorShape,
+                  frame: Sequence[Sequence[Tuple[int, int | Fraction]]]
+                  ) -> LinearMap:
+    """p (x) omega -> sum_i (d_i p) (x) (tau^i ^ omega), where frame[i]
+    lists the nonzero (a, tau^i_a): the covector e^i restricted along the
+    frame, in the coordinates of the exterior space.
+
+    For a fixed (monomial, wedge) each (i, a) lands on its own column
+    (monomial lowered at i, wedge with a inserted), so no entries meet."""
+    if shape.sym_degree < 1:
+        raise DegreeUnderflow("differential needs symmetric degree >= 1")
+    n, w, p = shape.base_dim, shape.value_dim, shape.ext_dim
+    cod = TensorShape(n, shape.sym_degree - 1, shape.ext_degree + 1, w,
+                      ext_dim=p)
+    low_index = _sym_index(n, cod.sym_degree)
+    wedge_index = _wedge_index(p, cod.ext_degree)
+    rows: List[Vec] = []
+    for mono in shape.sym_list():
+        lowerings = [(low_index[_lowered(mono, i)], mono[i], frame[i])
+                     for i in range(n) if mono[i]]
+        for J in shape.wedge_list():
+            moves = []
+            for si, e, covector in lowerings:
+                for a, coef in covector:
+                    ins = _wedge_insert(a, J)
+                    if ins is not None:
+                        moves.append((cod.index(si, wedge_index[ins[1]], 0),
+                                      ins[0] * e * coef))
+            for b in range(w):
+                rows.append({c + b: v for c, v in moves})
+    return LinearMap(shape, cod, rows)
+
+
 @lru_cache(maxsize=None)
 def delta_map(shape: TensorShape) -> LinearMap:
     """Lowering differential S^d Lambda^e -> S^(d-1) Lambda^(e+1), forms on V."""
     if shape.ext_dim != shape.base_dim:
         raise ShapeMismatch("plain differential needs forms on the base space")
-    if shape.sym_degree < 1:
-        raise DegreeUnderflow("differential needs symmetric degree >= 1")
-    n, w = shape.base_dim, shape.value_dim
-    cod = TensorShape(n, shape.sym_degree - 1, shape.ext_degree + 1, w)
-    low_index = _sym_index(n, cod.sym_degree)
-    wedge_index = _wedge_index(n, cod.ext_degree)
-    rows: List[Vec] = []
-    for mono in shape.sym_list():
-        for J in shape.wedge_list():
-            moves = []
-            for i in range(n):
-                if mono[i] == 0:
-                    continue
-                ins = _wedge_insert(i, J)
-                if ins is None:
-                    continue
-                sign, J2 = ins
-                moves.append((cod.index(low_index[_lowered(mono, i)],
-                                        wedge_index[J2], 0), sign * mono[i]))
-            for b in range(w):
-                rows.append({c + b: v for c, v in moves})
-    return LinearMap(shape, cod, rows)
+    return _lowering_map(shape, [((i, 1),) for i in range(shape.base_dim)])
 
 
 def restrict_delta(tau: Sequence[Sequence[object]], shape: TensorShape) -> LinearMap:
@@ -85,42 +97,13 @@ def restrict_delta(tau: Sequence[Sequence[object]], shape: TensorShape) -> Linea
     iterated as a chain differential.  For tau the identity basis it equals
     the plain differential.
     """
-    p = len(tau)
-    if shape.ext_dim != p:
+    if shape.ext_dim != len(tau):
         raise ShapeMismatch("domain forms must live on the restricted space")
-    if shape.sym_degree < 1:
-        raise DegreeUnderflow("differential needs symmetric degree >= 1")
-    n, w = shape.base_dim, shape.value_dim
     # Integral entries stay ints, so an integer flag gives an integer map.
     tau = [[_exact(v) for v in row] for row in tau]
-    cod = TensorShape(n, shape.sym_degree - 1, shape.ext_degree + 1, w, ext_dim=p)
-    low_index = _sym_index(n, cod.sym_degree)
-    wedge_index = _wedge_index(p, cod.ext_degree)
-    rows: List[Vec] = []
-    for mono in shape.sym_list():
-        for J in shape.wedge_list():
-            moves: Dict[int, int | Fraction] = {}
-            for i in range(n):
-                if mono[i] == 0:
-                    continue
-                si = low_index[_lowered(mono, i)]
-                for a in range(p):
-                    coef = tau[a][i]
-                    if not coef:
-                        continue
-                    ins = _wedge_insert(a, J)
-                    if ins is None:
-                        continue
-                    sign, J2 = ins
-                    key = cod.index(si, wedge_index[J2], 0)
-                    val = moves.get(key, 0) + sign * mono[i] * coef
-                    if val:
-                        moves[key] = val
-                    elif key in moves:
-                        del moves[key]
-            for b in range(w):
-                rows.append({c + b: v for c, v in moves.items()})
-    return LinearMap(shape, cod, rows)
+    return _lowering_map(shape, [[(a, row[i]) for a, row in enumerate(tau)
+                                  if row[i]]
+                                 for i in range(shape.base_dim)])
 
 
 def prolong(g: Subspace) -> Subspace:
@@ -137,17 +120,14 @@ def prolong(g: Subspace) -> Subspace:
     rows: List[Vec] = []
     for mono in dom.sym_list():
         for b in range(w):
+            # Direction i owns the block of columns i*q .. i*q + q - 1.
             row: Vec = {}
             for i in range(n):
-                if mono[i] == 0:
-                    continue
-                vec = {shp.index(low_index[_lowered(mono, i)], 0, b): mono[i]}
-                for pos, v in g.quotient_coords(vec).items():
-                    cur = row.get(i * q + pos, 0) + v
-                    if cur:
-                        row[i * q + pos] = cur
-                    elif i * q + pos in row:
-                        del row[i * q + pos]
+                if mono[i]:
+                    vec = {shp.index(low_index[_lowered(mono, i)], 0, b):
+                           mono[i]}
+                    for pos, v in g.quotient_coords(vec).items():
+                        row[i * q + pos] = v
             rows.append(row)
     return kernel_of_rows(rows, n * q, dom)
 

@@ -1,9 +1,13 @@
 """Command-line front end: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spencer.catalog import LIE_KINDS, STRATUM_NAMES, _KIND_PARAMS, _STRATA
 from spencer.cli import main
 
 
@@ -173,6 +177,17 @@ def test_oracle_cap_exit_code(capsys):
                  "--l", "3..3", "--cap", "100"]) == 4
 
 
+def test_full_group_grades_respect_the_cap(capsys):
+    # Grade 2 of general:m=3 has ambient dimension 18.
+    assert main(["cohomology", "--table", "spencer", "--group",
+                 "general:m=3", "--l", "1..2", "--cap", "10"]) == 4
+    # Grade 2 of general:m=30 has ambient dimension 13950; the refusal
+    # comes before any cell is built.
+    assert main(["covariants", "--group", "general:m=30", "--flag",
+                 "tau=1" + ",0" * 29, "--l", "3..3"]) == 4
+    assert "cap exceeded:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- tresse
 
 def write_tresse_fixtures(tmp_path):
@@ -253,6 +268,15 @@ def test_bad_flag_spec_is_usage_error(capsys):
                  "--flag", "stratum=nope", "--l", "1..1"]) == 2
 
 
+@pytest.mark.parametrize("option", ["--group", "--l", "--cap", "--out"])
+def test_double_dash_value_is_usage_error(capsys, option):
+    argv = ["symbols", "--group=general:m=2", "--l=1..2", option + "=--"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["tresse", "--poly-file", "/nonexistent/p.json"]) == 2
 
@@ -290,3 +314,89 @@ def test_failed_cross_check_is_precondition_failure(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("precondition failed:") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------- grammar fuzz
+
+COMMANDS = [["symbols"], ["covariants"], ["transversality"], ["oracle"]] + [
+    ["cohomology", "--table=" + t]
+    for t in ("spencer", "restricted", "stationary", "obstruction",
+              "covariant")]
+# Parameter values each kind accepts.  Models stay at most 3-dimensional:
+# a covariant table over a rational 3-plane in a 4-dimensional model takes
+# seconds, and the grammar is what this test is about.
+KIND_VALUES = {
+    "general": {"m": (1, 2, 3)}, "volume": {"m": (2, 3)},
+    "complex": {"nc": (1,)}, "symplectic": {"2n": (2,)},
+    "contact": {"dim": (3,)}, "isometry": {"n": (2, 3)},
+    "point_lie": {"n": (1, 2), "r": (1, 2), "k": (0, 1, 2)},
+    "contact_lie": {"n": (1, 2), "k": (1, 2)},
+}
+GOOD_ENTRIES = ["0", "1", "-1", "2", "1/2", "-3/4"]
+BAD_ENTRIES = ["1/0", "x", ""]
+
+
+@st.composite
+def cli_argvs(draw):
+    """Command lines over the --group, --flag and --l grammars: mostly
+    well formed with small parameters, now and then one wrong piece."""
+
+    def rarely():
+        return draw(st.integers(0, 7)) == 0
+
+    command = draw(st.sampled_from(COMMANDS))
+    flagged = command[0] not in ("symbols", "oracle")
+    kind = draw(st.sampled_from(
+        [k for k in KIND_VALUES if not flagged or k not in LIE_KINDS]))
+    if rarely():
+        kind = draw(st.sampled_from(sorted(_KIND_PARAMS) + ["projective"]))
+    params = {name: draw(st.sampled_from(ok))
+              for name, ok in KIND_VALUES.get(kind, {}).items()}
+    if rarely():
+        params = {name: draw(st.integers(-1, 3)) for name in draw(st.lists(
+            st.sampled_from(["m", "n", "r", "k", "nc", "2n", "dim"]),
+            max_size=3))}
+    group = "%s:%s" % (kind, ",".join("%s=%d" % kv for kv in params.items()))
+    if rarely():
+        group = draw(st.text(alphabet="general:m=,3", max_size=12))
+
+    m = max(1, max(params.values(), default=3))
+    m *= 2 if kind == "complex" else 1
+    strata = [n for n in STRATUM_NAMES if _STRATA[n][0] == kind]
+    if strata and draw(st.booleans()):
+        flag = "stratum=" + draw(st.sampled_from(strata))
+    else:
+        entries = st.sampled_from(GOOD_ENTRIES + BAD_ENTRIES) if rarely() \
+            else st.sampled_from(GOOD_ENTRIES)
+        width = draw(st.integers(1, 6)) if rarely() else m
+        rows = draw(st.lists(st.lists(entries, min_size=width,
+                                      max_size=width),
+                             min_size=1, max_size=max(1, m - 1)))
+        flag = "tau=" + ";".join(",".join(row) for row in rows)
+    if rarely():
+        flag = draw(st.sampled_from(["stratum=nope", "tau", "sigma=1"]))
+
+    lo = draw(st.integers(-1, 3) if rarely() else st.integers(1, 2))
+    l = "%d..%d" % (lo, draw(st.integers(lo - 1, 3)) if rarely()
+                    else draw(st.integers(lo, 3)))
+    if rarely():
+        l = draw(st.text(alphabet="0123.-x", max_size=5))
+
+    argv = command + ["--group=" + group, "--l=" + l, "--cap", "300"]
+    if flagged and not rarely():
+        argv.append("--flag=" + flag)
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cli_argvs())
+def test_grammar_fuzz_ends_in_a_documented_exit_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue()

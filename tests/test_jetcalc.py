@@ -417,6 +417,16 @@ def test_materialized_symbol_space_matches_oracle_dimension():
     assert lie_symbol_subspace("point", 1, 2, 0, 1).dim == 9
 
 
+def test_symbol_space_respects_the_default_cap(monkeypatch):
+    # A 7840-dimensional ambient is above the default cap of 5000.
+    with pytest.raises(CapExceeded):
+        lie_symbol_subspace("point", 2, 2, 2, 3)
+    monkeypatch.setenv("SPENCER_CAP", "10")
+    with pytest.raises(CapExceeded):
+        lie_symbol_subspace("point", 1, 2, 1, 1)
+    assert lie_symbol_subspace("point", 1, 2, 1, 1, cap=25).dim == 13
+
+
 def test_oracle_refuses_cutoff_below_l():
     # Below l both passes could read 0 and saturation would pass; the
     # true values are 30, 15 and 24.

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from spencer.errors import (MissingGrade, NotASubcomplex, ZeroVector,
-                            DegreeUnderflow)
+                            DegreeUnderflow, ShapeMismatch)
 from spencer.exactla import TensorShape, Subspace, contains
 from spencer.symbolic import (
     delta_map, restrict_delta, prolong, SymbolicSystem,
@@ -108,14 +108,30 @@ def test_constants_survive_at_corner():
 
 
 def test_restricted_delta_matches_full_on_full_flag():
-    m = 3
-    tau = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    shp = TensorShape(m, 2, 1, 1)
-    full = delta_map(shp)
-    rest = restrict_delta(tau, shp)
-    for j in range(shp.dim):
-        vec = {j: Fraction(1)}
-        assert rest.apply(vec) == full.apply(vec)
+    shapes = [TensorShape(m, d, s, w) for m in (2, 3, 4) for d in (1, 2, 3)
+              for s in range(m + 1) for w in (1, 2, 3)]
+    for shp in shapes:
+        m = shp.base_dim
+        tau = [[1 if j == i else 0 for j in range(m)] for i in range(m)]
+        full = delta_map(shp)
+        rest = restrict_delta(tau, shp)
+        assert rest.codomain == full.codomain
+        # Entry for entry, in the same order, and integer like delta_map's.
+        assert [list(r.items()) for r in rest.rows] == \
+            [list(r.items()) for r in full.rows]
+        assert all(type(v) is int for r in rest.rows for v in r.values())
+
+
+def test_differentials_refuse_bad_shapes():
+    tau = [[1, 0, 0], [0, 1, 0]]
+    with pytest.raises(ShapeMismatch):
+        delta_map(TensorShape(3, 1, 0, 1, ext_dim=2))
+    with pytest.raises(ShapeMismatch):
+        restrict_delta(tau, TensorShape(3, 1, 0, 1))
+    with pytest.raises(DegreeUnderflow):
+        delta_map(TensorShape(3, 0, 1, 1))
+    with pytest.raises(DegreeUnderflow):
+        restrict_delta(tau, TensorShape(3, 0, 1, 1, ext_dim=2))
 
 
 # ---------------------------------------------------------------- cohomology
