@@ -27,12 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .errors import ParamOutOfRange, ShapeMismatch, UnsupportedDegree
-from .exactla import (Subspace, TensorShape, Vec, _sym_index, kernel_of_rows,
-                      materialization_cap, sym_basis)
-from .exactla import DEFAULT_CAP  # noqa: F401  (re-exported)
+from .errors import ParamOutOfRange
+from .exactla import (Subspace, TensorShape, Vec, _sym_index, check_cap,
+                      kernel_of_rows, sym_basis)
+# Re-exported for callers that read the cap from the catalogue.
+from .exactla import DEFAULT_CAP, materialization_cap  # noqa: F401
 from .jetcalc import lie_symbol_subspace
 from .symbolic import SymbolicSystem, _lowered, prolong
 
@@ -198,14 +199,6 @@ def volume_claimed_dim(m: int, l: int) -> int:
 # materialized symbols
 
 
-def _check_cap(dim: int, cap: Optional[int]):
-    limit = materialization_cap(cap)
-    if dim > limit:
-        raise UnsupportedDegree(
-            "ambient dimension %d exceeds the materialization cap %d"
-            % (dim, limit))
-
-
 def symbol(spec: PseudogroupSpec, l: int,
            cap: Optional[int] = None) -> Subspace:
     """Materialized order-l symbol subspace of S^l V* (x) V."""
@@ -216,7 +209,7 @@ def symbol(spec: PseudogroupSpec, l: int,
         raise ParamOutOfRange("symbol order must be >= 1")
     m = spec.ambient_dim
     shp = TensorShape(m, l, 0, m)
-    _check_cap(shp.dim, cap)
+    check_cap(shp.dim, cap)
     kind = spec.kind
     if kind == "general":
         return Subspace.full(shp)
@@ -241,7 +234,7 @@ def _volume_symbol(m: int, l: int, shp: TensorShape) -> Subspace:
         for b in range(m):
             row: Vec = {}
             if mono[b] > 0:
-                row[lpos[_lowered(mono, b)]] = Fraction(mono[b])
+                row[lpos[_lowered(mono, b)]] = mono[b]
             rows.append(row)
     return kernel_of_rows(rows, len(lpos), shp)
 
@@ -270,11 +263,11 @@ def _complex_symbol(nc: int, l: int, shp: TensorShape) -> Subspace:
             for mo, (re, im) in acc.items():
                 si = spos[mo]
                 if re:
-                    row_re[shp.index(si, 0, j)] = Fraction(re)
-                    row_im[shp.index(si, 0, nc + j)] = Fraction(re)
+                    row_re[shp.index(si, 0, j)] = re
+                    row_im[shp.index(si, 0, nc + j)] = re
                 if im:
-                    row_re[shp.index(si, 0, nc + j)] = Fraction(im)
-                    row_im[shp.index(si, 0, j)] = Fraction(-im)
+                    row_re[shp.index(si, 0, nc + j)] = im
+                    row_im[shp.index(si, 0, j)] = -im
             rows.append(row_re)
             rows.append(row_im)
     return Subspace.from_rows(shp, rows)
@@ -323,13 +316,13 @@ def _contact_symbol(n: int, l: int, shp: TensorShape) -> Subspace:
                 row[key] = row.get(key, 0) + f[i]
         rows.append(row)
     u_pow = tuple(l if j == u else 0 for j in range(m))
-    extra: Vec = {shp.index(spos[u_pow], 0, u): Fraction(1)}
+    extra: Vec = {shp.index(spos[u_pow], 0, u): 1}
     if l >= 1:
         for i in range(n):
             p_i = n + 1 + i
             mono = tuple(l - 1 if j == u else (1 if j == p_i else 0)
                          for j in range(m))
-            extra[shp.index(spos[mono], 0, p_i)] = Fraction(l)
+            extra[shp.index(spos[mono], 0, p_i)] = l
     rows.append(extra)
     return Subspace.from_rows(shp, rows)
 
@@ -339,8 +332,7 @@ def _isometry_symbol(m: int, l: int, shp: TensorShape) -> Subspace:
         rows = []
         for i in range(m):
             for j in range(i + 1, m):
-                rows.append({shp.index(j, 0, i): Fraction(1),
-                             shp.index(i, 0, j): Fraction(-1)})
+                rows.append({shp.index(j, 0, i): 1, shp.index(i, 0, j): -1})
         return Subspace.from_rows(shp, rows)
     g = _isometry_symbol(m, 1, TensorShape(m, 1, 0, m))
     for _ in range(l - 1):

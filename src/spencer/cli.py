@@ -31,8 +31,7 @@ from .errors import (AmbientMismatch, CancellationFailure, CapExceeded,
                      ConsistencyCheckFailed, DegreeUnderflow,
                      EquationNotInvariant, MissingGrade,
                      NotASubcomplex, NotASubspace, ParamOutOfRange,
-                     ShapeMismatch, SingularJacobian, UnsupportedDegree,
-                     ZeroVector)
+                     ShapeMismatch, SingularJacobian, ZeroVector)
 from .exactla import Subspace, TensorShape
 from .symbolic import CohomologyTable, SymbolicSystem, spencer_complex
 from .covariants import (FlagContext, covariant_complex, covariants,
@@ -49,7 +48,6 @@ PRECONDITION_ERRORS = (SingularJacobian, EquationNotInvariant, NotASubcomplex,
                        NotASubspace, ShapeMismatch, AmbientMismatch,
                        DegreeUnderflow, MissingGrade, ZeroVector,
                        CancellationFailure, ConsistencyCheckFailed)
-CAP_ERRORS = (CapExceeded, UnsupportedDegree)
 
 
 def _parse_range(text: str) -> Tuple[int, int]:
@@ -372,7 +370,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                          % dest.replace("_", "-"))
     try:
         return args.func(args)
-    except CAP_ERRORS as exc:
+    except CapExceeded as exc:
         print("cap exceeded: %s" % exc, file=sys.stderr)
         return 4
     except PRECONDITION_ERRORS as exc:

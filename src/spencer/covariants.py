@@ -16,8 +16,7 @@ flag and order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (AmbientMismatch, ConsistencyCheckFailed, DegreeUnderflow,
@@ -26,12 +25,10 @@ from .exactla import (LinearMap, Subspace, TensorShape, Vec, _exact,
                       _sym_index, _wedge_index, contains, det, image,
                       preimage, subspace_intersect, subspace_sum,
                       tensor_all_forms, tensor_rows_with_wedge, wedge_basis)
-from .symbolic import (CochainComplex, SymbolicSystem, _cone_rows, _lowered,
-                       _raised, _wedge_insert, annihilator, delta_map,
-                       restrict_delta, spencer_complex,
-                       strongly_noncharacteristic)
-
-Poly = Dict[Tuple[int, ...], int | Fraction]
+from .symbolic import (CochainComplex, SymbolicSystem, _cone_rows,
+                       _restriction_frame, _substituted, _wedge_insert,
+                       annihilator, delta_map, restrict_delta,
+                       spencer_complex, strongly_noncharacteristic)
 
 
 class FlagContext:
@@ -39,7 +36,7 @@ class FlagContext:
 
     tau_basis rows are vectors in V; the quotient nu = V/tau carries the
     canonical basis of non-pivot coordinates of tau's reduced form, and
-    the dual restriction rho maps a covector to its values on the given
+    rho[j] = {a: tau[a][j]} is the covector e^j restricted to the given
     tau basis.
     """
 
@@ -57,45 +54,13 @@ class FlagContext:
         if self.tau_space.dim != self.n:
             raise ShapeMismatch("tau basis vectors are linearly dependent")
         self.ann = annihilator(self.tau, m)
-        self._sym_cache: Dict[Tuple[int, ...], Poly] = {}
+        self.rho = _restriction_frame(self.tau, m)
         self._wedge_cache: Dict[Tuple[int, ...], Vec] = {}
         self._stationary: Dict[Tuple[SymbolicSystem, int], Subspace] = {}
 
     def value_projection(self, b: int) -> Vec:
         """Coordinates of the b-th ambient basis vector in nu = V/tau."""
         return self.tau_space.quotient_coords({b: 1})
-
-    def restricted_covector(self, j: int) -> Poly:
-        """The covector e^j restricted to tau, as a degree-1 polynomial."""
-        out: Poly = {}
-        for a in range(self.n):
-            c = self.tau[a][j]
-            if c:
-                out[_raised((0,) * self.n, a)] = c
-        return out
-
-    def restricted_monomial(self, mono: Tuple[int, ...]) -> Poly:
-        """Image of the V-monomial under restriction of all arguments to tau."""
-        cached = self._sym_cache.get(mono)
-        if cached is not None:
-            return cached
-        if not any(mono):
-            out: Poly = {(0,) * self.n: 1}
-        else:
-            j = next(i for i, e in enumerate(mono) if e)
-            rest = self.restricted_monomial(_lowered(mono, j))
-            lin = self.restricted_covector(j)
-            out = {}
-            for m1, v1 in rest.items():
-                for m2, v2 in lin.items():
-                    key = tuple(a + b for a, b in zip(m1, m2))
-                    cur = out.get(key, 0) + v1 * v2
-                    if cur:
-                        out[key] = cur
-                    elif key in out:
-                        del out[key]
-        self._sym_cache[mono] = out
-        return out
 
     def restricted_wedge(self, J: Tuple[int, ...]) -> Vec:
         """Image of e^J under the exterior power of the restriction."""
@@ -127,7 +92,7 @@ def restriction_map(ctx: FlagContext, l: int, s: int = 0) -> LinearMap:
     proj = [ctx.value_projection(b) for b in range(m)]
     rows: List[Vec] = []
     for mono in dom.sym_list():
-        sym_img = ctx.restricted_monomial(mono)
+        sym_img = _substituted(mono, ctx.rho, n)
         for J in dom.wedge_list():
             wedge_img = ctx.restricted_wedge(J)
             # Distinct (monomial, form, value) triples are distinct
@@ -181,11 +146,6 @@ def _stationary_grade(ctx: FlagContext, gsys: SymbolicSystem,
     return ctx._stationary[key]
 
 
-def dimension_necessary(g_l: Subspace, h_l: Subspace) -> bool:
-    """Necessary size condition for transversality: dim g >= dim h."""
-    return g_l.dim >= h_l.dim
-
-
 @dataclass
 class CovariantReport:
     """Dimensions of the order-l restriction data at one flag."""
@@ -201,18 +161,9 @@ class CovariantReport:
     caveat: Optional[str] = None
 
     def to_jsonable(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "l": self.l,
-            "dim_g": self.dim_g,
-            "dim_h": self.dim_h,
-            "dim_stationary": self.dim_stationary,
-            "dim_lambda_image": self.dim_lambda_image,
-            "dim_O": self.dim_O,
-            "transversal": self.transversal,
-            "dim_necessary_ok": self.dim_necessary_ok,
-        }
-        if self.caveat is not None:
-            out["caveat"] = self.caveat
+        out = asdict(self)
+        if self.caveat is None:
+            del out["caveat"]
         return out
 
 
@@ -257,7 +208,7 @@ def covariants(ctx: FlagContext, g_l: Subspace,
     return CovariantReport(
         l=l, dim_g=g_l.dim, dim_h=h_l.dim, dim_stationary=stat.dim,
         dim_lambda_image=lam_image.dim, dim_O=dim_O, transversal=by_count,
-        dim_necessary_ok=dimension_necessary(g_l, h_l),
+        dim_necessary_ok=g_l.dim >= h_l.dim,
         caveat=ORDER_ONE_CAVEAT if l == 1 else None)
 
 
@@ -403,13 +354,7 @@ class RestrictionIsomorphismResult:
     window: int
 
     def to_jsonable(self) -> Dict[str, object]:
-        return {
-            "applicable": self.applicable,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "strongly_noncharacteristic": self.strongly_noncharacteristic,
-            "window": self.window,
-        }
+        return asdict(self)
 
 
 def restriction_isomorphism_check(ctx: FlagContext, gsys: SymbolicSystem,

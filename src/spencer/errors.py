@@ -53,8 +53,9 @@ class CapExceeded(SpencerError):
     """A materialisation would exceed the configured size cap."""
 
 
-class UnsupportedDegree(SpencerError):
-    """A materialisation was requested where only dimension formulas exist."""
+class UnsupportedDegree(CapExceeded):
+    """A space above the materialisation cap was asked for; only the
+    closed-form dimension formulas answer there."""
 
 
 class CancellationFailure(SpencerError):

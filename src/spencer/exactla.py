@@ -33,7 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import AmbientMismatch, DegreeUnderflow, NotASubspace, ShapeMismatch
+from .errors import (AmbientMismatch, DegreeUnderflow, NotASubspace,
+                     ShapeMismatch, UnsupportedDegree)
 
 Vec = Dict[int, int | Fraction]
 IntVec = Dict[int, int]
@@ -48,6 +49,16 @@ def materialization_cap(override: Optional[int] = None) -> int:
         return override
     env = os.environ.get("SPENCER_CAP")
     return int(env) if env else DEFAULT_CAP
+
+
+def check_cap(dim: int, cap: Optional[int] = None):
+    """Raise UnsupportedDegree, a CapExceeded, when an ambient space of
+    dimension dim is above materialization_cap(cap)."""
+    limit = materialization_cap(cap)
+    if dim > limit:
+        raise UnsupportedDegree(
+            "ambient dimension %d exceeds the materialization cap %d"
+            % (dim, limit))
 
 
 @lru_cache(maxsize=None)

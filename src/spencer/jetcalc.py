@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (AmbientMismatch, CancellationFailure, CapExceeded,
                      ParamOutOfRange, SingularJacobian)
-from .exactla import (Subspace, TensorShape, Vec, _exact, det, echelon,
-                      materialization_cap, rank_of_rows, solve, sym_basis)
+from .exactla import (Subspace, TensorShape, Vec, _exact, check_cap, det,
+                      echelon, rank_of_rows, solve, sym_basis)
 from .symbolic import _lowered, _raised
 
 Var = Tuple
@@ -830,10 +830,7 @@ def lie_symbol_subspace(kind: str, n: int, r: int, k: int, l: int,
 
     def span(width: int):
         shape = TensorShape(width, l, 0, width)
-        limit = materialization_cap(cap)
-        if shape.dim > limit:
-            raise CapExceeded("ambient dimension %d exceeds the cap %d"
-                              % (shape.dim, limit))
+        check_cap(shape.dim, cap)
         return lambda rows: Subspace.from_rows(shape, [
             {shape.index(shape.sym_pos(exp), 0, vp): c
              for (_, exp, vp), c in row.items()} for row in rows])

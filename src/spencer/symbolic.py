@@ -25,7 +25,7 @@ from .errors import (AmbientMismatch, DegreeUnderflow, EquationNotInvariant,
                      MissingGrade, NotASubcomplex, ShapeMismatch, ZeroVector)
 from .exactla import (LinearMap, Subspace, TensorShape, Vec, _exact,
                       _sym_index, _wedge_index, contains, kernel_of_rows,
-                      rank_of_rows, subspace_intersect, sym_basis,
+                      preimage, rank_of_rows, subspace_intersect, sym_basis,
                       tensor_all_forms)
 
 
@@ -49,11 +49,10 @@ def _wedge_insert(i: int, J: Tuple[int, ...]) -> Optional[Tuple[int, Tuple[int, 
 
 
 def _lowering_map(shape: TensorShape,
-                  frame: Sequence[Sequence[Tuple[int, int | Fraction]]]
-                  ) -> LinearMap:
+                  frame: Sequence[Mapping[int, int | Fraction]]) -> LinearMap:
     """p (x) omega -> sum_i (d_i p) (x) (tau^i ^ omega), where frame[i]
-    lists the nonzero (a, tau^i_a): the covector e^i restricted along the
-    frame, in the coordinates of the exterior space.
+    maps a to tau^i_a, nonzero entries only: the covector e^i restricted
+    along the frame, in the coordinates of the exterior space.
 
     For a fixed (monomial, wedge) each (i, a) lands on its own column
     (monomial lowered at i, wedge with a inserted), so no entries meet."""
@@ -71,7 +70,7 @@ def _lowering_map(shape: TensorShape,
         for J in shape.wedge_list():
             moves = []
             for si, e, covector in lowerings:
-                for a, coef in covector:
+                for a, coef in covector.items():
                     ins = _wedge_insert(a, J)
                     if ins is not None:
                         moves.append((cod.index(si, wedge_index[ins[1]], 0),
@@ -86,7 +85,7 @@ def delta_map(shape: TensorShape) -> LinearMap:
     """Lowering differential S^d Lambda^e -> S^(d-1) Lambda^(e+1), forms on V."""
     if shape.ext_dim != shape.base_dim:
         raise ShapeMismatch("plain differential needs forms on the base space")
-    return _lowering_map(shape, [((i, 1),) for i in range(shape.base_dim)])
+    return _lowering_map(shape, [{i: 1} for i in range(shape.base_dim)])
 
 
 def restrict_delta(tau: Sequence[Sequence[object]], shape: TensorShape) -> LinearMap:
@@ -99,15 +98,22 @@ def restrict_delta(tau: Sequence[Sequence[object]], shape: TensorShape) -> Linea
     """
     if shape.ext_dim != len(tau):
         raise ShapeMismatch("domain forms must live on the restricted space")
-    # Integral entries stay ints, so an integer flag gives an integer map.
+    return _lowering_map(shape, _restriction_frame(tau, shape.base_dim))
+
+
+def _restriction_frame(tau: Sequence[Sequence[object]],
+                       m: int) -> List[Dict[int, int | Fraction]]:
+    """rho[j] = {a: tau[a][j]}, nonzero entries only: the covector e^j of
+    V = Q^m restricted to span(tau), in the coordinates dual to the rows.
+    Integral entries stay ints, so an integer flag gives integer rows."""
     tau = [[_exact(v) for v in row] for row in tau]
-    return _lowering_map(shape, [[(a, row[i]) for a, row in enumerate(tau)
-                                  if row[i]]
-                                 for i in range(shape.base_dim)])
+    return [{a: row[j] for a, row in enumerate(tau) if row[j]}
+            for j in range(m)]
 
 
 def prolong(g: Subspace) -> Subspace:
-    """All of S^(k+1) V* (x) W whose lowerings in every direction land in g."""
+    """g^(1) = delta^-1(g (x) V*): all of S^(k+1) V* (x) W whose lowerings
+    in every direction land in g."""
     shp = g.ambient
     if shp.ext_degree != 0:
         raise ShapeMismatch("prolongation acts on pure symmetric grades")
@@ -115,21 +121,8 @@ def prolong(g: Subspace) -> Subspace:
     dom = TensorShape(n, k + 1, 0, w)
     if g.is_full:
         return Subspace.full(dom)
-    q = g.codim
-    low_index = _sym_index(n, k)
-    rows: List[Vec] = []
-    for mono in dom.sym_list():
-        for b in range(w):
-            # Direction i owns the block of columns i*q .. i*q + q - 1.
-            row: Vec = {}
-            for i in range(n):
-                if mono[i]:
-                    vec = {shp.index(low_index[_lowered(mono, i)], 0, b):
-                           mono[i]}
-                    for pos, v in g.quotient_coords(vec).items():
-                        row[i * q + pos] = v
-            rows.append(row)
-    return kernel_of_rows(rows, n * q, dom)
+    return preimage(delta_map(dom),
+                    tensor_all_forms(g, TensorShape(n, k, 1, w)))
 
 
 class SymbolicSystem:
@@ -347,19 +340,22 @@ def spencer_table(system: SymbolicSystem, i_range: Iterable[int],
 # characteristic tests
 
 
-def _linear_power(coeffs: Sequence[Fraction], k: int,
-                  n: int) -> Dict[Tuple[int, ...], Fraction]:
-    """Coefficients of (sum_j c_j x_j)^k over exponent multi-indices."""
-    acc: Dict[Tuple[int, ...], Fraction] = {(0,) * n: Fraction(1)}
-    lin = {(_raised((0,) * n, j)): Fraction(c) for j, c in enumerate(coeffs) if c}
-    for _ in range(k):
-        nxt: Dict[Tuple[int, ...], Fraction] = {}
-        for m1, v1 in acc.items():
-            for m2, v2 in lin.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                nxt[m] = nxt.get(m, 0) + v1 * v2
-        acc = nxt
-    return acc
+def _substituted(mono: Tuple[int, ...],
+                 forms: Sequence[Mapping[int, int | Fraction]],
+                 n: int) -> Dict[Tuple[int, ...], int | Fraction]:
+    """x^mono with each x_j replaced by the linear form forms[j] (a dict
+    a -> coefficient of y_a) in n variables y, as exponents -> coefficient,
+    nonzero coefficients only."""
+    out: Dict[Tuple[int, ...], int | Fraction] = {(0,) * n: 1}
+    for j, e in enumerate(mono):
+        for _ in range(e):
+            nxt: Dict[Tuple[int, ...], int | Fraction] = {}
+            for m1, v1 in out.items():
+                for a, c in forms[j].items():
+                    key = _raised(m1, a)
+                    nxt[key] = nxt.get(key, 0) + v1 * c
+            out = nxt
+    return {key: v for key, v in out.items() if v}
 
 
 def char_fiber(covector: Sequence[object], g_k: Subspace) -> Subspace:
@@ -367,12 +363,13 @@ def char_fiber(covector: Sequence[object], g_k: Subspace) -> Subspace:
     shp = g_k.ambient
     if shp.ext_degree != 0:
         raise ShapeMismatch("characteristic test needs a pure symmetric grade")
-    coeffs = [Fraction(c) for c in covector]
+    coeffs = [_exact(c) for c in covector]
     if len(coeffs) != shp.base_dim:
         raise ShapeMismatch("covector length does not match the base")
     if not any(coeffs):
         raise ZeroVector("characteristic fiber of the zero covector")
-    power = _linear_power(coeffs, shp.sym_degree, shp.base_dim)
+    power = _substituted((shp.sym_degree,), [dict(enumerate(coeffs))],
+                         shp.base_dim)
     sym_pos = _sym_index(shp.base_dim, shp.sym_degree)
     w = shp.value_dim
     rows = []
@@ -384,10 +381,8 @@ def char_fiber(covector: Sequence[object], g_k: Subspace) -> Subspace:
 
 def annihilator(tau: Sequence[Sequence[object]], m: int) -> Subspace:
     """Covectors vanishing on span(tau), as a subspace of the dual."""
-    rows = []
-    for j in range(m):
-        rows.append({a: Fraction(t[j]) for a, t in enumerate(tau) if t[j]})
-    return kernel_of_rows(rows, len(tau), TensorShape.vector(m))
+    return kernel_of_rows(_restriction_frame(tau, m), len(tau),
+                          TensorShape.vector(m))
 
 
 def _cone_rows(ann: Subspace, shp: TensorShape) -> List[Vec]:
@@ -397,12 +392,10 @@ def _cone_rows(ann: Subspace, shp: TensorShape) -> List[Vec]:
     rows: List[Vec] = []
     for alpha in ann.int_rows:
         for mono in sym_basis(n, k - 1):
+            # Distinct j raise mono to distinct monomials, so no entries meet.
             for b in range(shp.value_dim):
-                vec: Vec = {}
-                for j, coef in alpha.items():
-                    key = shp.index(sym_pos[_raised(mono, j)], 0, b)
-                    vec[key] = vec.get(key, 0) + coef
-                rows.append(vec)
+                rows.append({shp.index(sym_pos[_raised(mono, j)], 0, b): coef
+                             for j, coef in alpha.items()})
     return rows
 
 

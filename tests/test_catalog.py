@@ -134,6 +134,11 @@ def test_symbol_respects_cap():
         symbol(parse_pseudogroup("general:m=3"), 3, cap=10)
 
 
+def test_symbol_cap_refusal_is_cap_exceeded():
+    with pytest.raises(CapExceeded):
+        symbol(parse_pseudogroup("general:m=3"), 3, cap=10)
+
+
 def test_cap_env_override(monkeypatch):
     assert materialization_cap() == DEFAULT_CAP
     monkeypatch.setenv("SPENCER_CAP", "17")

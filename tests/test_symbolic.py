@@ -7,12 +7,12 @@ import pytest
 
 from spencer.errors import (MissingGrade, NotASubcomplex, ZeroVector,
                             DegreeUnderflow, ShapeMismatch)
-from spencer.exactla import TensorShape, Subspace, contains
+from spencer.exactla import TensorShape, Subspace, contains, tensor_all_forms
 from spencer.symbolic import (
     delta_map, restrict_delta, prolong, SymbolicSystem,
     spencer_H, cell_dim, spencer_table,
     char_fiber, annihilator, noncharacteristic_obstruction,
-    strongly_noncharacteristic,
+    strongly_noncharacteristic, _substituted,
 )
 
 
@@ -273,6 +273,52 @@ def test_prolong_of_rotations_vanishes():
         assert prolong(so_subspace(n)).dim == 0
 
 
+def rational_grades():
+    """Two grades with value_dim != base_dim and rational rows."""
+    s1 = TensorShape(2, 1, 0, 3)
+    g1 = Subspace.from_rows(s1, [
+        {s1.index(0, 0, 0): Fraction(1, 2), s1.index(1, 0, 1): Fraction(-2, 3),
+         s1.index(0, 0, 2): 3},
+        {s1.index(1, 0, 0): Fraction(5, 7), s1.index(0, 0, 1): 1},
+        {s1.index(1, 0, 2): Fraction(-3, 4), s1.index(0, 0, 2): Fraction(1, 5),
+         s1.index(1, 0, 1): 2},
+        {s1.index(0, 0, 0): 1, s1.index(1, 0, 0): Fraction(1, 3)},
+    ])
+    s2 = TensorShape(3, 2, 0, 2)
+    g2 = Subspace.from_rows(s2, [
+        {s2.index(0, 0, 0): Fraction(2, 3), s2.index(3, 0, 1): Fraction(-1, 2),
+         s2.index(5, 0, 0): 1},
+        {s2.index(1, 0, 0): 1, s2.index(2, 0, 1): Fraction(3, 5)},
+        {s2.index(4, 0, 1): Fraction(7, 2), s2.index(1, 0, 1): -1},
+        {s2.index(2, 0, 0): Fraction(1, 4), s2.index(0, 0, 1): 1,
+         s2.index(4, 0, 0): Fraction(-5, 6)},
+        {s2.index(3, 0, 0): 1},
+        {s2.index(5, 0, 1): Fraction(2, 9), s2.index(0, 0, 0): -1},
+        {s2.index(1, 0, 1): 1, s2.index(3, 0, 1): 1},
+        {s2.index(2, 0, 1): 1},
+        {s2.index(4, 0, 0): 1},
+    ])
+    return g1, g2
+
+
+def test_prolong_lowers_into_the_grade_on_rational_grades():
+    # (dim g, dim g^(1), dim g^(2)) against their ambient dimensions.
+    want = [((4, 6), (5, 9), (6, 12)), ((9, 12), (11, 20), (12, 30))]
+    for g, dims in zip(rational_grades(), want):
+        chain = [g]
+        for _ in range(2):
+            low = chain[-1]
+            up = prolong(low)
+            shp = low.ambient
+            forms = tensor_all_forms(low, TensorShape(
+                shp.base_dim, shp.sym_degree, 1, shp.value_dim))
+            dmap = delta_map(up.ambient)
+            assert all(forms.contains_vector(dmap.apply(row))
+                       for row in up.int_rows)
+            chain.append(up)
+        assert [(sub.dim, sub.ambient.dim) for sub in chain] == list(dims)
+
+
 # ---------------------------------------------------------------- characteristics
 
 def symplectic_grade_one():
@@ -301,6 +347,43 @@ def test_char_fiber_rejects_zero_covector():
 def test_char_fiber_of_full_symbols_is_everything():
     g1 = Subspace.full(TensorShape(3, 1, 0, 3))
     assert char_fiber([1, 1, 0], g1).dim == 3
+
+
+def test_substituted_evaluates_to_the_product_of_linear_forms():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ints = st.integers(-4, 4)
+    rationals = st.builds(Fraction, ints, st.integers(1, 5))
+
+    @hyp.settings(max_examples=60, deadline=None, database=None,
+                  derandomize=True)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(1, 4))
+        entry = data.draw(st.sampled_from([ints, rationals]))
+        tau = [[data.draw(entry) for _ in range(m)] for _ in range(n)]
+        degree = data.draw(st.integers(0, 4))
+        mono = [0] * m
+        for _ in range(degree):
+            mono[data.draw(st.integers(0, m - 1))] += 1
+        mono = tuple(mono)
+        y = [data.draw(rationals) for _ in range(n)]
+        forms = [{a: tau[a][j] for a in range(n)} for j in range(m)]
+        poly = _substituted(mono, forms, n)
+        assert all(v and sum(e) == degree for e, v in poly.items())
+        value = Fraction(0)
+        for exps, coef in poly.items():
+            term = Fraction(coef)
+            for ya, e in zip(y, exps):
+                term *= ya ** e
+            value += term
+        want = Fraction(1)
+        for j, e in enumerate(mono):
+            want *= sum(tau[a][j] * y[a] for a in range(n)) ** e
+        assert value == want
+
+    check()
 
 
 def test_annihilator_dimension():
