@@ -273,48 +273,37 @@ def _complex_symbol(nc: int, l: int, shp: TensorShape) -> Subspace:
     return Subspace.from_rows(shp, rows)
 
 
-def _symplectic_symbol(N: int, l: int, shp: TensorShape) -> Subspace:
-    """Hamiltonian directions: for H in S^(l+1), take
-    sum_i dH/dx_(N+i) (x) e_i - dH/dx_i (x) e_(N+i)."""
-    m = 2 * N
+def _hamiltonian_rows(shp: TensorShape,
+                      pairs: List[Tuple[int, int]]) -> List[Vec]:
+    """For each H in S^(l+1): sum over the (q, p) pairs of
+    dH/dp (x) e_q - dH/dq (x) e_p.  Each entry has its own value
+    coordinate, so none meet."""
+    m, l = shp.base_dim, shp.sym_degree
     spos = _sym_index(m, l)
-    rows: List[Vec] = []
-    for H in sym_basis(m, l + 1):
-        row: Vec = {}
-        for i in range(N):
-            if H[N + i] > 0:
-                key = shp.index(spos[_lowered(H, N + i)], 0, i)
-                row[key] = row.get(key, 0) + H[N + i]
-            if H[i] > 0:
-                key = shp.index(spos[_lowered(H, i)], 0, N + i)
-                row[key] = row.get(key, 0) - H[i]
-        rows.append(row)
-    return Subspace.from_rows(shp, rows)
+    return [{shp.index(spos[_lowered(H, a)], 0, b): sign * H[a]
+             for q, p in pairs for a, b, sign in ((p, q, 1), (q, p, -1))
+             if H[a]}
+            for H in sym_basis(m, l + 1)]
+
+
+def _symplectic_symbol(N: int, l: int, shp: TensorShape) -> Subspace:
+    """Hamiltonian directions, with q_i = x_i and p_i = x_(N+i)."""
+    return Subspace.from_rows(
+        shp, _hamiltonian_rows(shp, [(i, N + i) for i in range(N)]))
 
 
 def _contact_symbol(n: int, l: int, shp: TensorShape) -> Subspace:
     """Contact-Hamiltonian directions at the Darboux point p = 0.
 
     Coordinates 0..n-1 are q, n is u, n+1..2n are p.  A degree-(l+1)
-    Hamiltonian f contributes -df/dp_i (x) e_(q_i) + df/dq_i (x) e_(p_i);
+    Hamiltonian f contributes its Hamiltonian row in the (q_i, p_i) pairs;
     the degree-l pure power of u contributes through the field scaling u
     and p.
     """
     m = 2 * n + 1
     u = n
     spos = _sym_index(m, l)
-    rows: List[Vec] = []
-    for f in sym_basis(m, l + 1):
-        row: Vec = {}
-        for i in range(n):
-            p_i = n + 1 + i
-            if f[p_i] > 0:
-                key = shp.index(spos[_lowered(f, p_i)], 0, i)
-                row[key] = row.get(key, 0) - f[p_i]
-            if f[i] > 0:
-                key = shp.index(spos[_lowered(f, i)], 0, p_i)
-                row[key] = row.get(key, 0) + f[i]
-        rows.append(row)
+    rows = _hamiltonian_rows(shp, [(i, n + 1 + i) for i in range(n)])
     u_pow = tuple(l if j == u else 0 for j in range(m))
     extra: Vec = {shp.index(spos[u_pow], 0, u): 1}
     if l >= 1:

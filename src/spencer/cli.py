@@ -50,13 +50,41 @@ PRECONDITION_ERRORS = (SingularJacobian, EquationNotInvariant, NotASubcomplex,
                        CancellationFailure, ConsistencyCheckFailed)
 
 
-def _parse_range(text: str) -> Tuple[int, int]:
+def _parse_range(text: str, least: int) -> Tuple[int, int]:
+    """LO..HI (or one degree) with least <= LO <= HI."""
     lo, sep, hi = text.partition("..")
     a = int(lo)
     b = int(hi) if sep else a
     if b < a:
         raise ParamOutOfRange("empty range %r" % text)
+    if a < least:
+        raise ParamOutOfRange("range %r starts below %d" % (text, least))
     return a, b
+
+
+def _rational(value: object) -> Fraction:
+    """A rational from a JSON number or string such as "-3/4"."""
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ParamOutOfRange("zero denominator in %r" % (value,)) from None
+
+
+def _json(value, kind: type, what: str):
+    """value, when it has the documented JSON type kind."""
+    if not isinstance(value, kind):
+        raise ParamOutOfRange("%s must be a %s" % (what, kind.__name__))
+    return value
+
+
+def _load_json(path: str) -> dict:
+    with open(path) as fh:
+        return _json(json.load(fh), dict, path)
+
+
+def _rational_rows(value, what: str) -> List[List[Fraction]]:
+    return [[_rational(v) for v in _json(row, list, what)]
+            for row in _json(value, list, what)]
 
 
 def _parse_flag(text: str, spec: PseudogroupSpec) -> FlagContext:
@@ -67,32 +95,25 @@ def _parse_flag(text: str, spec: PseudogroupSpec) -> FlagContext:
     if key == "stratum":
         return FlagContext(m, stratum_tau(spec, val.strip()))
     if key == "tau":
-        try:
-            rows = [[Fraction(x) for x in row.split(",")]
-                    for row in val.split(";")]
-        except ZeroDivisionError:
-            raise ParamOutOfRange("zero denominator in flag %r" % val) from None
-        return FlagContext(m, rows)
+        return FlagContext(m, [[_rational(x) for x in row.split(",")]
+                               for row in val.split(";")])
     raise ParamOutOfRange("unknown flag key %r" % key)
 
 
 def _load_h_system(path: str, ctx: FlagContext) -> SymbolicSystem:
-    with open(path) as fh:
-        doc = json.load(fh)
-    amb = doc.get("ambient", {})
+    doc = _load_json(path)
+    amb = _json(doc.get("ambient", {}), dict, "h-file ambient")
     if amb.get("m") != ctx.m or amb.get("n") != ctx.n:
         raise ParamOutOfRange("h-file ambient (m, n) does not match the flag")
     if "tau_basis" in doc:
-        given = tuple(tuple(Fraction(str(x)) for x in row)
-                      for row in doc["tau_basis"])
-        if given != ctx.tau:
+        given = _rational_rows(doc["tau_basis"], "h-file tau basis")
+        if tuple(map(tuple, given)) != ctx.tau:
             raise ParamOutOfRange("h-file tau basis does not match the flag")
     grades: Dict[int, Subspace] = {}
-    for key, rows in doc.get("h", {}).items():
+    for key, rows in _json(doc.get("h", {}), dict, "h-file h").items():
         l = int(key)
-        shp = TensorShape(ctx.n, l, 0, ctx.r)
-        grades[l] = Subspace.from_dense(
-            shp, [[Fraction(str(v)) for v in row] for row in rows])
+        grades[l] = Subspace.from_dense(TensorShape(ctx.n, l, 0, ctx.r),
+                                        _rational_rows(rows, "h-file grade"))
     return SymbolicSystem(ctx.n, ctx.r, grades)
 
 
@@ -123,7 +144,7 @@ def _emit(args, payload: Dict[str, object],
 
 def cmd_symbols(args) -> int:
     spec = parse_pseudogroup(args.group)
-    lo, hi = _parse_range(args.l)
+    lo, hi = _parse_range(args.l, 0)
     dims = {l: symbol_dim(spec, l, args.allow_r1_point_lift)
             for l in range(lo, hi + 1)}
     payload = {"group": str(spec),
@@ -141,11 +162,9 @@ def _require_flag(args, spec) -> FlagContext:
 
 def cmd_cohomology(args) -> int:
     spec = parse_pseudogroup(args.group)
-    lo, hi = _parse_range(args.l)
-    if lo < 1:
-        raise ParamOutOfRange("symbol degrees start at 1")
+    lo, hi = _parse_range(args.l, 1)
     gsys = system(spec, hi + 1, args.cap)
-    s_lo, s_hi = _parse_range(args.s) if args.s else (0, gsys.base_dim)
+    s_lo, s_hi = _parse_range(args.s, 0) if args.s else (0, gsys.base_dim)
     table = args.table
     ctx = None if table == "spencer" else _require_flag(args, spec)
     top = gsys.base_dim if ctx is None else ctx.n
@@ -183,7 +202,7 @@ REPORT_FIELDS = ["l", "dim_g", "dim_h", "dim_stationary", "dim_lambda_image",
 def cmd_covariants(args) -> int:
     spec = parse_pseudogroup(args.group)
     ctx = _require_flag(args, spec)
-    lo, hi = _parse_range(args.l)
+    lo, hi = _parse_range(args.l, 1)
     gsys = system(spec, hi, args.cap)
     hsys = _load_h_system(args.h_file, ctx) if args.h_file else None
     reports = []
@@ -199,7 +218,7 @@ def cmd_covariants(args) -> int:
 def cmd_transversality(args) -> int:
     spec = parse_pseudogroup(args.group)
     ctx = _require_flag(args, spec)
-    lo, hi = _parse_range(args.l)
+    lo, hi = _parse_range(args.l, 1)
     if lo != 1:
         raise ParamOutOfRange("the scan always starts at degree 1")
     gsys = system(spec, hi, args.cap)
@@ -215,7 +234,7 @@ def cmd_transversality(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = parse_pseudogroup(args.group)
-    lo, hi = _parse_range(args.l)
+    lo, hi = _parse_range(args.l, 0)
     if spec.kind == "point_lie":
         n, r, k = (spec.param(p) for p in ("n", "r", "k"))
         formula, brute = (
@@ -255,20 +274,20 @@ def _var_name(v) -> str:
 def cmd_tresse(args) -> int:
     if not args.poly_file:
         raise ParamOutOfRange("tresse needs --poly-file")
-    with open(args.poly_file) as fh:
-        doc = json.load(fh)
-    n, r = int(doc["n"]), int(doc["r"])
-    frame_src = list(doc["frame"])
-    target_src = list(doc.get("targets", []))
+    doc = _load_json(args.poly_file)
+    n, r = _json(doc["n"], int, "n"), _json(doc["r"], int, "r")
+    frame_src = [_json(f, str, "frame entry")
+                 for f in _json(doc["frame"], list, "frame")]
+    target_src = [_json(t, str, "targets entry")
+                  for t in _json(doc.get("targets", []), list, "targets")]
     frame_polys = [parse_jet_polynomial(s, n, r) for s in frame_src]
     targets = [parse_jet_polynomial(s, n, r) for s in target_src]
     order = max(f.k_max for f in frame_polys + targets) + 1 \
         if frame_polys + targets else 1
     if args.point_file:
-        with open(args.point_file) as fh:
-            pdoc = json.load(fh)
-        values = {parse_variable(k, n, r): Fraction(str(v))
-                  for k, v in pdoc["values"].items()}
+        values = {parse_variable(k, n, r): _rational(v) for k, v in
+                  _json(_load_json(args.point_file)["values"], dict,
+                        "point-file values").items()}
         point = JetPoint(n, r, order, values)
     else:
         point = JetPoint.random(n, r, order, RationalLCG(args.seed))

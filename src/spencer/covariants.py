@@ -17,12 +17,13 @@ flag and order.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (AmbientMismatch, ConsistencyCheckFailed, DegreeUnderflow,
                      EquationNotInvariant, ParamOutOfRange, ShapeMismatch)
 from .exactla import (LinearMap, Subspace, TensorShape, Vec, _exact,
-                      _sym_index, _wedge_index, contains, det, image,
+                      _sym_index, _wedge_index, contains, image,
                       preimage, subspace_intersect, subspace_sum,
                       tensor_all_forms, tensor_rows_with_wedge, wedge_basis)
 from .symbolic import (CochainComplex, SymbolicSystem, _cone_rows,
@@ -55,53 +56,33 @@ class FlagContext:
             raise ShapeMismatch("tau basis vectors are linearly dependent")
         self.ann = annihilator(self.tau, m)
         self.rho = _restriction_frame(self.tau, m)
-        self._wedge_cache: Dict[Tuple[int, ...], Vec] = {}
         self._stationary: Dict[Tuple[SymbolicSystem, int], Subspace] = {}
 
     def value_projection(self, b: int) -> Vec:
         """Coordinates of the b-th ambient basis vector in nu = V/tau."""
         return self.tau_space.quotient_coords({b: 1})
 
-    def restricted_wedge(self, J: Tuple[int, ...]) -> Vec:
-        """Image of e^J under the exterior power of the restriction."""
-        cached = self._wedge_cache.get(J)
-        if cached is not None:
-            return cached
-        out: Vec = {}
-        for i, K in enumerate(wedge_basis(self.n, len(J))):
-            minor = det([[self.tau[a][j] for j in J] for a in K])
-            if minor:
-                out[i] = minor
-        self._wedge_cache[J] = out
-        return out
 
+def restriction_map(ctx: FlagContext, l: int) -> LinearMap:
+    """S^l V* (x) V  ->  S^l tau* (x) nu.
 
-def restriction_map(ctx: FlagContext, l: int, s: int = 0) -> LinearMap:
-    """S^l V* (x) Lambda^s V* (x) V  ->  S^l tau* (x) Lambda^s tau* (x) nu.
-
-    Restricts symmetric and exterior arguments to tau and projects the
-    value to the quotient.  s = 0 is the plain order-l restriction whose
-    kernel is restriction_kernel.
+    Restricts the symmetric arguments to tau and projects the value to the
+    quotient; its kernel is restriction_kernel.
     """
-    if l < 0:
-        raise DegreeUnderflow("negative order")
-    m, n, r = ctx.m, ctx.n, ctx.r
-    dom = TensorShape(m, l, s, m)
-    cod = TensorShape(n, l, s, r)
+    m, n = ctx.m, ctx.n
+    dom = TensorShape(m, l, 0, m)
+    cod = TensorShape(n, l, 0, ctx.r)
     cod_sym = _sym_index(n, l)
     proj = [ctx.value_projection(b) for b in range(m)]
     rows: List[Vec] = []
     for mono in dom.sym_list():
         sym_img = _substituted(mono, ctx.rho, n)
-        for J in dom.wedge_list():
-            wedge_img = ctx.restricted_wedge(J)
-            # Distinct (monomial, form, value) triples are distinct
-            # columns, and each factor is nonzero, so no entries meet.
-            for b in range(m):
-                rows.append({cod.index(cod_sym[mt], wi, vi): sv * wv * pv
-                             for mt, sv in sym_img.items()
-                             for wi, wv in wedge_img.items()
-                             for vi, pv in proj[b].items()})
+        # Distinct (monomial, value) pairs are distinct columns, and each
+        # factor is nonzero, so no entries meet.
+        for b in range(m):
+            rows.append({cod.index(cod_sym[mt], 0, vi): sv * pv
+                         for mt, sv in sym_img.items()
+                         for vi, pv in proj[b].items()})
     return LinearMap(dom, cod, rows)
 
 
@@ -277,19 +258,26 @@ def tau_form_complex(ctx: FlagContext, gsys: SymbolicSystem,
 def covariant_complex(ctx: FlagContext, gsys: SymbolicSystem,
                       hsys: Optional[SymbolicSystem]) -> CochainComplex:
     """Equation cells h_d (x) Lambda^s tau* modulo the image of
-    g_d (x) Lambda^s V* under the restriction of everything."""
+    g_d (x) Lambda^s V* under the restriction of everything.
+
+    The restriction of forms Lambda^s V* -> Lambda^s tau* is onto, so that
+    image is lambda(g_d) (x) Lambda^s tau*, with lambda the order-d
+    restriction_map, taken once per degree."""
     n, r = ctx.n, ctx.r
     if hsys is None:
         hsys = SymbolicSystem(n, r, {}, fill="full")
     if hsys.base_dim != n or hsys.value_dim != r:
         raise AmbientMismatch("equation system has the wrong shape")
 
+    @lru_cache(maxsize=None)
+    def restricted_grade(d: int) -> Subspace:
+        return image(restriction_map(ctx, d), gsys.grade(d))
+
     def cell(d: int, s: int) -> Subspace:
         return tensor_all_forms(hsys.grade(d), TensorShape(n, d, s, r))
 
     def restricted_symbol(d: int, s: int) -> Subspace:
-        lam = restriction_map(ctx, d, s)
-        return image(lam, tensor_all_forms(gsys.grade(d), lam.domain))
+        return tensor_all_forms(restricted_grade(d), TensorShape(n, d, s, r))
 
     return CochainComplex(n, cell, delta_map, restricted_symbol)
 

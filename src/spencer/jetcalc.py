@@ -275,6 +275,8 @@ def parse_jet_polynomial(text: str, n: int, r: int) -> JetPolynomial:
             raise ParamOutOfRange("unexpected end of polynomial")
         kind, tok = tokens[pos]
         if kind == "num":
+            if "/" in tok and not int(tok.split("/")[1]):
+                raise ParamOutOfRange("zero denominator in %r" % tok)
             base = JetPolynomial.const(n, r, Fraction(tok))
         elif kind in ("xvar", "uvar", "pvar"):
             base = JetPolynomial.variable(n, r, parse_variable(tok, n, r))

@@ -289,6 +289,58 @@ def test_zero_denominator_flag_is_usage_error(capsys):
     assert err.startswith("usage error:") and "Traceback" not in err
 
 
+GOOD_POLY = {"n": 1, "r": 1, "frame": ["x1 + u"]}
+GOOD_H = {"ambient": {"m": 2, "n": 1}, "h": {"1": [[1]]}}
+MALFORMED_FILES = [
+    pytest.param("poly", {"n": 1, "r": 1, "frame": ["3/0 * u"]},
+                 id="poly-zero-denominator"),
+    pytest.param("poly", [GOOD_POLY], id="poly-top-level-list"),
+    pytest.param("poly", {"n": 1, "r": 1, "frame": [1]},
+                 id="poly-frame-number"),
+    pytest.param("point", {"values": {"x1": "1/0", "u": "1",
+                                      "p[1,1]": "1/2"}},
+                 id="point-zero-denominator"),
+    pytest.param("point", {"values": [1]}, id="point-values-list"),
+    pytest.param("h", [], id="h-top-level-list"),
+    pytest.param("h", dict(GOOD_H, h={"1": [["1/0"]]}),
+                 id="h-zero-denominator"),
+    pytest.param("h", dict(GOOD_H, ambient=[]), id="h-ambient-list"),
+    pytest.param("h", dict(GOOD_H, h={"1": 5}), id="h-grade-number"),
+    pytest.param("h", dict(GOOD_H, h=[]), id="h-grades-list"),
+]
+
+
+@pytest.mark.parametrize("role, doc", MALFORMED_FILES)
+def test_malformed_file_is_usage_error(capsys, tmp_path, role, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(GOOD_POLY))
+    argv = {
+        "poly": ["tresse", "--poly-file", str(bad)],
+        "point": ["tresse", "--poly-file", str(good), "--point-file",
+                  str(bad)],
+        "h": ["covariants", "--group", "general:m=2", "--flag", "tau=1,0",
+              "--l", "1..1", "--h-file", str(bad)],
+    }[role]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
+def test_degree_zero_covariants_is_usage_error(capsys):
+    assert main(["covariants", "--group", "general:m=2", "--flag", "tau=1,0",
+                 "--l", "0..1"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_negative_form_degree_is_usage_error(capsys):
+    assert main(["cohomology", "--group", "general:m=2", "--s=-1..1",
+                 "--l", "1"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_form_range_past_top_degree_is_usage_error(capsys):
     # complex:nc=2 lives on a 4-dimensional model, the flag on a line.
     assert main(["cohomology", "--table", "spencer", "--group",
@@ -322,12 +374,10 @@ COMMANDS = [["symbols"], ["covariants"], ["transversality"], ["oracle"]] + [
     ["cohomology", "--table=" + t]
     for t in ("spencer", "restricted", "stationary", "obstruction",
               "covariant")]
-# Parameter values each kind accepts.  Models stay at most 3-dimensional:
-# a covariant table over a rational 3-plane in a 4-dimensional model takes
-# seconds, and the grammar is what this test is about.
+# Parameter values each kind accepts.
 KIND_VALUES = {
-    "general": {"m": (1, 2, 3)}, "volume": {"m": (2, 3)},
-    "complex": {"nc": (1,)}, "symplectic": {"2n": (2,)},
+    "general": {"m": (1, 2, 3, 4)}, "volume": {"m": (2, 3, 4)},
+    "complex": {"nc": (1, 2)}, "symplectic": {"2n": (2, 4)},
     "contact": {"dim": (3,)}, "isometry": {"n": (2, 3)},
     "point_lie": {"n": (1, 2), "r": (1, 2), "k": (0, 1, 2)},
     "contact_lie": {"n": (1, 2), "k": (1, 2)},

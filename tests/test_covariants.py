@@ -3,12 +3,14 @@ row cohomology, and the restriction comparison maps."""
 
 import collections
 import importlib
+from fractions import Fraction
 
 import pytest
 
 from spencer.cli import main
 from spencer.errors import EquationNotInvariant, NotASubcomplex
-from spencer.exactla import TensorShape, Subspace, kernel
+from spencer.exactla import (LinearMap, TensorShape, Subspace, image, kernel,
+                             tensor_all_forms, wedge_basis)
 from spencer.symbolic import (CochainComplex, SymbolicSystem, delta_map,
                               spencer_complex, spencer_H,
                               strongly_noncharacteristic)
@@ -26,6 +28,11 @@ from spencer.catalog import parse_pseudogroup, symbol, system, stratum_tau
 def axis_flag(m, n):
     return FlagContext(m, [[1 if j == i else 0 for j in range(m)]
                            for i in range(n)])
+
+
+RATIONAL_PLANE = [[Fraction(1, 2), 2, Fraction(1, 2), 1],
+                  [Fraction(-3, 4), 2, 1, 2]]
+RATIONAL_3_PLANE = RATIONAL_PLANE + [[Fraction(-3, 4), 2, Fraction(1, 2), -1]]
 
 
 # ---------------------------------------------------------------- restriction
@@ -59,6 +66,82 @@ def test_oblique_flag_matches_axis_flag_dimensions():
     for l in (1, 2, 3):
         assert (restriction_kernel(straight, l).dim
                 == restriction_kernel(slanted, l).dim)
+
+
+def cofactor_det(matrix):
+    """Reference determinant by cofactor expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum((-1) ** col * v * cofactor_det([row[:col] + row[col + 1:]
+                                               for row in matrix[1:]])
+               for col, v in enumerate(matrix[0]))
+
+
+def reference_restriction_map(ctx, d, s):
+    """The restriction of everything, S^d V* (x) Lambda^s V* (x) V ->
+    S^d tau* (x) Lambda^s tau* (x) nu: restriction_map(ctx, d) tensor the
+    exterior power of the restriction, whose entries are the s x s minors
+    of tau."""
+    lam = restriction_map(ctx, d)
+    dom = TensorShape(ctx.m, d, s, ctx.m)
+    cod = TensorShape(ctx.n, d, s, ctx.r)
+    minors = [{i: cofactor_det([[ctx.tau[a][j] for j in J] for a in K])
+               for i, K in enumerate(wedge_basis(ctx.n, s))}
+              for J in wedge_basis(ctx.m, s)]
+    rows = []
+    for mono_i in range(dom.sym_count):
+        for minor in minors:
+            for b in range(ctx.m):
+                row = {}
+                for col, v in lam.rows[mono_i * ctx.m + b].items():
+                    sym_i, val_i = divmod(col, ctx.r)
+                    for wedge_i, w in minor.items():
+                        if w:
+                            row[cod.index(sym_i, wedge_i, val_i)] = v * w
+                rows.append(row)
+    return LinearMap(dom, cod, rows)
+
+
+@pytest.mark.parametrize("tau", [
+    pytest.param(stratum_tau(parse_pseudogroup("symplectic:2n=4"),
+                             "lagrangian"), id="axis-lagrangian"),
+    # Lagrangian too (symmetric lower block), so lambda(g_d) is not full.
+    pytest.param([[1, 0, Fraction(1, 2), Fraction(-3, 4)],
+                  [0, 1, Fraction(-3, 4), Fraction(2, 3)]],
+                 id="rational-lagrangian")])
+def test_restricted_forms_are_the_restricted_grade_tensor_all_forms(tau):
+    # Lambda^s of the restriction is onto, so the image of g_d (x)
+    # Lambda^s V* is the image of g_d tensor all forms on tau.
+    ctx = FlagContext(4, tau)
+    gsys = system(parse_pseudogroup("symplectic:2n=4"), 3)
+    complex_ = covariant_complex(ctx, gsys, None)
+    for d in range(4):
+        g = gsys.grade(d)
+        lam_g = image(restriction_map(ctx, d), g)
+        assert d == 0 or lam_g.dim < lam_g.ambient.dim
+        for s in range(ctx.m + 1):
+            ref = reference_restriction_map(ctx, d, s)
+            want = image(ref, tensor_all_forms(g, ref.domain))
+            assert want == tensor_all_forms(lam_g, ref.codomain)
+            # The subcomplex cell V(d, s) of the covariant complex.
+            assert complex_._sub(d, s) == want
+
+
+def test_covariant_table_restricts_each_degree_once(monkeypatch):
+    covariants_module = importlib.import_module("spencer.covariants")
+    calls = collections.Counter()
+    original = covariants_module.restriction_map
+
+    def counting(ctx, l):
+        calls[l] += 1
+        return original(ctx, l)
+
+    monkeypatch.setattr(covariants_module, "restriction_map", counting)
+    ctx = FlagContext(4, RATIONAL_3_PLANE)
+    gsys = system(parse_pseudogroup("general:m=4"), 5)
+    covariant_complex(ctx, gsys, None).table(range(1, 5), range(4), "t")
+    assert sorted(calls) == [0, 1, 2, 3, 4, 5]
+    assert set(calls.values()) == {1}
 
 
 # ---------------------------------------------------------------- reports
@@ -236,28 +319,29 @@ def test_transversality_scan_planar_hamiltonian():
 
 def test_one_complex_table_matches_the_per_cell_functions():
     cx = parse_pseudogroup("complex:nc=2")
-    ctx = FlagContext(4, stratum_tau(cx, "totally-real"))
     gsys = system(cx, 6)
-    cases = [
-        (spencer_complex(gsys), lambda d, s: spencer_H(gsys, d, s)),
-        (stationary_row_complex(ctx, gsys),
-         lambda d, s: stationary_row_cohomology(ctx, gsys, d + s, s)),
-        (tau_form_complex(ctx, gsys, stationary=False),
-         lambda d, s: restricted_spencer_H(ctx, gsys, d + s, s)),
-        (tau_form_complex(ctx, gsys, stationary=True),
-         lambda d, s: stationary_tau_cohomology(ctx, gsys, d + s, s)),
-        (covariant_complex(ctx, gsys, None),
-         lambda d, s: covariant_cohomology(ctx, gsys, None, d + s, s)),
-    ]
     nonzero = 0
-    for complex_, per_cell in cases:
-        d_range, s_range = range(-1, 4), range(-1, complex_.top + 2)
-        table = complex_.table(d_range, s_range, "t").cells
-        assert table == {(d, s): per_cell(d, s)
-                         for d in d_range for s in s_range}
-        assert all(v == 0 for (d, s), v in table.items()
-                   if d < 0 or s < 0 or s > complex_.top)
-        nonzero += sum(1 for v in table.values() if v)
+    for tau in (stratum_tau(cx, "totally-real"), RATIONAL_PLANE):
+        ctx = FlagContext(4, tau)
+        cases = [
+            (spencer_complex(gsys), lambda d, s: spencer_H(gsys, d, s)),
+            (stationary_row_complex(ctx, gsys),
+             lambda d, s: stationary_row_cohomology(ctx, gsys, d + s, s)),
+            (tau_form_complex(ctx, gsys, stationary=False),
+             lambda d, s: restricted_spencer_H(ctx, gsys, d + s, s)),
+            (tau_form_complex(ctx, gsys, stationary=True),
+             lambda d, s: stationary_tau_cohomology(ctx, gsys, d + s, s)),
+            (covariant_complex(ctx, gsys, None),
+             lambda d, s: covariant_cohomology(ctx, gsys, None, d + s, s)),
+        ]
+        for complex_, per_cell in cases:
+            d_range, s_range = range(-1, 4), range(-1, complex_.top + 2)
+            table = complex_.table(d_range, s_range, "t").cells
+            assert table == {(d, s): per_cell(d, s)
+                             for d in d_range for s in s_range}
+            assert all(v == 0 for (d, s), v in table.items()
+                       if d < 0 or s < 0 or s > complex_.top)
+            nonzero += sum(1 for v in table.values() if v)
     assert nonzero
 
 

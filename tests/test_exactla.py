@@ -586,17 +586,3 @@ def test_det_and_solve_match_cofactor_reference(kind):
     assert singular
     assert det([]) == 1
 
-
-def test_restricted_wedge_minors_are_cofactor_minors():
-    from spencer.covariants import FlagContext
-    tau = [[1, 0, Fraction(2, 3), -1, 5], [0, 1, 4, Fraction(-7, 2), 1],
-           [3, Fraction(1, 9), 0, 2, -2]]
-    ctx = FlagContext(5, tau)
-    for e in range(4):
-        for J in wedge_basis(5, e):
-            want = {}
-            for i, K in enumerate(wedge_basis(3, e)):
-                minor = cofactor_det([[ctx.tau[a][j] for j in J] for a in K])
-                if minor:
-                    want[i] = minor
-            assert ctx.restricted_wedge(J) == want
