@@ -112,8 +112,14 @@ def _load_h_system(path: str, ctx: FlagContext) -> SymbolicSystem:
     grades: Dict[int, Subspace] = {}
     for key, rows in _json(doc.get("h", {}), dict, "h-file h").items():
         l = int(key)
-        grades[l] = Subspace.from_dense(TensorShape(ctx.n, l, 0, ctx.r),
-                                        _rational_rows(rows, "h-file grade"))
+        if l < 0:
+            raise ParamOutOfRange("h-file grade %d is negative" % l)
+        shape = TensorShape(ctx.n, l, 0, ctx.r)
+        given = _rational_rows(rows, "h-file grade")
+        if any(len(row) != shape.dim for row in given):
+            raise ParamOutOfRange("h-file grade %d rows must have length %d"
+                                  % (l, shape.dim))
+        grades[l] = Subspace.from_dense(shape, given)
     return SymbolicSystem(ctx.n, ctx.r, grades)
 
 

@@ -22,9 +22,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (AmbientMismatch, ConsistencyCheckFailed, DegreeUnderflow,
                      EquationNotInvariant, ParamOutOfRange, ShapeMismatch)
-from .exactla import (LinearMap, Subspace, TensorShape, Vec, _exact,
-                      _sym_index, _wedge_index, contains, image,
-                      preimage, subspace_intersect, subspace_sum,
+from .exactla import (LinearMap, Subspace, TensorShape, Vec, _back_substitute,
+                      _exact, _sym_index, _wedge_index, contains, echelon,
+                      image, preimage, subspace_intersect, subspace_sum,
                       tensor_all_forms, tensor_rows_with_wedge, wedge_basis)
 from .symbolic import (CochainComplex, SymbolicSystem, _cone_rows,
                        _restriction_frame, _substituted, _wedge_insert,
@@ -202,7 +202,12 @@ def stationary_row_space(ctx: FlagContext, gsys: SymbolicSystem,
     """Cell of the stationary row inside g^(l-s) (x) Lambda^s V*.
 
     Sum of (symbol grade) (x) (annihilator wedge lower forms) with
-    (stationary subspace) (x) (all forms).
+    (stationary subspace) (x) (all forms).  As stat_d lies in g_d, that is
+    the direct sum g_d (x) W + stat_d (x) W^c, with W the reduced span of
+    the annihilator wedges and W^c the unit forms at its non-pivot columns.
+    Canonical rows tensor canonical rows lead at (sym, W pivot, value) of
+    their pivots, and stat_d (x) e^j rows at the non-pivots j of W, so the
+    rows lead at distinct columns and need only back-substitution.
     """
     m = ctx.m
     if gsys.base_dim != m or gsys.value_dim != m:
@@ -212,9 +217,8 @@ def stationary_row_space(ctx: FlagContext, gsys: SymbolicSystem,
     if d < 0 or s > m:
         return Subspace.zero(shape)
     g = gsys.grade(d)
-    rows: List[Vec] = []
+    wedge_rows: List[Vec] = []
     if s >= 1:
-        wedge_rows: List[Vec] = []
         wpos = _wedge_index(m, s)
         for alpha in ctx.ann.int_rows:
             for L in wedge_basis(m, s - 1):
@@ -226,11 +230,21 @@ def stationary_row_space(ctx: FlagContext, gsys: SymbolicSystem,
                         wrow[wpos[ins[1]]] = ins[0] * coef
                 if wrow:
                     wedge_rows.append(wrow)
-        rows.extend(tensor_rows_with_wedge(g.int_rows, g.ambient, wedge_rows,
-                                           shape))
-    rows.extend(tensor_all_forms(_stationary_grade(ctx, gsys, d),
-                                 shape).int_rows)
-    return Subspace.from_rows(shape, rows)
+    W = echelon(wedge_rows)
+    W_c = [{j: 1} for j in range(shape.wedge_count) if j not in W]
+    stat = _stationary_grade(ctx, gsys, d)
+    piv: Dict[int, Vec] = {}
+    for row in (tensor_rows_with_wedge(g.int_rows, g.ambient, W.values(),
+                                       shape)
+                + tensor_rows_with_wedge(stat.int_rows, stat.ambient, W_c,
+                                         shape)):
+        lead = min(row)
+        if lead in piv:
+            raise ConsistencyCheckFailed(
+                "two stationary-row basis rows lead at column %d" % lead)
+        piv[lead] = row
+    _back_substitute(piv)
+    return Subspace(shape, piv)
 
 
 def stationary_row_complex(ctx: FlagContext,

@@ -165,7 +165,7 @@ def _exact(c) -> int | Fraction:
 def _as_int_row(vec: Mapping[int, object]) -> IntVec:
     """An integer row with gcd 1 along vec, zero entries dropped."""
     row = {c: v for c, v in vec.items() if v}
-    if any(type(v) is not int for v in row.values()):
+    if set(map(type, row.values())) - {int}:
         row = {c: Fraction(v) for c, v in row.items()}
         denom = math.lcm(*(v.denominator for v in row.values()))
         row = {c: v.numerator * (denom // v.denominator)
@@ -174,11 +174,7 @@ def _as_int_row(vec: Mapping[int, object]) -> IntVec:
 
 
 def _gcd_reduce(row: IntVec) -> IntVec:
-    g = 0
-    for v in row.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return row
+    g = math.gcd(*row.values())
     if g > 1:
         row = {c: v // g for c, v in row.items()}
     return row
@@ -224,8 +220,7 @@ def echelon(rows: Iterable[Mapping[int, object]],
 
     With canonical=True the result is fully back-substituted (each pivot
     column occurs in exactly one row), which pins the unique reduced echelon
-    form of the row space.  Pivots are back-substituted in descending order,
-    so each row meets only already reduced rows, at the columns it holds.
+    form of the row space.
     """
     piv: Dict[int, IntVec] = {}
     for raw in rows:
@@ -238,12 +233,22 @@ def echelon(rows: Iterable[Mapping[int, object]],
                 break
             r = _combine(p[c], r, -r[c], p)
     if canonical:
-        for c in sorted(piv, reverse=True):
-            row = piv[c]
-            hits = [h for h in row if h != c and h in piv]
-            if hits:
-                piv[c] = _clear_pivots(row, hits, piv)
+        _back_substitute(piv)
     return piv
+
+
+def _back_substitute(piv: Dict[int, IntVec]) -> None:
+    """Clear, in place, every pivot column from the rows of the others.
+
+    piv maps each row's leading (least) column to the row, primitive with a
+    positive leading entry; the result is the canonical reduced echelon
+    form of their span.  Pivots are taken in descending order, so each row
+    meets only already reduced rows, at the columns it holds."""
+    for c in sorted(piv, reverse=True):
+        row = piv[c]
+        hits = [h for h in row if h != c and h in piv]
+        if hits:
+            piv[c] = _clear_pivots(row, hits, piv)
 
 
 def rank_of_rows(rows: Iterable[Mapping[int, object]]) -> int:
@@ -407,7 +412,12 @@ class Subspace:
         return out
 
     def contains_vector(self, vec: Mapping[int, object]) -> bool:
-        return not self.reduce_vector(vec)
+        """Whether vec lies in the span, decided in integers: the residual
+        of vec scaled to a primitive integer row, with its pivot columns
+        cleared by integer multiples of their rows, is zero."""
+        row = _as_int_row(vec)
+        hits = [c for c in row if c in self._piv]
+        return not (_clear_pivots(row, hits, self._piv) if hits else row)
 
     def _quotient_positions(self) -> Dict[int, int]:
         if self._qpos is None:
@@ -495,8 +505,13 @@ def _right_block_span(pairs: Iterable[Tuple[Mapping[int, object],
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus intersection: [a | a] over [b | 0]."""
+    """Zassenhaus intersection: [a | a] over [b | 0]; an operand that is
+    full gives the other, and one that is zero gives itself."""
     _check_same_ambient(a, b)
+    if a.is_full or b.dim == 0:
+        return b
+    if b.is_full or a.dim == 0:
+        return a
     pairs = [(r, r) for r in a.int_rows] + [(r, {}) for r in b.int_rows]
     return Subspace.from_rows(a.ambient,
                               _right_block_span(pairs, a.ambient.dim))
@@ -504,6 +519,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def contains(big: Subspace, small: Subspace) -> bool:
     _check_same_ambient(big, small)
+    if big.is_full:
+        return True
     return all(big.contains_vector(r) for r in small.int_rows)
 
 
@@ -538,6 +555,8 @@ def preimage(f: LinearMap, s: Subspace) -> Subspace:
     """All domain vectors mapped into s."""
     if s.ambient != f.codomain:
         raise AmbientMismatch("subspace does not match map codomain")
+    if s.is_full:
+        return Subspace.full(f.domain)
     qrows = [s.quotient_coords(r) for r in f.rows]
     return kernel_of_rows(qrows, s.codim, f.domain)
 

@@ -307,6 +307,8 @@ MALFORMED_FILES = [
     pytest.param("h", dict(GOOD_H, ambient=[]), id="h-ambient-list"),
     pytest.param("h", dict(GOOD_H, h={"1": 5}), id="h-grade-number"),
     pytest.param("h", dict(GOOD_H, h=[]), id="h-grades-list"),
+    pytest.param("h", dict(GOOD_H, h={"-1": [[1]]}), id="h-negative-grade"),
+    pytest.param("h", dict(GOOD_H, h={"1": [[1, 2]]}), id="h-row-length"),
 ]
 
 

@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 
 from spencer.cli import main
-from spencer.errors import EquationNotInvariant, NotASubcomplex
+from spencer.errors import (ConsistencyCheckFailed, EquationNotInvariant,
+                            NotASubcomplex)
 from spencer.exactla import (LinearMap, TensorShape, Subspace, image, kernel,
-                             tensor_all_forms, wedge_basis)
+                             tensor_all_forms, tensor_rows_with_wedge,
+                             wedge_basis)
 from spencer.symbolic import (CochainComplex, SymbolicSystem, delta_map,
                               spencer_complex, spencer_H,
                               strongly_noncharacteristic)
@@ -19,7 +21,7 @@ from spencer.covariants import (
     covariants, ORDER_ONE_CAVEAT,
     stationary_row_cohomology, restricted_spencer_H, stationary_tau_cohomology,
     covariant_cohomology, acyclicity_window,
-    restriction_isomorphism_check, transversality_scan,
+    restriction_isomorphism_check, transversality_scan, stationary_row_space,
     covariant_complex, stationary_row_complex, tau_form_complex,
 )
 from spencer.catalog import parse_pseudogroup, symbol, system, stratum_tau
@@ -33,6 +35,9 @@ def axis_flag(m, n):
 RATIONAL_PLANE = [[Fraction(1, 2), 2, Fraction(1, 2), 1],
                   [Fraction(-3, 4), 2, 1, 2]]
 RATIONAL_3_PLANE = RATIONAL_PLANE + [[Fraction(-3, 4), 2, Fraction(1, 2), -1]]
+# Lagrangian for symplectic:2n=4 (symmetric lower block).
+RATIONAL_LAGRANGIAN = [[1, 0, Fraction(1, 2), Fraction(-3, 4)],
+                       [0, 1, Fraction(-3, 4), Fraction(2, 3)]]
 
 
 # ---------------------------------------------------------------- restriction
@@ -105,10 +110,8 @@ def reference_restriction_map(ctx, d, s):
 @pytest.mark.parametrize("tau", [
     pytest.param(stratum_tau(parse_pseudogroup("symplectic:2n=4"),
                              "lagrangian"), id="axis-lagrangian"),
-    # Lagrangian too (symmetric lower block), so lambda(g_d) is not full.
-    pytest.param([[1, 0, Fraction(1, 2), Fraction(-3, 4)],
-                  [0, 1, Fraction(-3, 4), Fraction(2, 3)]],
-                 id="rational-lagrangian")])
+    # Lagrangian too, so lambda(g_d) is not full.
+    pytest.param(RATIONAL_LAGRANGIAN, id="rational-lagrangian")])
 def test_restricted_forms_are_the_restricted_grade_tensor_all_forms(tau):
     # Lambda^s of the restriction is onto, so the image of g_d (x)
     # Lambda^s V* is the image of g_d tensor all forms on tau.
@@ -409,3 +412,72 @@ def test_stationary_table_builds_each_cell_once(monkeypatch, capsys):
             cx.H(d, s)
     assert sorted(stationary) == [0, 1, 2, 3, 4]
     assert set(stationary.values()) == {1}
+
+
+# ------------------------------------------------------- stationary-row cells
+
+def reference_stationary_row_space(ctx, gsys, l, s):
+    """The stationary-row cell as one elimination over the sum of rows:
+    g_d (x) (annihilator wedge Lambda^(s-1)) plus stat_d (x) Lambda^s."""
+    m, d = ctx.m, l - s
+    shape = TensorShape(m, max(d, 0), s, m)
+    if d < 0 or s > m:
+        return Subspace.zero(shape)
+    g = gsys.grade(d)
+    rows = []
+    if s >= 1:
+        wpos = {J: i for i, J in enumerate(wedge_basis(m, s))}
+        wedge_rows = []
+        for alpha in ctx.ann.rows:
+            for L in wedge_basis(m, s - 1):
+                # e^j ^ e^L: move e^j past the indices of L below j.
+                wedge_rows.append({
+                    wpos[tuple(sorted(L + (j,)))]:
+                        (-1) ** sum(i < j for i in L) * coef
+                    for j, coef in alpha.items() if j not in L})
+        rows += tensor_rows_with_wedge(g.rows, g.ambient, wedge_rows, shape)
+    rows += tensor_all_forms(stationary_subspace(ctx, g), shape).rows
+    return Subspace.from_rows(shape, rows)
+
+
+STATIONARY_CASES = [
+    pytest.param("general:m=3", [[1, 0, 0]], id="general-axis-line"),
+    pytest.param("general:m=4", RATIONAL_PLANE, id="general-rational-plane"),
+    pytest.param("volume:m=3", [[1, 0, 0], [0, 1, 0]], id="volume-axis-plane"),
+    pytest.param("volume:m=4", RATIONAL_3_PLANE, id="volume-rational-3-plane"),
+    pytest.param("complex:nc=2", "totally-real", id="complex-totally-real"),
+    pytest.param("complex:nc=2", RATIONAL_PLANE, id="complex-rational-plane"),
+    pytest.param("symplectic:2n=4", "lagrangian", id="symplectic-lagrangian"),
+    pytest.param("symplectic:2n=4", RATIONAL_LAGRANGIAN,
+                 id="symplectic-rational-lagrangian"),
+    pytest.param("contact:dim=3", [[Fraction(1, 2), Fraction(-2, 3), 1]],
+                 id="contact-rational-line"),
+]
+
+
+@pytest.mark.parametrize("group, flag", STATIONARY_CASES)
+def test_stationary_row_space_matches_the_sum_of_rows(group, flag):
+    # The direct sum g_d (x) W + stat_d (x) W^c, only back-substituted, is
+    # the same canonical Subspace as the eliminated sum of rows.
+    spec = parse_pseudogroup(group)
+    tau = stratum_tau(spec, flag) if isinstance(flag, str) else flag
+    ctx = FlagContext(spec.ambient_dim, tau)
+    gsys = system(spec, 3)
+    for d in range(4):
+        for s in range(ctx.m + 2):
+            want = reference_stationary_row_space(ctx, gsys, d + s, s)
+            assert stationary_row_space(ctx, gsys, d + s, s) == want
+
+
+def test_stationary_row_space_rejects_rows_with_one_leading_column(
+        monkeypatch):
+    covariants_module = importlib.import_module("spencer.covariants")
+
+    def twice(*args):
+        rows = tensor_rows_with_wedge(*args)
+        return rows + rows
+
+    monkeypatch.setattr(covariants_module, "tensor_rows_with_wedge", twice)
+    gsys = system(parse_pseudogroup("general:m=3"), 2)
+    with pytest.raises(ConsistencyCheckFailed):
+        stationary_row_space(axis_flag(3, 1), gsys, 2, 1)

@@ -523,6 +523,71 @@ def test_intersect_and_preimage_match_reference(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_full_and_zero_fast_paths_match_the_general_path(kind):
+    given, settings, st = _strategies()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 8))
+        shp = TensorShape.vector(n)
+        b_rows = data.draw(_row_lists(st, kind, n, max_rows=5))
+        b = Subspace.from_rows(shp, b_rows)
+        k = data.draw(st.integers(1, 6))
+        f_rows = data.draw(_row_lists(st, kind, n, max_rows=k, min_rows=k))
+        f = LinearMap(TensorShape.vector(k), shp, f_rows)
+        units = [{i: 1} for i in range(n)]
+        for full in (Subspace.full(shp), Subspace.from_rows(shp, units)):
+            assert contains(full, b) == all(map(full.contains_vector,
+                                                b.int_rows))
+            for meet in (subspace_intersect(full, b),
+                         subspace_intersect(b, full)):
+                assert (meet.pivots, meet.rows) == \
+                    ref_intersect(units, b.rows, n)
+            back = preimage(f, full)
+            assert (back.pivots, back.rows) == \
+                ref_preimage(f_rows, units, n)
+        zero = Subspace.zero(shp)
+        for meet in (subspace_intersect(zero, b),
+                     subspace_intersect(b, zero)):
+            assert (meet.pivots, meet.rows) == ref_intersect([], b.rows, n)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_contains_vector_agrees_with_reduce_vector(kind):
+    given, settings, st = _strategies()
+    leads = []
+
+    @settings
+    @given(st.data())
+    def check(data):
+        width = data.draw(st.integers(1, 10))
+        rows = data.draw(_row_lists(st, kind, width, min_rows=1))
+        sub = Subspace.from_rows(TensorShape.vector(width), rows)
+        leads.extend(row[c] for c, row in zip(sub.pivots, sub.int_rows))
+        for vec in data.draw(_row_lists(st, kind, width, max_rows=4)):
+            assert sub.contains_vector(vec) == (not sub.reduce_vector(vec))
+        coefs = data.draw(st.lists(st.integers(-5, 5), min_size=len(rows),
+                                   max_size=len(rows)))
+        combo = {}
+        for c, row in zip(coefs, rows):
+            for col, v in row.items():
+                combo[col] = combo.get(col, 0) + c * v
+        assert sub.contains_vector(combo)
+        free = [c for c in range(width) if c not in sub.pivots]
+        if free:
+            j = data.draw(st.sampled_from(free))
+            combo[j] = combo.get(j, 0) + 1
+            assert not sub.contains_vector(combo)
+
+    check()
+    # Some drawn rows reduce to primitive rows whose pivot entry is not 1.
+    assert any(lead != 1 for lead in leads)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_rank_matches_sympy(kind):
     sympy = pytest.importorskip("sympy")
     given, settings, st = _strategies()
