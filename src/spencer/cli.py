@@ -62,6 +62,18 @@ def _parse_range(text: str, least: int) -> Tuple[int, int]:
     return a, b
 
 
+def _cap(text: str) -> int:
+    """A --cap value: an integer of at least 0."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(
+            "invalid cap %r: need an integer >= 0" % text)
+    return cap
+
+
 def _rational(value: object) -> Fraction:
     """A rational from a JSON number or string such as "-3/4"."""
     try:
@@ -344,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         if hfile:
             p.add_argument("--h-file", dest="h_file", default=None,
                            help="JSON equation file")
-        p.add_argument("--cap", type=int, default=None,
+        p.add_argument("--cap", type=_cap, default=None,
                        help="materialization cap override")
         p.add_argument("--allow-r1-point-lift", action="store_true",
                        dest="allow_r1_point_lift")

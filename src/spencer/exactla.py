@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (AmbientMismatch, DegreeUnderflow, NotASubspace,
-                     ShapeMismatch, UnsupportedDegree)
+                     ParamOutOfRange, ShapeMismatch, UnsupportedDegree)
 
 Vec = Dict[int, int | Fraction]
 IntVec = Dict[int, int]
@@ -44,11 +44,15 @@ DEFAULT_CAP = 5000
 
 def materialization_cap(override: Optional[int] = None) -> int:
     """Largest ambient dimension a space may be materialized in: override,
-    else the SPENCER_CAP environment variable, else DEFAULT_CAP."""
-    if override is not None:
-        return override
-    env = os.environ.get("SPENCER_CAP")
-    return int(env) if env else DEFAULT_CAP
+    else the SPENCER_CAP environment variable, else DEFAULT_CAP.  A
+    negative cap raises ParamOutOfRange; a cap of 0 refuses every nonzero
+    space."""
+    if override is None:
+        env = os.environ.get("SPENCER_CAP")
+        override = int(env) if env else DEFAULT_CAP
+    if override < 0:
+        raise ParamOutOfRange("materialization cap %d is negative" % override)
+    return override
 
 
 def check_cap(dim: int, cap: Optional[int] = None):

@@ -125,6 +125,46 @@ def prolong(g: Subspace) -> Subspace:
                     tensor_all_forms(g, TensorShape(n, k, 1, w)))
 
 
+# Per basis row of a grade: (direction i, coordinates of d_i u below).
+LoweringTable = Tuple[List[Tuple[int, Dict[int, int]]], ...]
+
+
+def _lowering_table(upper: Subspace, lower: Subspace) -> LoweringTable:
+    """The lowerings D_i: g_d -> g_(d-1), with upper = g_d, lower = g_(d-1).
+
+    For each basis row u of g_d (in int_rows order), the pairs
+    (i, coordinates of d_i u), nonzero lowerings only.  The coordinates are
+    in the basis of g_(d-1) scaled to pivot entries 1, keyed by pivot
+    position (by flat column when g_(d-1) is full): the entries of d_i u
+    at the pivot columns, integers, read once the integer residual check
+    of contains_vector has found d_i u in g_(d-1); else NotASubcomplex.
+    Along one direction distinct monomials lower to distinct monomials, so
+    no entries of d_i u meet."""
+    shp = upper.ambient
+    n, w = shp.base_dim, shp.value_dim
+    low_index = _sym_index(n, shp.sym_degree - 1)
+    # moves[sym][i]: (flat column of the lowered monomial, multiplicity).
+    moves = [[(low_index[_lowered(mono, i)] * w, mono[i]) if mono[i] else None
+              for i in range(n)] for mono in shp.sym_list()]
+    pos = None if lower.is_full else {c: p for p, c in enumerate(lower.pivots)}
+    table = []
+    for u in upper.int_rows:
+        split = [(moves[c // w], c % w, v) for c, v in u.items()]
+        lowerings = []
+        for i in range(n):
+            low = {mv[i][0] + b: mv[i][1] * v for mv, b, v in split if mv[i]}
+            if not low:
+                continue
+            if pos is not None:
+                if not lower.contains_vector(low):
+                    raise NotASubcomplex("grade %d is not closed under lowering"
+                                         % shp.sym_degree)
+                low = {pos[c]: v for c, v in low.items() if c in pos}
+            lowerings.append((i, low))
+        table.append(lowerings)
+    return tuple(table)
+
+
 class SymbolicSystem:
     """Graded family g_l with lowering closure, plus on-demand extension.
 
@@ -141,6 +181,7 @@ class SymbolicSystem:
         self.value_dim = value_dim
         self.fill = fill
         self._grades: Dict[int, Subspace] = {}
+        self._lowerings: Dict[int, LoweringTable] = {}
         for l, sub in grades.items():
             if l < 0:
                 raise DegreeUnderflow("grade below zero")
@@ -152,28 +193,24 @@ class SymbolicSystem:
         self._check_closure()
 
     def _check_closure(self):
-        """Each grade lowers into the one below: delta(g_l) in g_(l-1) (x) V*.
-
-        Checked on every supplied grade and, with fill="full", on each full
-        grade filled in directly above a supplied one."""
+        """Each grade lowers into the one below: d_i g_l in g_(l-1), as the
+        computation of lowering(l) checks.  Checked on every supplied grade
+        and, with fill="full", on each full grade filled in directly above
+        a supplied one; into a full grade it holds trivially."""
         supplied = sorted(self._grades)
         filled = [l + 1 for l in supplied
                   if self.fill == "full" and l + 1 not in self._grades]
         for l in supplied + filled:
-            if l < 1:
-                continue
-            lower = self.grade(l - 1)
-            if lower.is_full:
-                continue
-            shape = TensorShape(self.base_dim, l, 0, self.value_dim)
-            upper = (self._grades[l] if l in self._grades
-                     else Subspace.full(shape))
-            dmap = delta_map(shape)
-            forms = tensor_all_forms(
-                lower, TensorShape(self.base_dim, l - 1, 1, self.value_dim))
-            if not all(forms.contains_vector(dmap.apply(row))
-                       for row in upper.int_rows):
-                raise NotASubcomplex("grade %d is not closed under lowering" % l)
+            if l >= 1 and not self.grade(l - 1).is_full:
+                self.lowering(l)
+
+    def lowering(self, d: int) -> LoweringTable:
+        """The lowerings D_i: g_d -> g_(d-1) (see _lowering_table),
+        computed once per degree."""
+        if d not in self._lowerings:
+            self._lowerings[d] = _lowering_table(self.grade(d),
+                                                 self.grade(d - 1))
+        return self._lowerings[d]
 
     def grade(self, l: int) -> Subspace:
         if l < 0:
@@ -225,20 +262,18 @@ class CochainComplex:
     Maps and ranks are memoized, and a cell is kept until both ranks that
     read it are known, so a table builds each cell and takes each rank once.
     Raises EquationNotInvariant when V is not inside C, and NotASubcomplex
-    when the differential leaves V or C or a count is negative;
-    ``cells_closed`` skips the check on C for cells closed by construction.
+    when the differential leaves V or C or a count is negative.  A full
+    cell over a full next cell (no subcomplex) takes value_dim times the
+    rank of the differential on the unit value space.
     """
 
     def __init__(self, top: int, cell: Callable[[int, int], Subspace],
                  differential: Callable[[TensorShape], LinearMap],
-                 sub: Optional[Callable[[int, int], Subspace]] = None, *,
-                 cells_closed: bool = False):
+                 sub: Optional[Callable[[int, int], Subspace]] = None):
         self.top = top
         self._cell = cell
         self._sub = sub
         self._differential = lru_cache(maxsize=None)(differential)
-        # Whether the ranks of a cell read the next cell too.
-        self._reads_next = sub is not None or not cells_closed
         self._cells: Dict[Tuple[int, int], Tuple[Subspace, Optional[Subspace]]] = {}
         self._ranks: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
@@ -256,8 +291,7 @@ class CochainComplex:
     def _release(self, d: int, s: int):
         """Drop C(d, s) once the ranks that read it are known: its own and
         those of C(d + 1, s - 1), whose differential lands in it."""
-        if (d, s) in self._ranks and (not self._reads_next or s == 0
-                                      or (d + 1, s - 1) in self._ranks):
+        if (d, s) in self._ranks and (s == 0 or (d + 1, s - 1) in self._ranks):
             self._cells.pop((d, s), None)
 
     def _cell_ranks(self, d: int, s: int) -> Tuple[int, int]:
@@ -275,24 +309,20 @@ class CochainComplex:
         """Rank of the differential on C(d, s) modulo V(d - 1, s + 1)."""
         if d < 1 or s >= self.top or C.dim == 0:
             return 0
-        C_next = V_next = None
-        if self._reads_next:
-            C_next, V_next = self._subspaces(d - 1, s + 1)
+        C_next, V_next = self._subspaces(d - 1, s + 1)
         if V is not None and not all(map(
                 V_next.contains_vector,
                 map(self._differential(C.ambient).apply, V.int_rows))):
             raise NotASubcomplex(
                 "subcomplex is not differential-stable at (%d, %d)" % (d, s))
         mod_next = V_next is not None and V_next.dim > 0
-        if C.is_full and not mod_next and (C_next is None or C_next.is_full):
+        if C.is_full and C_next.is_full and not mod_next:
             unit = self._differential(replace(C.ambient, value_dim=1))
             return C.ambient.value_dim * rank_of_rows(unit.rows)
-        images = map(self._differential(C.ambient).apply, C.int_rows)
-        if C_next is not None:
-            images = list(images)
-            if not all(map(C_next.contains_vector, images)):
-                raise NotASubcomplex(
-                    "differential leaves the cells at (%d, %d)" % (d, s))
+        images = list(map(self._differential(C.ambient).apply, C.int_rows))
+        if not all(map(C_next.contains_vector, images)):
+            raise NotASubcomplex(
+                "differential leaves the cells at (%d, %d)" % (d, s))
         if mod_next:
             images = map(V_next.quotient_coords, images)
         return rank_of_rows(images)
@@ -315,15 +345,57 @@ class CochainComplex:
                                         for d in d_range for s in s_range})
 
 
+class GradeShape(TensorShape):
+    """g_d (x) Lambda^s V* in the coordinates of g_d: base_dim counts the
+    basis rows of g_d, which take the place of the monomials of
+    S^d V* (x) W, so the value factor is 1; sym_degree keeps d."""
+
+    @property
+    def sym_count(self) -> int:
+        return self.base_dim
+
+
 def spencer_complex(system: SymbolicSystem) -> CochainComplex:
-    """g_d (x) Lambda^s V* with the lowering differential; SymbolicSystem
-    has checked that the grades are closed under it."""
-    n, w = system.base_dim, system.value_dim
+    """g_d (x) Lambda^s V* with the lowering differential, in the
+    coordinates of g_d (a full GradeShape cell): the differential is
+    sum_i D_i (x) (e^i ^ .), with the D_i of system.lowering(d), which
+    checked the closure.  A full or zero grade keeps its monomial
+    coordinates and delta_map, for the engine's unit value fast path."""
+    n = system.base_dim
 
     def cell(d: int, s: int) -> Subspace:
-        return tensor_all_forms(system.grade(d), TensorShape(n, d, s, w))
+        g = system.grade(d)
+        if g.is_full or g.dim == 0:
+            return tensor_all_forms(g, TensorShape(n, d, s, system.value_dim))
+        return Subspace.full(GradeShape(g.dim, d, s, 1, n))
 
-    return CochainComplex(n, cell, delta_map, cells_closed=True)
+    def differential(dom: TensorShape) -> LinearMap:
+        if not isinstance(dom, GradeShape):
+            return delta_map(dom)
+        cod = cell(dom.sym_degree - 1, dom.ext_degree + 1).ambient
+        w, wc = cod.value_dim, cod.wedge_count
+        wedge_index = _wedge_index(n, cod.ext_degree)
+        # Per form e_J and direction i: (sign, column offset of e^i ^ e_J).
+        inserts = [[(ins[0], wedge_index[ins[1]] * w) if ins else None
+                    for ins in (_wedge_insert(i, J) for i in range(n))]
+                   for J in dom.wedge_list()]
+        rows: List[Vec] = []
+        for lowerings in system.lowering(dom.sym_degree):
+            # Column of coordinate p, tensor the first form of degree s + 1.
+            split = [(i, [(p // w * wc * w + p % w, v)
+                          for p, v in coords.items()])
+                     for i, coords in lowerings]
+            for moves in inserts:
+                # For one (u, J) each (i, coordinate) is its own column.
+                row: Vec = {}
+                for i, entries in split:
+                    if moves[i]:
+                        sign, off = moves[i]
+                        row.update((c + off, sign * v) for c, v in entries)
+                rows.append(row)
+        return LinearMap(dom, cod, rows)
+
+    return CochainComplex(n, cell, differential)
 
 
 def spencer_H(system: SymbolicSystem, i: int, j: int) -> int:

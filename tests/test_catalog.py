@@ -146,6 +146,15 @@ def test_cap_env_override(monkeypatch):
     assert materialization_cap(99) == 99
 
 
+def test_negative_cap_is_refused(monkeypatch):
+    with pytest.raises(ParamOutOfRange):
+        symbol(parse_pseudogroup("general:m=2"), 1, cap=-1)
+    assert materialization_cap(0) == 0
+    monkeypatch.setenv("SPENCER_CAP", "-5")
+    with pytest.raises(ParamOutOfRange):
+        materialization_cap()
+
+
 # ---------------------------------------------------------------- jet families
 
 def test_point_family_dimension_table():

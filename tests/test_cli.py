@@ -64,6 +64,23 @@ def test_obstruction_row_for_rotations(capsys):
     assert [cells["%d,0" % l] for l in (1, 2, 3)] == [0, 2, 2]
 
 
+@pytest.mark.parametrize("group, flag, nonzero", [
+    # Without the stat_d (x) W^c part of the stationary cells these read
+    # H(d, 1) = 1 for every d, and H(1, 2) = 3.
+    ("symplectic:2n=2", "stratum=lagrangian", {}),
+    ("isometry:n=3", "tau=1,0,0;0,1,0", {"1,2": 4}),
+])
+def test_stationary_table_pins_the_stationary_forms(capsys, group, flag,
+                                                     nonzero):
+    code, data = run_json(capsys, ["cohomology", "--table", "stationary",
+                                   "--group", group, "--flag", flag,
+                                   "--l", "1..4"])
+    assert code == 0
+    cells = data["table"]["cells"]
+    assert len(cells) == 4 * (flag.count(";") + 2)
+    assert {k: v for k, v in cells.items() if v} == nonzero
+
+
 def test_covariant_table_needs_flag(capsys):
     code = main(["cohomology", "--group", "general:m=2",
                  "--table", "obstruction", "--l", "1..2"])
@@ -275,6 +292,30 @@ def test_double_dash_value_is_usage_error(capsys, option):
         main(argv)
     assert exc.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["-1", "x"])
+def test_negative_or_malformed_cap_is_usage_error(capsys, cap):
+    argv = ["cohomology", "--table", "spencer", "--group", "complex:nc=1",
+            "--l", "1..2", "--cap", cap]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid cap" in capsys.readouterr().err
+
+
+def test_negative_cap_from_the_environment_is_usage_error(capsys,
+                                                          monkeypatch):
+    monkeypatch.setenv("SPENCER_CAP", "-1")
+    assert main(["cohomology", "--table", "spencer", "--group",
+                 "complex:nc=1", "--l", "1..2"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_zero_cap_refuses_every_grade(capsys):
+    assert main(["cohomology", "--table", "spencer", "--group",
+                 "complex:nc=1", "--l", "1..2", "--cap", "0"]) == 4
+    assert "materialization cap 0" in capsys.readouterr().err
 
 
 def test_missing_file_is_usage_error(capsys):

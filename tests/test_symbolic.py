@@ -1,15 +1,19 @@
 """Polynomial boundary complex: delta calculus, cohomology, prolongation."""
 
+import collections
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from spencer.catalog import parse_pseudogroup, symbol
+from spencer.cli import main
 from spencer.errors import (MissingGrade, NotASubcomplex, ZeroVector,
                             DegreeUnderflow, ShapeMismatch)
 from spencer.exactla import TensorShape, Subspace, contains, tensor_all_forms
 from spencer.symbolic import (
-    delta_map, restrict_delta, prolong, SymbolicSystem,
+    delta_map, restrict_delta, prolong, SymbolicSystem, CochainComplex,
     spencer_H, cell_dim, spencer_table,
     char_fiber, annihilator, noncharacteristic_obstruction,
     strongly_noncharacteristic, _substituted,
@@ -317,6 +321,148 @@ def test_prolong_lowers_into_the_grade_on_rational_grades():
                        for row in up.int_rows)
             chain.append(up)
         assert [(sub.dim, sub.ambient.dim) for sub in chain] == list(dims)
+
+
+# ------------------------------------------- coordinate tables, reference
+
+def reference_spencer_table(n, w, grades, fill, d_hi):
+    """The Spencer table on the ambient cells g_d (x) Lambda^s V*, with
+    delta_map applied to every cell row: the engine checks that each image
+    lies in the next cell, which at s = 0 is the closure of the grades.
+    Missing grades are full at degree 0, and above the supplied ones full
+    or prolonged as fill says.  Returns the cells, or "not closed"."""
+    chain = {0: Subspace.full(TensorShape(n, 0, 0, w))}
+    chain.update(grades)
+    for d in range(1, d_hi + 2):
+        if d not in chain:
+            chain[d] = (Subspace.full(TensorShape(n, d, 0, w))
+                        if fill == "full" else prolong(chain[d - 1]))
+
+    def cell(d, s):
+        return tensor_all_forms(chain[d], TensorShape(n, d, s, w))
+
+    try:
+        return CochainComplex(n, cell, delta_map).table(
+            range(d_hi + 1), range(n + 1), "spencer").cells
+    except NotASubcomplex:
+        return "not closed"
+
+
+def coordinate_spencer_table(n, w, grades, fill, d_hi):
+    try:
+        sysm = SymbolicSystem(n, w, grades, fill)
+        return spencer_table(sysm, range(d_hi + 1), range(n + 1)).cells
+    except NotASubcomplex:
+        return "not closed"
+
+
+@pytest.mark.parametrize("group, d_hi", [
+    ("general:m=2", 3), ("volume:m=2", 3), ("volume:m=3", 2),
+    ("complex:nc=1", 3), ("complex:nc=2", 2), ("symplectic:2n=2", 3),
+    ("symplectic:2n=4", 2), ("contact:dim=3", 2), ("isometry:n=2", 3),
+    ("isometry:n=3", 2),
+])
+def test_coordinate_tables_match_the_ambient_engine_on_the_catalog(group,
+                                                                   d_hi):
+    spec = parse_pseudogroup(group)
+    m = spec.ambient_dim
+    grades = {l: symbol(spec, l) for l in range(1, d_hi + 2)}
+    want = reference_spencer_table(m, m, grades, "prolong", d_hi)
+    assert want != "not closed"
+    assert coordinate_spencer_table(m, m, grades, "prolong", d_hi) == want
+
+
+def test_coordinate_tables_match_the_ambient_engine_on_rational_grades():
+    # Pivot entries other than 1, and H(1, 1) = 3 and H(4, 2) = 1 on the
+    # second system.
+    g1, g2 = rational_grades()
+    cases = [(2, 3, {1: g1}),
+             (3, 2, {1: Subspace.full(TensorShape(3, 1, 0, 2)), 2: g2})]
+    tables = []
+    for n, w, grades in cases:
+        want = reference_spencer_table(n, w, grades, "prolong", 4)
+        assert coordinate_spencer_table(n, w, grades, "prolong", 4) == want
+        tables.append(want)
+    assert tables[1][(1, 1)] == 3 and tables[1][(4, 2)] == 1
+
+
+def test_coordinate_tables_match_the_ambient_engine_on_random_grades():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+    def random_rows(data, dim, count):
+        return [dict(data.draw(st.lists(
+            st.tuples(st.integers(0, dim - 1), entries), max_size=4)))
+            for _ in range(count)]
+
+    @hyp.settings(max_examples=60, deadline=None, database=None,
+                  derandomize=True)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 3))
+        w = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(0, 2))
+        # Full grades below k, a random grade at k, and at k + 1 nothing
+        # (prolonged), a random part of the prolongation (closed), or
+        # random rows (most often not closed).
+        grades = {l: Subspace.full(TensorShape(n, l, 0, w))
+                  for l in range(1, k)}
+        shp = TensorShape(n, k, 0, w)
+        g = Subspace.from_rows(shp, random_rows(
+            data, shp.dim, data.draw(st.integers(0, shp.dim))))
+        grades[k] = g
+        up = TensorShape(n, k + 1, 0, w)
+        nxt = data.draw(st.sampled_from(["none", "part", "random"]))
+        if nxt == "part":
+            rows = prolong(g).int_rows
+            combos = []
+            for _ in range(data.draw(st.integers(0, len(rows)))):
+                combo = {}
+                for r in rows:
+                    coef = data.draw(st.integers(-2, 2))
+                    for c, v in r.items():
+                        combo[c] = combo.get(c, 0) + coef * v
+                combos.append(combo)
+            grades[k + 1] = Subspace.from_rows(up, combos)
+        elif nxt == "random":
+            grades[k + 1] = Subspace.from_rows(up, random_rows(
+                data, up.dim, data.draw(st.integers(0, up.dim))))
+        fill = data.draw(st.sampled_from(["prolong", "prolong", "full"]))
+        want = reference_spencer_table(n, w, grades, fill, 3)
+        assert coordinate_spencer_table(n, w, grades, fill, 3) == want
+
+    check()
+
+
+def test_spencer_table_reads_each_lowering_table_once(monkeypatch, capsys):
+    # The cells are in grade coordinates: no differential on forms is
+    # built over the ambient space, and each degree's D_i are computed once.
+    symbolic = importlib.import_module("spencer.symbolic")
+    ambient = []
+    original_map = symbolic._lowering_map
+
+    def counting_map(shape, frame):
+        ambient.append(shape)
+        return original_map(shape, frame)
+
+    tables = collections.Counter()
+    original_table = symbolic._lowering_table
+
+    def counting_table(upper, lower):
+        tables[upper.ambient.sym_degree] += 1
+        return original_table(upper, lower)
+
+    monkeypatch.setattr(symbolic, "_lowering_map", counting_map)
+    monkeypatch.setattr(symbolic, "_lowering_table", counting_table)
+    # Emptied, so that every differential the command asks for is built.
+    symbolic.delta_map.cache_clear()
+    assert main(["cohomology", "--table", "spencer", "--group",
+                 "complex:nc=2", "--l", "1..3"]) == 0
+    capsys.readouterr()
+    assert all(shape.ext_degree == 0 for shape in ambient)
+    # Grades 1..4: the (4, s - 1) cells feed the incoming ranks at d = 3.
+    assert tables == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
 # ---------------------------------------------------------------- characteristics
