@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (AmbientMismatch, ConsistencyCheckFailed, DegreeUnderflow,
                      EquationNotInvariant, ParamOutOfRange, ShapeMismatch)
@@ -26,7 +26,7 @@ from .exactla import (LinearMap, Subspace, TensorShape, Vec, _back_substitute,
                       _exact, _sym_index, _wedge_index, contains, echelon,
                       image, preimage, subspace_intersect, subspace_sum,
                       tensor_all_forms, tensor_rows_with_wedge, wedge_basis)
-from .symbolic import (CochainComplex, SymbolicSystem, _cone_rows,
+from .symbolic import (CochainComplex, SymbolicSystem, _lowered, _raised,
                        _restriction_frame, _substituted, _wedge_insert,
                        annihilator, delta_map, restrict_delta,
                        spencer_complex, strongly_noncharacteristic)
@@ -57,6 +57,7 @@ class FlagContext:
         self.ann = annihilator(self.tau, m)
         self.rho = _restriction_frame(self.tau, m)
         self._stationary: Dict[Tuple[SymbolicSystem, int], Subspace] = {}
+        self._kernels: Dict[int, Subspace] = {}
 
     def value_projection(self, b: int) -> Vec:
         """Coordinates of the b-th ambient basis vector in nu = V/tau."""
@@ -86,21 +87,64 @@ def restriction_map(ctx: FlagContext, l: int) -> LinearMap:
     return LinearMap(dom, cod, rows)
 
 
-def restriction_kernel(ctx: FlagContext, l: int) -> Subspace:
-    """Sum of the two visible kernel pieces of the order-l restriction.
+def _canonical_sum(shape: TensorShape, rows: Iterable[Vec],
+                   what: str) -> Subspace:
+    """The span of primitive rows with positive leading entries that lead
+    at distinct columns, as a canonical Subspace: rows that lead at
+    distinct columns are independent, so back-substitution alone gives the
+    reduced echelon form.  Two rows at one leading column raise
+    ConsistencyCheckFailed."""
+    piv: Dict[int, Vec] = {}
+    for row in rows:
+        lead = min(row)
+        if lead in piv:
+            raise ConsistencyCheckFailed(
+                "two %s basis rows lead at column %d" % (what, lead))
+        piv[lead] = row
+    _back_substitute(piv)
+    return Subspace(shape, piv)
 
-    Annihilator-headed symbols plus symbols valued inside tau; equals the
-    kernel of restriction_map(ctx, l) exactly.
+
+def restriction_kernel(ctx: FlagContext, l: int) -> Subspace:
+    """Kernel of the order-l restriction: annihilator-headed symbols plus
+    symbols valued inside tau, assembled in canonical form.
+
+    Splitting V as tau + nu', with nu' the unit vectors at the non-pivot
+    columns of tau's reduced form, the kernel is the direct sum
+    (ann . S^(l-1)) (x) nu' + S^l (x) tau.  Each canonical tau row on the
+    block of a monomial M leads at (M, its pivot).  The canonical rows
+    alpha_k of ann are a Groebner basis of the linear ideal they generate
+    (descending lex is a monomial order), so for each M divisible by a
+    pivot variable x_(p_k), the least such k gives alpha_k . (M / x_(p_k)),
+    which leads at M; tensor e_b it leads at (M, b) for b in nu'.  All rows
+    lead at distinct columns and need only back-substitution.
     """
     if l < 1:
         raise DegreeUnderflow("restriction kernel needs order >= 1")
-    shp = TensorShape(ctx.m, l, 0, ctx.m)
-    rows = _cone_rows(ctx.ann, shp)
-    for mono_i in range(shp.sym_count):
-        for t in ctx.tau:
-            rows.append({shp.index(mono_i, 0, b): c
-                         for b, c in enumerate(t) if c})
-    return Subspace.from_rows(shp, rows)
+    m = ctx.m
+    shp = TensorShape(m, l, 0, m)
+    sym_pos = _sym_index(m, l)
+    nu = [b for b in range(m) if b not in ctx.tau_space.pivots]
+    ann = list(zip(ctx.ann.pivots, ctx.ann.int_rows))
+    rows: List[Vec] = []
+    for i, mono in enumerate(shp.sym_list()):
+        for t in ctx.tau_space.int_rows:
+            rows.append({i * m + b: c for b, c in t.items()})
+        p, alpha = next(((p, a) for p, a in ann if mono[p]), (None, None))
+        if alpha is not None:
+            base = _lowered(mono, p)
+            # Distinct j raise base to distinct monomials.
+            cols = [(sym_pos[_raised(base, j)] * m, c)
+                    for j, c in alpha.items()]
+            rows.extend({col + b: c for col, c in cols} for b in nu)
+    return _canonical_sum(shp, rows, "restriction-kernel")
+
+
+def _kernel(ctx: FlagContext, l: int) -> Subspace:
+    """restriction_kernel(ctx, l), built once per flag and order."""
+    if l not in ctx._kernels:
+        ctx._kernels[l] = restriction_kernel(ctx, l)
+    return ctx._kernels[l]
 
 
 def stationary_subspace(ctx: FlagContext, g_l: Subspace) -> Subspace:
@@ -114,7 +158,7 @@ def stationary_subspace(ctx: FlagContext, g_l: Subspace) -> Subspace:
         raise AmbientMismatch("symbol grade does not live over the flag")
     if shp.sym_degree == 0:
         return subspace_intersect(g_l, Subspace.from_dense(shp, ctx.tau))
-    return subspace_intersect(g_l, restriction_kernel(ctx, shp.sym_degree))
+    return subspace_intersect(g_l, _kernel(ctx, shp.sym_degree))
 
 
 def _stationary_grade(ctx: FlagContext, gsys: SymbolicSystem,
@@ -175,7 +219,7 @@ def covariants(ctx: FlagContext, g_l: Subspace,
     if not contains(h_l, lam_image):
         raise EquationNotInvariant(
             "restricted symbol leaves the equation at order %d" % l)
-    sigma = restriction_kernel(ctx, l)
+    sigma = _kernel(ctx, l)
     stat = subspace_intersect(g_l, sigma)
     if g_l.dim - stat.dim != lam_image.dim:
         raise ConsistencyCheckFailed(
@@ -233,18 +277,11 @@ def stationary_row_space(ctx: FlagContext, gsys: SymbolicSystem,
     W = echelon(wedge_rows)
     W_c = [{j: 1} for j in range(shape.wedge_count) if j not in W]
     stat = _stationary_grade(ctx, gsys, d)
-    piv: Dict[int, Vec] = {}
-    for row in (tensor_rows_with_wedge(g.int_rows, g.ambient, W.values(),
-                                       shape)
-                + tensor_rows_with_wedge(stat.int_rows, stat.ambient, W_c,
-                                         shape)):
-        lead = min(row)
-        if lead in piv:
-            raise ConsistencyCheckFailed(
-                "two stationary-row basis rows lead at column %d" % lead)
-        piv[lead] = row
-    _back_substitute(piv)
-    return Subspace(shape, piv)
+    return _canonical_sum(
+        shape,
+        tensor_rows_with_wedge(g.int_rows, g.ambient, W.values(), shape)
+        + tensor_rows_with_wedge(stat.int_rows, stat.ambient, W_c, shape),
+        "stationary-row")
 
 
 def stationary_row_complex(ctx: FlagContext,

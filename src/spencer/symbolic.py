@@ -169,8 +169,10 @@ class SymbolicSystem:
     """Graded family g_l with lowering closure, plus on-demand extension.
 
     fill="prolong": missing grades above the top are prolonged; gaps raise.
-    fill="full": any missing grade is the full space (equation symbols that
-    constrain only the listed grades).
+    fill="full": any missing grade is the full space.  Every supplied grade
+    must then be full too, else NotASubcomplex: the top one lies below a
+    filled full grade, which lowers onto all of its ambient, and each
+    grade below lies under a full one.  So this gives the full system.
     """
 
     def __init__(self, base_dim: int, value_dim: int,
@@ -262,9 +264,21 @@ class CochainComplex:
     Maps and ranks are memoized, and a cell is kept until both ranks that
     read it are known, so a table builds each cell and takes each rank once.
     Raises EquationNotInvariant when V is not inside C, and NotASubcomplex
-    when the differential leaves V or C or a count is negative.  A full
+    when a count is negative or the differential leaves V or C.  A full
     cell over a full next cell (no subcomplex) takes value_dim times the
     rank of the differential on the unit value space.
+
+    Closure is checked once per degree, on the (d, 0) cell: the first rank
+    taken at a degree d >= 1 (with s < top) first takes the rank at (d, 0),
+    which checks that the differential sends C(d, 0) into C(d - 1, 1) and
+    V(d, 0) into V(d - 1, 1); into a full next cell this holds trivially
+    and is skipped.  So a table whose form degrees exclude 0 still builds
+    the (d, 0) cell of each degree it reads.  This relies on the shape of
+    the cells: each is a sum of pieces u (x) omega, with u in C(d, 0) and
+    omega in all of Lambda^s, or with u in a grade closed under lowering
+    (checked by its SymbolicSystem) and omega in an ideal of the exterior
+    algebra.  As delta(u (x) omega) = (delta u) ^ omega, the check at
+    (d, 0) then holds at every s.
     """
 
     def __init__(self, top: int, cell: Callable[[int, int], Subspace],
@@ -306,23 +320,30 @@ class CochainComplex:
 
     def _differential_rank(self, d: int, s: int, C: Subspace,
                            V: Optional[Subspace]) -> int:
-        """Rank of the differential on C(d, s) modulo V(d - 1, s + 1)."""
-        if d < 1 or s >= self.top or C.dim == 0:
+        """Rank of the differential on C(d, s) modulo V(d - 1, s + 1); at
+        s = 0 also the closure check of degree d."""
+        if d < 1 or s >= self.top:
+            return 0
+        if s > 0:
+            self._cell_ranks(d, 0)
+        if C.dim == 0:
             return 0
         C_next, V_next = self._subspaces(d - 1, s + 1)
-        if V is not None and not all(map(
-                V_next.contains_vector,
-                map(self._differential(C.ambient).apply, V.int_rows))):
+        if (s == 0 and V is not None and not V_next.is_full
+                and not all(map(V_next.contains_vector,
+                                map(self._differential(C.ambient).apply,
+                                    V.int_rows)))):
             raise NotASubcomplex(
-                "subcomplex is not differential-stable at (%d, %d)" % (d, s))
+                "subcomplex is not differential-stable at degree %d" % d)
         mod_next = V_next is not None and V_next.dim > 0
         if C.is_full and C_next.is_full and not mod_next:
             unit = self._differential(replace(C.ambient, value_dim=1))
             return C.ambient.value_dim * rank_of_rows(unit.rows)
         images = list(map(self._differential(C.ambient).apply, C.int_rows))
-        if not all(map(C_next.contains_vector, images)):
+        if (s == 0 and not C_next.is_full
+                and not all(map(C_next.contains_vector, images))):
             raise NotASubcomplex(
-                "differential leaves the cells at (%d, %d)" % (d, s))
+                "differential leaves the cells at degree %d" % d)
         if mod_next:
             images = map(V_next.quotient_coords, images)
         return rank_of_rows(images)

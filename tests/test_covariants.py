@@ -7,15 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from per_cell import PerCellComplex
 from spencer.cli import main
 from spencer.errors import (ConsistencyCheckFailed, EquationNotInvariant,
                             NotASubcomplex)
 from spencer.exactla import (LinearMap, TensorShape, Subspace, image, kernel,
                              tensor_all_forms, tensor_rows_with_wedge,
                              wedge_basis)
-from spencer.symbolic import (CochainComplex, SymbolicSystem, delta_map,
-                              spencer_complex, spencer_H,
-                              strongly_noncharacteristic)
+from spencer.symbolic import (CochainComplex, SymbolicSystem, _cone_rows,
+                              delta_map, restrict_delta, spencer_complex,
+                              spencer_H, strongly_noncharacteristic)
 from spencer.covariants import (
     FlagContext, restriction_map, restriction_kernel, stationary_subspace,
     covariants, ORDER_ONE_CAVEAT,
@@ -71,6 +72,50 @@ def test_oblique_flag_matches_axis_flag_dimensions():
     for l in (1, 2, 3):
         assert (restriction_kernel(straight, l).dim
                 == restriction_kernel(slanted, l).dim)
+
+
+def reference_restriction_kernel(ctx, l):
+    """The kernel as one elimination over the cone rows ann . S^(l-1) (x) V
+    and the rows S^l (x) tau."""
+    shp = TensorShape(ctx.m, l, 0, ctx.m)
+    rows = _cone_rows(ctx.ann, shp)
+    for mono_i in range(shp.sym_count):
+        for t in ctx.tau:
+            rows.append({shp.index(mono_i, 0, b): c
+                         for b, c in enumerate(t) if c})
+    return Subspace.from_rows(shp, rows)
+
+
+def _named(group, name):
+    return stratum_tau(parse_pseudogroup(group), name)
+
+
+@pytest.mark.parametrize("tau", [
+    pytest.param([[1, 0]], id="axis-line-m2"),
+    pytest.param([[1, 2, -1]], id="integer-line-m3"),
+    pytest.param([[0, 1, 0], [0, 0, 1]], id="axis-plane-late-pivots-m3"),
+    pytest.param([[2, 4, 0, 6], [0, 0, 3, -3]], id="integer-plane-m4"),
+    pytest.param(RATIONAL_PLANE, id="rational-plane-m4"),
+    pytest.param(RATIONAL_3_PLANE, id="rational-3-plane-m4"),
+    pytest.param([[Fraction(1, 2), Fraction(-2, 3), 1]], id="rational-line-m3"),
+    pytest.param([[0, 1, Fraction(-5, 2), Fraction(-1, 2), Fraction(7, 8)],
+                  [0, 0, 1, Fraction(-3, 2), 7]],
+                 id="rational-plane-m5"),
+    pytest.param(_named("complex:nc=2", "j-invariant-line"),
+                 id="j-invariant-line"),
+    pytest.param(_named("symplectic:2n=4", "omega-nondegenerate"),
+                 id="omega-nondegenerate"),
+    pytest.param(_named("contact:dim=3", "transversal-to-contact-plane"),
+                 id="transversal-to-contact-plane"),
+    pytest.param(_named("symplectic:2n=4", "lagrangian"), id="lagrangian"),
+])
+def test_restriction_kernel_matches_the_eliminated_sum_of_rows(tau):
+    # (ann . S^(l-1)) (x) nu' + S^l (x) tau, only back-substituted, is the
+    # same canonical Subspace as the eliminated rows of both visible pieces.
+    ctx = FlagContext(len(tau[0]), tau)
+    for l in range(1, 5):
+        assert restriction_kernel(ctx, l) == reference_restriction_kernel(
+            ctx, l)
 
 
 def cofactor_det(matrix):
@@ -130,16 +175,10 @@ def test_restricted_forms_are_the_restricted_grade_tensor_all_forms(tau):
             assert complex_._sub(d, s) == want
 
 
-def test_covariant_table_restricts_each_degree_once(monkeypatch):
+def test_covariant_table_restricts_each_degree_once(count_calls):
     covariants_module = importlib.import_module("spencer.covariants")
-    calls = collections.Counter()
-    original = covariants_module.restriction_map
-
-    def counting(ctx, l):
-        calls[l] += 1
-        return original(ctx, l)
-
-    monkeypatch.setattr(covariants_module, "restriction_map", counting)
+    calls = count_calls(covariants_module, "restriction_map",
+                        key=lambda ctx, l: l)
     ctx = FlagContext(4, RATIONAL_3_PLANE)
     gsys = system(parse_pseudogroup("general:m=4"), 5)
     covariant_complex(ctx, gsys, None).table(range(1, 5), range(4), "t")
@@ -377,25 +416,12 @@ def test_engine_rejects_a_subcomplex_outside_the_cells():
         CochainComplex(2, _zero, delta_map, _full).H(0, 0)
 
 
-def test_stationary_table_builds_each_cell_once(monkeypatch, capsys):
+def test_stationary_table_builds_each_cell_once(count_calls, capsys):
     covariants_module = importlib.import_module("spencer.covariants")
-    built = collections.Counter()
-    original = covariants_module.stationary_row_space
-
-    def counting(ctx, gsys, l, s):
-        built[(l, s)] += 1
-        return original(ctx, gsys, l, s)
-
-    stationary = collections.Counter()
-    original_stationary = covariants_module.stationary_subspace
-
-    def counting_stationary(ctx, g_l):
-        stationary[g_l.ambient.sym_degree] += 1
-        return original_stationary(ctx, g_l)
-
-    monkeypatch.setattr(covariants_module, "stationary_row_space", counting)
-    monkeypatch.setattr(covariants_module, "stationary_subspace",
-                        counting_stationary)
+    built = count_calls(covariants_module, "stationary_row_space",
+                        key=lambda ctx, gsys, l, s: (l, s))
+    stationary = count_calls(covariants_module, "stationary_subspace",
+                             key=lambda ctx, g_l: g_l.ambient.sym_degree)
     assert main(["cohomology", "--table", "stationary", "--group",
                  "general:m=3", "--flag", "tau=1,0,0;0,1,0",
                  "--l", "1..3"]) == 0
@@ -412,6 +438,153 @@ def test_stationary_table_builds_each_cell_once(monkeypatch, capsys):
             cx.H(d, s)
     assert sorted(stationary) == [0, 1, 2, 3, 4]
     assert set(stationary.values()) == {1}
+
+
+def test_stationary_table_checks_closure_once_per_degree(count_calls,
+                                                        capsys):
+    covariants_module = importlib.import_module("spencer.covariants")
+    argv = ["cohomology", "--table", "stationary", "--group", "general:m=3",
+            "--flag", "tau=1,0,0;0,1,0", "--l", "1..3"]
+    members = count_calls(Subspace, "contains_vector")
+    assert main(argv) == 0
+    capsys.readouterr()
+    # 528 calls with the closure checked on every cell; 88 once per degree.
+    assert members.total() < 528
+
+    # Without s = 0 the table reads degrees 1..4 (the (d + 1, 0) cells feed
+    # the incoming ranks at s = 1), and builds each (d, 0) cell once.
+    built = count_calls(covariants_module, "stationary_row_space",
+                        key=lambda ctx, gsys, l, s: (l, s))
+    assert main(argv + ["--s", "1..1"]) == 0
+    capsys.readouterr()
+    assert set(built.values()) == {1}
+    assert sorted(k for k in built if k[1] == 0) == [(d, 0)
+                                                    for d in range(1, 5)]
+
+
+def test_transversality_scan_builds_one_kernel_per_order(count_calls,
+                                                         capsys):
+    # covariants() and the stationary grades share one kernel per order:
+    # orders 1..4 for the reports, 1..3 for the stationary grades.
+    covariants_module = importlib.import_module("spencer.covariants")
+    kernels = count_calls(covariants_module, "restriction_kernel",
+                          key=lambda ctx, l: l)
+    assert main(["transversality", "--group", "complex:nc=3", "--flag",
+                 "stratum=totally-real", "--l", "1..4"]) == 0
+    capsys.readouterr()
+    assert kernels == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+# Catalog systems and flags for the stationary-type families below; the
+# flags of dimension 2 give tau-form tables whose top is above 1.
+FAMILY_CASES = [
+    ("general:m=2", [[1, 0]]),
+    ("symplectic:2n=2", [[1, 2]]),
+    ("complex:nc=1", [[1, 0]]),
+    ("general:m=3", [[1, 0, 0], [0, 1, 0]]),
+    ("general:m=3", [[1, Fraction(1, 2), 0]]),
+    ("volume:m=3", [[1, 0, -1], [0, 1, 2]]),
+    ("contact:dim=3", [[1, 0, 0], [0, 0, 1]]),
+    ("isometry:n=3", [[0, 1, 0], [0, 0, 1]]),
+]
+
+
+def test_closure_once_per_degree_matches_the_per_cell_check():
+    # The stationary grades stat_d are replaced by subspaces S_d of g_d:
+    # random ones (most often not closed), the true stationary parts, g_d
+    # or zero.  The engine checks closure on the (d, 0) cells only; the
+    # reference checks every cell.  Over all form degrees both give the
+    # same table or both raise.  Over a drawn range of form degrees the
+    # engine also checks the (d, 0) cell of each degree it reads, which
+    # the reference is given as extra ranks.
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    outcomes = collections.Counter()
+
+    def subspace_of(data, g, ctx):
+        kind = data.draw(st.sampled_from(
+            ["random", "random", "stationary", "grade", "zero"]))
+        if kind == "stationary":
+            return stationary_subspace(ctx, g)
+        if kind == "grade":
+            return g
+        if kind == "zero" or g.dim == 0:
+            return Subspace.zero(g.ambient)
+        combos = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            combo = {}
+            for _ in range(data.draw(st.integers(1, 3))):
+                row = g.int_rows[data.draw(st.integers(0, g.dim - 1))]
+                coef = data.draw(st.integers(-2, 2))
+                for c, v in row.items():
+                    combo[c] = combo.get(c, 0) + coef * v
+            combos.append(combo)
+        return Subspace.from_rows(g.ambient, combos)
+
+    def outcome(table):
+        try:
+            return table()
+        except NotASubcomplex:
+            return "not closed"
+
+    @hyp.settings(max_examples=80, deadline=None, database=None,
+                  derandomize=True)
+    @hyp.given(st.data())
+    def check(data):
+        group, tau = data.draw(st.sampled_from(FAMILY_CASES))
+        spec = parse_pseudogroup(group)
+        ctx = FlagContext(spec.ambient_dim, tau)
+        gsys = system(spec, 5)
+        for d in range(5):
+            ctx._stationary[(gsys, d)] = subspace_of(data, gsys.grade(d), ctx)
+        if data.draw(st.booleans()):
+            top = ctx.m
+
+            def engine():
+                return stationary_row_complex(ctx, gsys)
+
+            def reference():
+                return PerCellComplex(
+                    top, lambda d, s: stationary_row_space(ctx, gsys, d + s,
+                                                           s), delta_map)
+        else:
+            top = ctx.n
+
+            def engine():
+                return tau_form_complex(ctx, gsys, stationary=True)
+
+            def reference():
+                return PerCellComplex(
+                    top, lambda d, s: tensor_all_forms(
+                        ctx._stationary[(gsys, d)],
+                        TensorShape(ctx.m, d, s, ctx.m, ext_dim=ctx.n)),
+                    lambda shape: restrict_delta(ctx.tau, shape))
+
+        d_range = range(4)
+        every_s = range(top + 1)
+        want = outcome(lambda: reference().table(d_range, every_s))
+        assert outcome(lambda: engine().table(d_range, every_s, "t").cells) \
+            == want
+        outcomes[want == "not closed"] += 1
+
+        s_lo = data.draw(st.integers(0, top))
+        s_range = range(s_lo, data.draw(st.integers(s_lo, top)) + 1)
+        reads = sorted({d for d in d_range for s in s_range
+                        if d >= 1 and s < top}
+                       | {d + 1 for d in d_range for s in s_range if s >= 1})
+
+        def checked_reference():
+            ref = reference()
+            for d in reads:
+                ref.rank(d, 0)
+            return ref.table(d_range, s_range)
+
+        assert outcome(lambda: engine().table(d_range, s_range, "t").cells) \
+            == outcome(checked_reference)
+
+    check()
+    # Both closed and non-closed families were drawn.
+    assert outcomes[True] and outcomes[False]
 
 
 # ------------------------------------------------------- stationary-row cells

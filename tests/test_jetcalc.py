@@ -445,24 +445,17 @@ def test_oracle_refuses_cutoff_below_l():
     ("point_lie:n=1,r=2,k=1", "prolong_point", 252),
     ("contact_lie:n=1,k=1", "prolong_contact", 84),
 ])
-def test_oracle_lifts_each_generator_once(monkeypatch, capsys, group, name,
+def test_oracle_lifts_each_generator_once(count_calls, capsys, group, name,
                                           lifts):
     # Degrees 0..6 serve l = 1..3 at both cutoffs; for the point family
     # that is 3 * C(d + 2, 2) generators of degree d, for the contact
     # family C(d + 2, 2).
-    calls = []
-    lift = getattr(jetcalc, name)
-
-    def counting(*args):
-        calls.append(args)
-        return lift(*args)
-
     jetcalc._lift_store.cache_clear()
-    monkeypatch.setattr(jetcalc, name, counting)
+    calls = count_calls(jetcalc, name)
     assert main(["oracle", "--group", group, "--l", "1..3"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert all(r["match"] for r in rows)
-    assert len(calls) == lifts
+    assert calls.total() == lifts
 
 
 def test_saturation_recomputes_with_a_warm_lift_store():

@@ -1,19 +1,19 @@
 """Polynomial boundary complex: delta calculus, cohomology, prolongation."""
 
-import collections
 import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from per_cell import PerCellComplex
 from spencer.catalog import parse_pseudogroup, symbol
 from spencer.cli import main
 from spencer.errors import (MissingGrade, NotASubcomplex, ZeroVector,
                             DegreeUnderflow, ShapeMismatch)
 from spencer.exactla import TensorShape, Subspace, contains, tensor_all_forms
 from spencer.symbolic import (
-    delta_map, restrict_delta, prolong, SymbolicSystem, CochainComplex,
+    delta_map, restrict_delta, prolong, SymbolicSystem,
     spencer_H, cell_dim, spencer_table,
     char_fiber, annihilator, noncharacteristic_obstruction,
     strongly_noncharacteristic, _substituted,
@@ -327,8 +327,9 @@ def test_prolong_lowers_into_the_grade_on_rational_grades():
 
 def reference_spencer_table(n, w, grades, fill, d_hi):
     """The Spencer table on the ambient cells g_d (x) Lambda^s V*, with
-    delta_map applied to every cell row: the engine checks that each image
-    lies in the next cell, which at s = 0 is the closure of the grades.
+    delta_map applied to every cell row: the per-cell reference checks that
+    each image lies in the next cell, which at s = 0 is the closure of the
+    grades.
     Missing grades are full at degree 0, and above the supplied ones full
     or prolonged as fill says.  Returns the cells, or "not closed"."""
     chain = {0: Subspace.full(TensorShape(n, 0, 0, w))}
@@ -342,8 +343,8 @@ def reference_spencer_table(n, w, grades, fill, d_hi):
         return tensor_all_forms(chain[d], TensorShape(n, d, s, w))
 
     try:
-        return CochainComplex(n, cell, delta_map).table(
-            range(d_hi + 1), range(n + 1), "spencer").cells
+        return PerCellComplex(n, cell, delta_map).table(range(d_hi + 1),
+                                                        range(n + 1))
     except NotASubcomplex:
         return "not closed"
 
@@ -435,26 +436,14 @@ def test_coordinate_tables_match_the_ambient_engine_on_random_grades():
     check()
 
 
-def test_spencer_table_reads_each_lowering_table_once(monkeypatch, capsys):
+def test_spencer_table_reads_each_lowering_table_once(count_calls, capsys):
     # The cells are in grade coordinates: no differential on forms is
     # built over the ambient space, and each degree's D_i are computed once.
     symbolic = importlib.import_module("spencer.symbolic")
-    ambient = []
-    original_map = symbolic._lowering_map
-
-    def counting_map(shape, frame):
-        ambient.append(shape)
-        return original_map(shape, frame)
-
-    tables = collections.Counter()
-    original_table = symbolic._lowering_table
-
-    def counting_table(upper, lower):
-        tables[upper.ambient.sym_degree] += 1
-        return original_table(upper, lower)
-
-    monkeypatch.setattr(symbolic, "_lowering_map", counting_map)
-    monkeypatch.setattr(symbolic, "_lowering_table", counting_table)
+    ambient = count_calls(symbolic, "_lowering_map",
+                          key=lambda shape, frame: shape)
+    tables = count_calls(symbolic, "_lowering_table",
+                         key=lambda upper, lower: upper.ambient.sym_degree)
     # Emptied, so that every differential the command asks for is built.
     symbolic.delta_map.cache_clear()
     assert main(["cohomology", "--table", "spencer", "--group",
