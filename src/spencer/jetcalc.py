@@ -12,10 +12,24 @@ The total derivative sends order-m polynomials to order m+1.  Vector
 fields on the order-k jet space are assembled from generating data
 exactly; the defining cancellation of order-(k+1) variables is checked,
 never assumed.
+
+Every lift, the public ``prolong_point`` and ``prolong_contact`` and the
+oracle's generators alike, runs through one kernel on polynomials stored
+as {dense exponent vector: coefficient}.  A family's layout (``_Layout``)
+puts ``jet_coords(n, r, k)`` first and the order-(k+1) coordinates after
+them, so an exponent vector cut to the first ``width`` entries is the
+oracle's Taylor key.  D_i runs from a table of raised positions, raises
+when it would leave the layout, and also serves ``total_derivative``.  A point lift takes one table
+D_rho c (|rho| <= k) per nonzero generating component c, shared by all r
+fibres, and assembles each coefficient by Leibniz; a contact lift takes
+the D_sigma phi chain.  ``_assembled`` adds sum_i a^i p_(sigma+1_i) and is
+the one place where a surviving order-(k+1) exponent raises
+``CancellationFailure``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -61,34 +75,33 @@ def _canonical(exps: Dict[Var, int]) -> Monomial:
     return tuple((v, exps[v]) for v in sorted(exps, key=_var_key) if exps[v])
 
 
-def _lowered_at(m: Monomial, t: int) -> Monomial:
-    """m with the exponent of its t-th variable lowered by one."""
-    v, e = m[t]
-    if e == 1:
-        return m[:t] + m[t + 1:]
-    return m[:t] + ((v, e - 1),) + m[t + 1:]
+def _accumulate(out: Dict, terms) -> None:
+    """out[m] += c for every (m, c) of terms, dropping zero sums and keeping
+    integral sums int; m is a monomial or a kernel exponent vector."""
+    for m, c in terms:
+        w = out.get(m, 0) + c
+        if not w:
+            del out[m]
+        elif type(w) is int:
+            out[m] = w
+        else:
+            out[m] = w.numerator if w.denominator == 1 else w
 
 
-def _times_var(m: Monomial, v: Var) -> Monomial:
-    """m times the variable v, kept in canonical order."""
-    key = _var_key(v)
-    for t, (w, e) in enumerate(m):
-        if w == v:
-            return m[:t] + ((v, e + 1),) + m[t + 1:]
-        if _var_key(w) > key:
-            return m[:t] + ((v, 1),) + m[t:]
-    return m + ((v, 1),)
+def _check_multi_index(sigma: Sequence[int], n: int) -> None:
+    if len(sigma) != n or any(s < 0 for s in sigma):
+        raise ParamOutOfRange("multi-index %r is not of length %d with "
+                              "entries >= 0" % (tuple(sigma), n))
 
 
-def _accumulate(out: Dict[Monomial, object], m: Monomial, c) -> None:
-    """out[m] += c, dropping a zero sum and keeping integral sums int."""
-    w = out.get(m, 0) + c
-    if not w:
-        del out[m]
-    elif type(w) is int:
-        out[m] = w
+def _check_var(v: Var, n: int, r: int) -> None:
+    if v[0] == "x":
+        if not 0 <= v[1] < n:
+            raise ParamOutOfRange("base index out of range")
+    elif v[0] != "p" or not 0 <= v[1] < r:
+        raise ParamOutOfRange("jet variable out of range")
     else:
-        out[m] = w.numerator if w.denominator == 1 else w
+        _check_multi_index(v[2], n)
 
 
 class JetPolynomial:
@@ -109,8 +122,11 @@ class JetPolynomial:
             if c:
                 exps: Dict[Var, int] = {}
                 for v, e in m:
+                    _check_var(v, n, r)
+                    if e < 0:
+                        raise ParamOutOfRange("negative exponent of %r" % (v,))
                     exps[v] = exps.get(v, 0) + e
-                _accumulate(self.terms, _canonical(exps), c)
+                _accumulate(self.terms, ((_canonical(exps), c),))
 
     @classmethod
     def _of(cls, n: int, r: int, terms: Dict[Monomial, object]):
@@ -131,12 +147,7 @@ class JetPolynomial:
 
     @classmethod
     def variable(cls, n, r, v: Var) -> "JetPolynomial":
-        if v[0] == "x":
-            if not 0 <= v[1] < n:
-                raise ParamOutOfRange("base index out of range")
-        else:
-            if not 0 <= v[1] < r or len(v[2]) != n:
-                raise ParamOutOfRange("jet variable out of range")
+        _check_var(v, n, r)
         return cls._of(n, r, {((v, 1),): 1})
 
     def _check(self, other: "JetPolynomial"):
@@ -152,10 +163,11 @@ class JetPolynomial:
         return (self.n, self.r, self.terms) == (other.n, other.r, other.terms)
 
     def __add__(self, other: "JetPolynomial") -> "JetPolynomial":
+        if not isinstance(other, JetPolynomial):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, c)
+        _accumulate(out, other.terms.items())
         return JetPolynomial._of(self.n, self.r, out)
 
     def __neg__(self):
@@ -163,6 +175,8 @@ class JetPolynomial:
                                  {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, JetPolynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -172,6 +186,8 @@ class JetPolynomial:
                 return JetPolynomial.zero(self.n, self.r)
             return JetPolynomial._of(self.n, self.r, {
                 m: _exact(c * q) for m, c in self.terms.items()})
+        if not isinstance(other, JetPolynomial):
+            return NotImplemented
         self._check(other)
         out: Dict[Monomial, object] = {}
         for m1, c1 in self.terms.items():
@@ -180,12 +196,16 @@ class JetPolynomial:
                 exps = dict(d1)
                 for v, e in m2:
                     exps[v] = exps.get(v, 0) + e
-                _accumulate(out, _canonical(exps), c1 * c2)
+                _accumulate(out, ((_canonical(exps), c1 * c2),))
         return JetPolynomial._of(self.n, self.r, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        if not isinstance(e, int):
+            return NotImplemented
+        if e < 0:
+            raise ParamOutOfRange("negative power of a jet polynomial")
         out = JetPolynomial.const(self.n, self.r, 1)
         for _ in range(e):
             out = out * self
@@ -196,7 +216,8 @@ class JetPolynomial:
         for m, c in self.terms.items():
             for t, (w, e) in enumerate(m):
                 if w == v:
-                    _accumulate(out, _lowered_at(m, t), c * e)
+                    low = ((v, e - 1),) if e > 1 else ()
+                    _accumulate(out, ((m[:t] + low + m[t + 1:], c * e),))
                     break
         return JetPolynomial._of(self.n, self.r, out)
 
@@ -325,26 +346,17 @@ def parse_jet_polynomial(text: str, n: int, r: int) -> JetPolynomial:
 
 
 def total_derivative(f: JetPolynomial, i: int) -> JetPolynomial:
-    """Derivative along the i-th base direction through all jet variables."""
+    """Derivative along the i-th base direction through all jet variables,
+    taken by the lift kernel's D_i on the layout of f's highest order."""
     if not 0 <= i < f.n:
         raise ParamOutOfRange("base direction out of range")
-    xi = x_var(i)
-    out: Dict[Monomial, object] = {}
-    for m, c in f.terms.items():
-        for t, (v, e) in enumerate(m):
-            if v[0] == "p":
-                key = _times_var(_lowered_at(m, t),
-                                 p_var(v[1], _raised(v[2], i)))
-            elif v == xi:
-                key = _lowered_at(m, t)
-            else:
-                continue
-            _accumulate(out, key, c * e)
-    return JetPolynomial._of(f.n, f.r, out)
+    lay = _layout(f.n, f.r, f.k_max)
+    return lay.jet(_total_derivative(lay, lay.dense(f), i))
 
 
 def total_derivative_multi(f: JetPolynomial,
                            sigma: Sequence[int]) -> JetPolynomial:
+    _check_multi_index(sigma, f.n)
     out = f
     for i, e in enumerate(sigma):
         for _ in range(e):
@@ -429,34 +441,184 @@ class LieField:
             self.n, self.r, self.k, len(self.coeffs))
 
 
-def _derivatives(phi: JetPolynomial, k: int) -> Dict[Tuple[int, ...],
-                                                     JetPolynomial]:
-    """D_sigma phi for every |sigma| <= k, each one total derivative of a
-    derivative of the degree below: D_sigma = D_i D_(sigma - 1_i), with i
-    the first direction that sigma holds."""
-    n = phi.n
-    out = {(0,) * n: phi}
-    for d in range(1, k + 1):
-        for sigma in sym_basis(n, d):
-            i = next(t for t, e in enumerate(sigma) if e)
-            out[sigma] = total_derivative(out[_lowered(sigma, i)], i)
+# ---------------------------------------------------------------------------
+# the lift kernel: polynomials as {dense exponent vector: coefficient}
+
+
+class _Layout:
+    """Coordinates of one jet space (n, r, k) as positions in a dense
+    exponent vector: ``jet_coords(n, r, k)`` (the x_i at positions 0..n-1),
+    then the order-(k+1) coordinates of each fibre.  The first ``width``
+    positions are in canonical variable order, so an exponent vector cut
+    to them is a Taylor key.  ``up[i][t]`` is the position of D_i of the
+    jet coordinate at t, or None when that leaves the layout; ``sigmas``
+    are the multi-indices of order <= k, by degree."""
+
+    __slots__ = ("n", "r", "k", "coords", "pos", "width", "up", "sigmas")
+
+    def __init__(self, n: int, r: int, k: int):
+        self.n, self.r, self.k = n, r, k
+        self.sigmas = [s for d in range(k + 1) for s in sym_basis(n, d)]
+        coords = jet_coords(n, r, k)
+        self.width = len(coords)
+        for j in range(r):
+            coords += [p_var(j, s) for s in sorted(sym_basis(n, k + 1))]
+        self.coords = coords
+        self.pos = {v: t for t, v in enumerate(coords)}
+        self.up = [[None if v[0] == "x" else
+                    self.pos.get(p_var(v[1], _raised(v[2], i)))
+                    for v in coords] for i in range(n)]
+
+    def p(self, j: int, sigma: Tuple[int, ...]) -> int:
+        return self.pos[("p", j, sigma)]
+
+    def dense(self, f: JetPolynomial) -> Dict[Tuple[int, ...], object]:
+        """f as a kernel polynomial; its variables must be in the layout."""
+        out = {}
+        for m, c in f.terms.items():
+            exp = [0] * len(self.coords)
+            for v, e in m:
+                exp[self.pos[v]] = e
+            out[tuple(exp)] = c
+        return out
+
+    def jet(self, f: Dict[Tuple[int, ...], object]) -> JetPolynomial:
+        """A kernel polynomial (whole or cut to width) as a JetPolynomial."""
+        coords = self.coords
+        return JetPolynomial(self.n, self.r, {
+            tuple((coords[t], e) for t, e in enumerate(m) if e): c
+            for m, c in f.items()})
+
+    def field(self, coeffs: Dict[int, Dict]) -> LieField:
+        return LieField(self.n, self.r, self.k, {
+            self.coords[q]: self.jet(poly) for q, poly in coeffs.items()})
+
+
+@lru_cache(maxsize=16)
+def _layout(n: int, r: int, k: int) -> _Layout:
+    return _Layout(n, r, k)
+
+
+@lru_cache(maxsize=None)
+def _leibniz(sigma: Tuple[int, ...]) -> Tuple[Tuple, ...]:
+    """(rho, C(sigma, rho), sigma - rho) for every rho <= sigma, rho = 0
+    first."""
+    return tuple((rho, math.prod(map(math.comb, sigma, rho)),
+                  tuple(s - t for s, t in zip(sigma, rho)))
+                 for rho in itertools.product(*(range(s + 1) for s in sigma)))
+
+
+def _total_derivative(lay: _Layout, f: Dict, i: int) -> Dict:
+    """D_i f: d/dx_i plus p^j_(sigma+1_i) d/dp^j_sigma over every jet
+    coordinate; a term whose derivative leaves the layout raises."""
+    up = lay.up[i]
+    n = lay.n
+
+    def terms():
+        for m, c in f.items():
+            if m[i]:
+                yield m[:i] + (m[i] - 1,) + m[i + 1:], c * m[i]
+            for t in range(n, len(m)):
+                e = m[t]
+                if e:
+                    s = up[t]
+                    if s is None:
+                        raise CancellationFailure(
+                            "D_%d of %r leaves the order-%d jet space"
+                            % (i, lay.coords[t], lay.k + 1))
+                    exp = list(m)
+                    exp[t] = e - 1
+                    exp[s] += 1
+                    yield tuple(exp), c * e
+
+    out: Dict[Tuple[int, ...], object] = {}
+    _accumulate(out, terms())
     return out
 
 
-def _fibre_coefficients(j: int, phi: JetPolynomial,
-                        a: Sequence[JetPolynomial], k: int,
-                        coeffs: Dict[Var, JetPolynomial]) -> None:
-    """Enter the coefficients D_sigma phi + sum_i a^i p^j_(sigma+1_i) of the
-    order-<=k jet coordinates of the j-th fibre component into coeffs; the
-    LieField built from them checks that the order-(k+1) variables cancel."""
-    n, r = phi.n, phi.r
-    for sigma, c in _derivatives(phi, k).items():
-        for i in range(n):
-            if a[i]:
-                c = c + a[i] * JetPolynomial.variable(
-                    n, r, p_var(j, _raised(sigma, i)))
-        if c:
-            coeffs[p_var(j, sigma)] = c
+def _derivative_table(lay: _Layout, f: Dict) -> Dict[Tuple[int, ...], Dict]:
+    """D_sigma f for every |sigma| <= k, each one total derivative of a
+    derivative of the degree below: D_sigma = D_i D_(sigma - 1_i), with i
+    the first direction that sigma holds."""
+    out = {lay.sigmas[0]: f}
+    for sigma in lay.sigmas[1:]:
+        i = next(t for t, e in enumerate(sigma) if e)
+        out[sigma] = _total_derivative(lay, out[_lowered(sigma, i)], i)
+    return out
+
+
+def _add_times(out: Dict, f: Dict, q: int, s) -> None:
+    """out += s * f * (the coordinate at position q)."""
+    _accumulate(out, ((m[:q] + (m[q] + 1,) + m[q + 1:], s * c)
+                      for m, c in f.items()))
+
+
+def _assembled(lay: _Layout, a: Sequence[Dict],
+               parts: Sequence[Dict[Tuple[int, ...], Dict]]) -> Dict[int, Dict]:
+    """The lifted field's nonzero coefficients, position -> polynomial with
+    exponents cut to the Taylor width: a^i at x_i, and
+    parts[j][sigma] + sum_i a^i p^j_(sigma+1_i) at p^j_sigma.  This is the
+    one place where the order-(k+1) coordinates must have cancelled."""
+    coeffs = {i: ai for i, ai in enumerate(a) if ai}
+    for j, part in enumerate(parts):
+        for sigma, c in part.items():
+            q = lay.p(j, sigma)
+            c = dict(c)  # a part may be the caller's generating function
+            for i, ai in enumerate(a):
+                if ai:
+                    _add_times(c, ai, lay.up[i][q], 1)
+            if c:
+                coeffs[q] = c
+    w = lay.width
+    out = {}
+    for q, poly in coeffs.items():
+        for m in poly:
+            if any(m[w:]):
+                t = next(t for t in range(w, len(m)) if m[t])
+                raise CancellationFailure(
+                    "order-%d coordinate %r survives in the coefficient of %r"
+                    % (lay.k + 1, lay.coords[t], lay.coords[q]))
+        out[q] = {m[:w]: c for m, c in poly.items()}
+    return out
+
+
+def _point_lift(lay: _Layout, a: Sequence[Dict],
+                b: Sequence[Dict]) -> Dict[int, Dict]:
+    """Kernel lift of sum a^i d/dx_i + sum b^j d/du_j (order-0 components):
+    the coefficient of p^j_sigma is, by Leibniz,
+    D_sigma b^j - sum_i sum_(rho <= sigma) C(sigma, rho) D_rho a^i
+    p^j_(1_i + sigma - rho) + sum_i a^i p^j_(sigma+1_i).  One table D_rho c
+    per nonzero component c serves all r fibres, and the rho = 0 term is
+    formed, so the cancellation check sees it cancel."""
+    da = [_derivative_table(lay, ai) if ai else None for ai in a]
+    parts = []
+    for j, bj in enumerate(b):
+        db = _derivative_table(lay, bj) if bj else None
+        part = {}
+        for sigma in lay.sigmas:
+            c = dict(db[sigma]) if db else {}
+            for i, table in enumerate(da):
+                if table is not None:
+                    up = lay.up[i]
+                    for rho, binom, rest in _leibniz(sigma):
+                        _add_times(c, table[rho], up[lay.p(j, rest)], -binom)
+            part[sigma] = c
+        parts.append(part)
+    return _assembled(lay, a, parts)
+
+
+def _contact_lift(lay: _Layout, phi: Dict) -> Dict[int, Dict]:
+    """Kernel lift of the contact field with generating function phi (order
+    <= 1, one fibre): a^i = -d phi/d p_(1_i), and the coefficient of p_sigma
+    is D_sigma phi + sum_i a^i p_(sigma+1_i)."""
+    a = []
+    for i in range(lay.n):
+        q = lay.up[i][lay.p(0, (0,) * lay.n)]
+        ai: Dict[Tuple[int, ...], object] = {}
+        _accumulate(ai, ((m[:q] + (m[q] - 1,) + m[q + 1:], -c * m[q])
+                         for m, c in phi.items() if m[q]))
+        a.append(ai)
+    return _assembled(lay, a, [_derivative_table(lay, phi)])
 
 
 def prolong_point(a: Sequence[JetPolynomial], b: Sequence[JetPolynomial],
@@ -472,44 +634,31 @@ def prolong_point(a: Sequence[JetPolynomial], b: Sequence[JetPolynomial],
     n, r = a[0].n, a[0].r
     if len(a) != n or len(b) != r:
         raise AmbientMismatch("component count does not match (n, r)")
+    if k < 0:
+        raise ParamOutOfRange("point lifts need an order k >= 0")
     for f in list(a) + list(b):
         if f.n != n or f.r != r:
             raise AmbientMismatch("components on different spaces")
         if f.k_max > 0:
             raise ParamOutOfRange(
                 "generating components must only use order-0 variables")
-    coeffs: Dict[Var, JetPolynomial] = {}
-    for i in range(n):
-        if a[i]:
-            coeffs[x_var(i)] = a[i]
-    for j in range(r):
-        phi = b[j]
-        for i in range(n):
-            if a[i]:
-                phi = phi - a[i] * JetPolynomial.variable(
-                    n, r, p_var(j, _raised((0,) * n, i)))
-        _fibre_coefficients(j, phi, a, k, coeffs)
-    return LieField(n, r, k, coeffs)
+    lay = _layout(n, r, k)
+    return lay.field(_point_lift(lay, [lay.dense(f) for f in a],
+                                 [lay.dense(f) for f in b]))
 
 
 def prolong_contact(phi: JetPolynomial, k: int) -> LieField:
     """Lift of the contact field with scalar generating function phi
     (depending on variables of order <= 1, fibre rank 1) to order-k jets."""
-    n, r = phi.n, phi.r
-    if r != 1:
+    if phi.r != 1:
         raise ParamOutOfRange("contact lifts need fibre rank 1")
     if k < 1:
         raise ParamOutOfRange("contact lifts start at order 1")
     if phi.k_max > 1:
         raise ParamOutOfRange(
             "generating function must only use variables of order <= 1")
-    a = [-phi.diff(p_var(0, _raised((0,) * n, i))) for i in range(n)]
-    coeffs: Dict[Var, JetPolynomial] = {}
-    for i in range(n):
-        if a[i]:
-            coeffs[x_var(i)] = a[i]
-    _fibre_coefficients(0, phi, a, k, coeffs)
-    return LieField(n, r, k, coeffs)
+    lay = _layout(phi.n, 1, k)
+    return lay.field(_contact_lift(lay, lay.dense(phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -699,57 +848,47 @@ def _weight(v: Var, r: int) -> Tuple[int, ...]:
     return tuple(w)
 
 
-def _taylor_row(field: LieField, cpos: Dict[Var, int]) -> Dict[Tuple, object]:
-    """The Taylor data of a lift, (degree, exponents, coordinate) ->
-    coefficient, over every term of every coefficient of the field."""
-    row = {}
-    for v, poly in field.coeffs.items():
-        vp = cpos[v]
-        for mono, c in poly.terms.items():
-            exp = [0] * len(cpos)
-            for var, e in mono:
-                exp[cpos[var]] = e
-            row[(sum(exp), tuple(exp), vp)] = c
-    return row
-
-
-def _lifted_rows(kind: str, n: int, r: int, k: int, d: int) -> list:
-    """(weight, Taylor row) of the lift of every degree-d monomial
+def _lifted_rows(kind: str, lay: _Layout, d: int) -> list:
+    """(weight, Taylor row) of the kernel lift of every degree-d monomial
     generator, for each variable the generator can move.  The weight, the
     monomial's minus the moved variable's, is a scaling weight that the
     lift preserves."""
-    cpos = {v: i for i, v in enumerate(jet_coords(n, r, k))}
+    n, r = lay.n, lay.r
     base = [x_var(i) for i in range(n)] + [u_var(j, n) for j in range(r)]
     variables = base if kind == "point" else \
         base + [p_var(0, _raised((0,) * n, i)) for i in range(n)]
+    where = [lay.pos[v] for v in variables]
     weights = [_weight(v, r) for v in variables]
-    zero = JetPolynomial.zero(n, r)
     out = []
     for exps in sym_basis(len(variables), d):
-        mono = JetPolynomial._of(
-            n, r, {_canonical(dict(zip(variables, exps))): 1})
+        exp = [0] * len(lay.coords)
+        for q, e in zip(where, exps):
+            exp[q] = e
+        mono = {tuple(exp): 1}
         weight = [sum(e * w[c] for e, w in zip(exps, weights))
                   for c in range(r + 1)]
         if kind == "point":
             lifts = []
             for t, v in enumerate(base):
-                comps = [mono if s == t else zero for s in range(n + r)]
-                lifts.append((v, prolong_point(comps[:n], comps[n:], k)))
+                comps = [mono if s == t else {} for s in range(n + r)]
+                lifts.append((v, _point_lift(lay, comps[:n], comps[n:])))
         else:
-            lifts = [(base[n], prolong_contact(mono, k))]
-        for v, field in lifts:
+            lifts = [(base[n], _contact_lift(lay, mono))]
+        for v, coeffs in lifts:
             out.append((tuple(a - b for a, b in zip(weight, _weight(v, r))),
-                        _taylor_row(field, cpos)))
+                        {(sum(m), m, q): c for q, poly in coeffs.items()
+                         for m, c in poly.items()}))
     return out
 
 
 @lru_cache(maxsize=1)
-def _lift_store(kind: str, n: int, r: int, k: int) -> Dict[int, list]:
-    """Degree -> (weight, Taylor row) of the lifts of one family's monomial
-    generators, filled on demand.  One family is kept at a time, so the
-    cutoffs and degrees l of one oracle run share their lifts, and the
-    next family frees them."""
-    return {}
+def _lift_store(kind: str, n: int, r: int, k: int) -> Tuple[_Layout,
+                                                           Dict[int, list]]:
+    """The family's layout, and degree -> (weight, Taylor row) of the lifts
+    of its monomial generators, filled on demand.  One family is kept at a
+    time, so the cutoffs and degrees l of one oracle run share their lifts,
+    and the next family frees them."""
+    return _layout(n, r, k), {}
 
 
 def _order_l_rows(kind: str, n: int, r: int, k: int, l: int,
@@ -762,11 +901,11 @@ def _order_l_rows(kind: str, n: int, r: int, k: int, l: int,
     Columns sort by degree first, so the rows whose pivot has degree l are
     exactly the echelon rows with no part below degree l, and they span
     the lifts vanishing to order l; their number is the dimension."""
-    store = _lift_store(kind, n, r, k)
+    lay, store = _lift_store(kind, n, r, k)
     groups: Dict[Tuple, List[Dict]] = {}
     for d in range(cutoff + 1):
         if d not in store:
-            store[d] = _lifted_rows(kind, n, r, k, d)
+            store[d] = _lifted_rows(kind, lay, d)
         for weight, row in store[d]:
             part = {c: v for c, v in row.items() if c[0] <= l}
             if part:

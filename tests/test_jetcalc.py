@@ -2,14 +2,16 @@
 derivatives, and the filtered dimension oracle."""
 
 import json
+import operator
 from fractions import Fraction
 
 import pytest
 
+import reference_lift
 from spencer import jetcalc
 from spencer.cli import main
-from spencer.errors import (CancellationFailure, ParamOutOfRange,
-                            SingularJacobian, CapExceeded)
+from spencer.errors import (AmbientMismatch, CancellationFailure,
+                            ParamOutOfRange, SingularJacobian, CapExceeded)
 from spencer.exactla import TensorShape
 from spencer.jetcalc import (
     JetPolynomial, parse_jet_polynomial, parse_variable,
@@ -132,6 +134,41 @@ def test_integer_data_stays_integer():
     assert got == [2] and all(type(v) is Fraction for v in got)
 
 
+def test_negative_powers_and_foreign_operands_are_refused():
+    x = JetPolynomial.variable(1, 1, x_var(0))
+    assert x ** 0 == JetPolynomial.const(1, 1, 1)
+    with pytest.raises(ParamOutOfRange):
+        x ** -1
+    for op, other in ((operator.add, 1), (operator.add, 1.5),
+                      (operator.sub, 1), (operator.mul, 1.5),
+                      (operator.pow, 1.5)):
+        assert getattr(x, "__%s__" % op.__name__)(other) is NotImplemented
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+    assert 3 * x == x * 3 == x + x + x
+    with pytest.raises(AmbientMismatch):
+        x + JetPolynomial.variable(2, 1, x_var(0))
+
+
+def test_jet_multi_indices_are_validated():
+    for n, v in ((1, ("p", 0, (-1,))), (2, ("p", 0, (1,))),
+                 (2, ("p", 0, (0, 0, 1))), (1, ("p", 1, (0,))),
+                 (1, ("q", 0, (0,)))):
+        with pytest.raises(ParamOutOfRange):
+            JetPolynomial.variable(n, 1, v)
+        with pytest.raises(ParamOutOfRange):
+            JetPolynomial(n, 1, {((v, 1),): 1})
+    with pytest.raises(ParamOutOfRange):
+        JetPolynomial(1, 1, {((x_var(0), -1),): 1})
+    f = poly("x1*p[1,(1,0)]", 2, 1)
+    for sigma in ((-1, 0), (1,), (1, 0, 0), ()):
+        with pytest.raises(ParamOutOfRange):
+            total_derivative_multi(f, sigma)
+    assert total_derivative_multi(f, (0, 0)) == f
+
+
 # ---------------------------------------------------------------- total derivatives
 
 def test_total_derivative_on_coordinates():
@@ -167,6 +204,17 @@ def test_total_derivatives_commute():
                     dij = total_derivative(total_derivative(f, i), j)
                     dji = total_derivative(total_derivative(f, j), i)
                     assert dij == dji
+
+
+def test_total_derivative_matches_the_reference():
+    rng = RationalLCG(43)
+    for n, r, order in ((1, 1, 3), (2, 1, 2), (2, 2, 1), (3, 1, 0)):
+        for _ in range(6):
+            f = random_poly(rng, n, r, order, degree=3) \
+                * JetPolynomial.const(n, r, Fraction(rng.int_range(1, 5), 3))
+            for i in range(n):
+                assert total_derivative(f, i) == \
+                    reference_lift.total_derivative(f, i)
 
 
 def test_multi_derivative_is_iterated_single():
@@ -244,6 +292,79 @@ def test_contact_lift_agrees_with_point_lift_on_point_data():
     Xp = prolong_point([x], [u * u], 2)
     for v in jet_coords(1, 1, 2):
         assert Xc.coefficient(v) == Xp.coefficient(v)
+
+
+def test_lifts_refuse_orders_below_their_least_order():
+    x = JetPolynomial.variable(1, 1, x_var(0))
+    with pytest.raises(ParamOutOfRange):
+        prolong_point([x], [x], -1)
+    for k in (0, -1):
+        with pytest.raises(ParamOutOfRange):
+            prolong_contact(x, k)
+    assert prolong_point([x], [x], 0).k == 0
+
+
+def test_kernel_refuses_what_leaves_the_layout():
+    lay = jetcalc._layout(1, 1, 1)
+    top = [0] * len(lay.coords)
+    top[lay.pos[p_var(0, (2,))]] = 1
+    with pytest.raises(CancellationFailure, match="leaves the order-2"):
+        jetcalc._total_derivative(lay, {tuple(top): 1}, 0)
+    # p_(sigma+1_i) without the rho = 0 term that cancels it
+    x = lay.dense(JetPolynomial.variable(1, 1, x_var(0)))
+    with pytest.raises(CancellationFailure, match="survives"):
+        jetcalc._assembled(lay, [x], [{(1,): {}}])
+
+
+@pytest.mark.parametrize("kind, n, r, k", [
+    ("point", 2, 2, 2), ("contact", 2, 1, 2),
+    ("point", 1, 2, 0), ("point", 1, 2, 1),
+    ("contact", 1, 1, 1), ("contact", 1, 1, 2),
+])
+def test_kernel_rows_match_the_reference_lift(kind, n, r, k):
+    # The two benchmark families and the families of
+    # test_symbol_space_and_oracle_share_their_rows, every degree <= 7.
+    lay = jetcalc._layout(n, r, k)
+    for d in range(8):
+        rows = [row for _, row in jetcalc._lifted_rows(kind, lay, d)]
+        assert rows == reference_lift.lifted_rows(kind, n, r, k, d)
+        assert all(type(c) is int for row in rows for c in row.values())
+
+
+def test_lifts_match_the_reference_lift_on_rational_data():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+    def polynomial(data, n, r, order):
+        coords = jet_coords(n, r, order)
+        terms = data.draw(st.lists(st.tuples(
+            coefficient, st.lists(st.sampled_from(coords), max_size=3)),
+            max_size=4))
+        return JetPolynomial(n, r, {tuple((v, 1) for v in mono): c
+                                    for c, mono in terms})
+
+    @hyp.settings(max_examples=60, deadline=None, database=None,
+                  derandomize=True)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 2))
+        if data.draw(st.booleans()):
+            r = data.draw(st.integers(1, 2))
+            k = data.draw(st.integers(0, 3))
+            a = [polynomial(data, n, r, 0) for _ in range(n)]
+            b = [polynomial(data, n, r, 0) for _ in range(r)]
+            got = prolong_point(a, b, k)
+            want = reference_lift.prolong_point(a, b, k)
+        else:
+            k = data.draw(st.integers(1, 3))
+            phi = polynomial(data, n, 1, 1)
+            got = prolong_contact(phi, k)
+            want = reference_lift.prolong_contact(phi, k)
+        assert got.coeffs == want.coeffs
+        assert (got.n, got.r, got.k) == (want.n, want.r, want.k)
+
+    check()
 
 
 def test_field_constructor_rejects_overflowing_orders():
@@ -442,19 +563,20 @@ def test_oracle_refuses_cutoff_below_l():
 
 
 @pytest.mark.parametrize("group, name, lifts", [
-    ("point_lie:n=1,r=2,k=1", "prolong_point", 252),
-    ("contact_lie:n=1,k=1", "prolong_contact", 84),
+    ("point_lie:n=1,r=2,k=1", "_point_lift", 252),
+    ("contact_lie:n=1,k=1", "_contact_lift", 84),
 ])
 def test_oracle_lifts_each_generator_once(count_calls, capsys, group, name,
                                           lifts):
     # Degrees 0..6 serve l = 1..3 at both cutoffs; for the point family
     # that is 3 * C(d + 2, 2) generators of degree d, for the contact
-    # family C(d + 2, 2).
+    # family C(d + 2, 2).  The counter is keyed by the generating data.
     jetcalc._lift_store.cache_clear()
-    calls = count_calls(jetcalc, name)
+    calls = count_calls(jetcalc, name, key=lambda lay, *data: repr(data))
     assert main(["oracle", "--group", group, "--l", "1..3"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert all(r["match"] for r in rows)
+    assert set(calls.values()) == {1}
     assert calls.total() == lifts
 
 
