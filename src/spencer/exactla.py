@@ -167,52 +167,52 @@ def _exact(c) -> int | Fraction:
 
 
 def _as_int_row(vec: Mapping[int, object]) -> IntVec:
-    """An integer row with gcd 1 along vec, zero entries dropped."""
+    """A new integer row with gcd 1 along vec, zero entries dropped.  The
+    gcd of the entries is also the type test: it refuses a Fraction."""
     row = {c: v for c, v in vec.items() if v}
-    if set(map(type, row.values())) - {int}:
+    try:
+        g = math.gcd(*row.values())
+    except TypeError:
         row = {c: Fraction(v) for c, v in row.items()}
         denom = math.lcm(*(v.denominator for v in row.values()))
         row = {c: v.numerator * (denom // v.denominator)
                for c, v in row.items()}
-    return _gcd_reduce(row)
+        g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _gcd_reduce(row: IntVec) -> IntVec:
-    g = math.gcd(*row.values())
-    if g > 1:
-        row = {c: v // g for c, v in row.items()}
-    return row
+def _stored(row: IntVec, lead) -> IntVec:
+    """A compact primitive copy of row with a positive entry at lead (a
+    dict keeps its size when entries are deleted, a new one does not)."""
+    g = math.gcd(*row.values()) * (1 if row[lead] > 0 else -1)
+    return {c: v // g for c, v in row.items()}
 
 
-def _combine(a: int, row_a: IntVec, b: int, row_b: IntVec) -> IntVec:
-    out = dict(row_a) if a == 1 else {c: a * v for c, v in row_a.items()}
-    for c, v in row_b.items():
-        w = out.get(c, 0) + b * v
+def _eliminate(row: IntVec, prow: IntVec, c) -> None:
+    """Clear column c of row in place with the pivot row prow, a = prow[c]
+    > 0: subtract (b / g) prow, b = row[c] and g = gcd(a, b), after scaling
+    row by a / g unless a divides b.  No gcd of the whole row is taken."""
+    a = prow[c]
+    g = math.gcd(a, row[c])
+    f = row[c] // g
+    if g != a:
+        for k in row:
+            row[k] *= a // g
+    for k, v in prow.items():
+        w = row.get(k, 0) - f * v
         if w:
-            out[c] = w
-        elif c in out:
-            del out[c]
-    return _gcd_reduce(out)
+            row[k] = w
+        else:
+            del row[k]
 
 
 def _clear_pivots(row: IntVec, hits: List[int],
                   piv: Mapping[int, IntVec]) -> IntVec:
-    """Primitive row minus its multiples of the pivot rows in hits, which
-    hold no pivot column of hits but their own; the leading entry stays."""
-    scale = 1
+    """row with the columns in hits cleared in place by the pivot rows
+    there, which hold no pivot column of hits but their own."""
     for h in hits:
-        scale = math.lcm(scale, piv[h][h])
-    out = {c: scale * v for c, v in row.items()}
-    for h in hits:
-        prow = piv[h]
-        f = scale // prow[h] * row[h]
-        for c, v in prow.items():
-            w = out.get(c, 0) - f * v
-            if w:
-                out[c] = w
-            else:
-                del out[c]
-    return _gcd_reduce(out)
+        _eliminate(row, piv[h], h)
+    return row
 
 
 def echelon(rows: Iterable[Mapping[int, object]],
@@ -220,7 +220,7 @@ def echelon(rows: Iterable[Mapping[int, object]],
     """Row reduce sparse rows; returns pivot column -> primitive integer row.
 
     Columns are ints, or any keys with a total order: a row's pivot is its
-    least column.
+    least column.  The input rows are never modified.
 
     With canonical=True the result is fully back-substituted (each pivot
     column occurs in exactly one row), which pins the unique reduced echelon
@@ -233,16 +233,16 @@ def echelon(rows: Iterable[Mapping[int, object]],
             c = min(r)
             p = piv.get(c)
             if p is None:
-                piv[c] = r if r[c] > 0 else {k: -v for k, v in r.items()}
+                piv[c] = _stored(r, c)
                 break
-            r = _combine(p[c], r, -r[c], p)
+            _eliminate(r, p, c)
     if canonical:
         _back_substitute(piv)
     return piv
 
 
 def _back_substitute(piv: Dict[int, IntVec]) -> None:
-    """Clear, in place, every pivot column from the rows of the others.
+    """Clear every pivot column from the other rows, replacing them in piv.
 
     piv maps each row's leading (least) column to the row, primitive with a
     positive leading entry; the result is the canonical reduced echelon
@@ -252,7 +252,7 @@ def _back_substitute(piv: Dict[int, IntVec]) -> None:
         row = piv[c]
         hits = [h for h in row if h != c and h in piv]
         if hits:
-            piv[c] = _clear_pivots(row, hits, piv)
+            piv[c] = _stored(_clear_pivots(dict(row), hits, piv), c)
 
 
 def rank_of_rows(rows: Iterable[Mapping[int, object]]) -> int:
@@ -388,8 +388,10 @@ class Subspace:
         return self.dim == self.ambient.dim
 
     def __eq__(self, other) -> bool:
+        # Two full spaces are equal without building their unit rows.
         return (isinstance(other, Subspace) and self.ambient == other.ambient
-                and self._piv == other._piv)
+                and self.dim == other.dim
+                and (self.is_full or self._piv == other._piv))
 
     def __repr__(self) -> str:
         return "Subspace(dim=%d, ambient_dim=%d)" % (self.dim, self.ambient.dim)
@@ -421,7 +423,7 @@ class Subspace:
         cleared by integer multiples of their rows, is zero."""
         row = _as_int_row(vec)
         hits = [c for c in row if c in self._piv]
-        return not (_clear_pivots(row, hits, self._piv) if hits else row)
+        return not _clear_pivots(row, hits, self._piv)
 
     def _quotient_positions(self) -> Dict[int, int]:
         if self._qpos is None:
@@ -497,13 +499,8 @@ def _right_block_span(pairs: Iterable[Tuple[Mapping[int, object],
     left halves cancel: a non-canonical echelon of the rows
     [left | right shifted by width], keeping the rows that pivot in the
     right block."""
-    stacked: List[Vec] = []
-    for left, right in pairs:
-        row = {c: v for c, v in left.items() if v}
-        for c, v in right.items():
-            row[c + width] = v
-        stacked.append(row)
-    piv = echelon(stacked, canonical=False)
+    piv = echelon(({**left, **{c + width: v for c, v in right.items()}}
+                   for left, right in pairs), canonical=False)
     return [{c - width: v for c, v in row.items()}
             for c0, row in piv.items() if c0 >= width]
 
@@ -535,13 +532,12 @@ def quotient_dim(big: Subspace, small: Subspace) -> int:
 
 
 def image(f: LinearMap, s: Optional[Subspace] = None) -> Subspace:
-    if s is None:
-        rows: Iterable[Vec] = f.rows
-    else:
-        if s.ambient != f.domain:
-            raise AmbientMismatch("subspace does not match map domain")
-        rows = (f.apply(r) for r in s.int_rows)
-    return Subspace.from_rows(f.codomain, rows)
+    """f(s); the whole image of f when s is None or full."""
+    if s is not None and s.ambient != f.domain:
+        raise AmbientMismatch("subspace does not match map domain")
+    if s is None or s.is_full:
+        return Subspace.from_rows(f.codomain, f.rows)
+    return Subspace.from_rows(f.codomain, (f.apply(r) for r in s.int_rows))
 
 
 def kernel_of_rows(rows: Sequence[Mapping[int, object]], width: int,

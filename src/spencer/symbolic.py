@@ -320,8 +320,8 @@ class CochainComplex:
 
     def _differential_rank(self, d: int, s: int, C: Subspace,
                            V: Optional[Subspace]) -> int:
-        """Rank of the differential on C(d, s) modulo V(d - 1, s + 1); at
-        s = 0 also the closure check of degree d."""
+        """Rank of the differential on C(d, s) modulo V(d - 1, s + 1), 0
+        when that is full; at s = 0 also the closure check of degree d."""
         if d < 1 or s >= self.top:
             return 0
         if s > 0:
@@ -335,6 +335,8 @@ class CochainComplex:
                                     V.int_rows)))):
             raise NotASubcomplex(
                 "subcomplex is not differential-stable at degree %d" % d)
+        if V_next is not None and V_next.is_full:
+            return 0
         mod_next = V_next is not None and V_next.dim > 0
         if C.is_full and C_next.is_full and not mod_next:
             unit = self._differential(replace(C.ambient, value_dim=1))
@@ -408,12 +410,10 @@ def spencer_complex(system: SymbolicSystem) -> CochainComplex:
                      for i, coords in lowerings]
             for moves in inserts:
                 # For one (u, J) each (i, coordinate) is its own column.
-                row: Vec = {}
-                for i, entries in split:
-                    if moves[i]:
-                        sign, off = moves[i]
-                        row.update((c + off, sign * v) for c, v in entries)
-                rows.append(row)
+                rows.append({c + off: sign * v
+                             for i, entries in split if moves[i]
+                             for sign, off in (moves[i],)
+                             for c, v in entries})
         return LinearMap(dom, cod, rows)
 
     return CochainComplex(n, cell, differential)

@@ -416,6 +416,22 @@ def test_engine_rejects_a_subcomplex_outside_the_cells():
         CochainComplex(2, _zero, delta_map, _full).H(0, 0)
 
 
+def test_full_cells_are_not_materialized(count_calls, capsys):
+    # A full space builds its unit rows (through __getattr__) on first use.
+    # Modulo a full next cell the rank is 0, the image of a full space is
+    # that of the map, and covariants() compares a full sum with a full
+    # preimage by dims, so none of them builds the rows.
+    built = count_calls(Subspace, "__getattr__")
+    cx = CochainComplex(2, _full, delta_map, _full)
+    assert [cx.H(d, s) for d in range(4) for s in range(3)] == [0] * 12
+    dmap = delta_map(TensorShape(2, 2, 1, 2))
+    assert image(dmap, Subspace.full(dmap.domain)) == image(dmap)
+    assert main(["covariants", "--group", "symplectic:2n=4", "--flag",
+                 "stratum=lagrangian", "--l", "1..3"]) == 0
+    capsys.readouterr()
+    assert built.total() == 0
+
+
 def test_stationary_table_builds_each_cell_once(count_calls, capsys):
     covariants_module = importlib.import_module("spencer.covariants")
     built = count_calls(covariants_module, "stationary_row_space",

@@ -1,5 +1,6 @@
 """Exact linear algebra: echelon canonicity, subspace lattice, map calculus."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from spencer.covariants import FlagContext, restriction_map
 from spencer.errors import AmbientMismatch, ShapeMismatch, NotASubspace
+from spencer.symbolic import delta_map
 from spencer.exactla import (
     TensorShape, Subspace, LinearMap,
     sym_basis, wedge_basis, echelon, rank_of_rows,
@@ -195,6 +197,21 @@ def test_full_subspace_equals_the_span_of_unit_rows():
     assert Subspace.full(shp).rows == units.rows
 
 
+def test_full_spaces_compare_without_unit_rows(count_calls):
+    # A full space builds its unit rows (through __getattr__) on first use;
+    # comparing two full spaces needs only their ambients and dims.
+    built = count_calls(Subspace, "__getattr__")
+    shp = TensorShape(2, 2, 1, 2)
+    units = Subspace.from_rows(shp, [{i: 1} for i in range(shp.dim)])
+    assert Subspace.full(shp) == units and units == Subspace.full(shp)
+    assert Subspace.full(shp) == Subspace.full(shp)
+    assert Subspace.full(shp) != Subspace.zero(shp)
+    assert Subspace.full(shp) != Subspace.full(TensorShape(2, 2, 1, 1))
+    half = Subspace.from_rows(shp, [{i: 1} for i in range(shp.dim - 1)])
+    assert Subspace.full(shp) != half
+    assert built.total() == 0
+
+
 def test_from_rows_rejects_columns_outside_the_ambient():
     shp = TensorShape.vector(2)
     # Column 5 is not a pivot column of the echelon form.
@@ -310,6 +327,65 @@ def test_integer_data_stays_integer():
 def test_echelon_drops_explicit_zero_entries():
     assert echelon([{0: 0, 1: 2, 2: -4}]) == {1: {1: 1, 2: -2}}
     assert rank_of_rows([{0: 0}, {3: Fraction(0), 1: Fraction(1, 2)}]) == 1
+
+
+def kind_rows(rng, kind, count, width):
+    """Sparse rows of one kind: small ints, Fractions, or both mixed.  The
+    entries are not all units, so both the divisible and the scaled
+    elimination step occur."""
+    def entry():
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6])
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+    return [{j: entry() for j in range(width) if rng.random() < 0.6}
+            for _ in range(count)]
+
+
+def run_eliminations(shp, rows, other):
+    """Every eliminating operation on rows (in the ambient shp), with the
+    Subspace other of shp as the second operand."""
+    echelon(rows)
+    echelon(rows, canonical=False)
+    rank_of_rows(rows)
+    sub = Subspace.from_rows(shp, rows)
+    for row in rows:
+        other.contains_vector(row)
+        sub.contains_vector(row)
+    for a, b in ((sub, other), (other, sub)):
+        subspace_sum(a, b)
+        subspace_intersect(a, b)
+    f = LinearMap(TensorShape.vector(len(rows)), shp, rows)
+    image(f)
+    image(f, Subspace.from_rows(f.domain, [{0: 1}, {len(rows) - 1: 2}]))
+    preimage(f, other)
+
+
+@pytest.mark.parametrize("kind", ("int", "fraction", "mixed"))
+def test_eliminations_leave_their_inputs_unchanged(kind):
+    # The kernel reduces rows in place; it must never reach a caller's row,
+    # or an aliased row would silently corrupt a memoized map.
+    rng = random.Random(43)
+    for trial in range(15):
+        width = rng.randint(2, 8)
+        shp = TensorShape.vector(width)
+        rows = kind_rows(rng, kind, rng.randint(2, 7), width)
+        other = Subspace.from_rows(shp, kind_rows(rng, kind, 3, width))
+        sub = Subspace.from_rows(shp, rows)
+        inputs = (rows, sub.int_rows, other.int_rows)
+        before = copy.deepcopy(inputs)
+        run_eliminations(shp, rows, other)
+        run_eliminations(shp, list(sub.int_rows), other)
+        assert inputs == before
+    shp = TensorShape(2, 2, 0, 2)
+    dmap = delta_map(shp)
+    cod = dmap.codomain
+    other = Subspace.from_rows(cod, kind_rows(rng, kind, 4, cod.dim))
+    before = copy.deepcopy((dmap.rows, other.int_rows))
+    run_eliminations(cod, list(dmap.rows), other)
+    image(dmap)
+    preimage(dmap, other)
+    assert delta_map(shp) is dmap
+    assert (dmap.rows, other.int_rows) == before
 
 
 # ------------------------------------------------- reference implementations
@@ -437,7 +513,9 @@ def ref_preimage(f_rows, s_rows, n):
 
 # ------------------------------------------------- property checks
 
-KINDS = ("int", "fraction", "mixed")
+# "big" draws numerators up to 2^40 and denominators up to 2^20 among small
+# ints, so coefficients grow and pivots both divide and do not divide.
+KINDS = ("int", "fraction", "mixed", "big")
 
 
 def _strategies():
@@ -452,8 +530,12 @@ def _row_lists(st, kind, width, max_rows=7, min_rows=0):
     """Random sparse rows over range(width) with nonzero entries."""
     ints = st.sampled_from([v for v in range(-9, 10) if v])
     fracs = st.builds(Fraction, ints, st.integers(1, 9))
+    bigs = st.integers(-2 ** 40, 2 ** 40).filter(bool)
     value = {"int": ints, "fraction": fracs,
-             "mixed": st.one_of(ints, fracs)}[kind]
+             "mixed": st.one_of(ints, fracs),
+             "big": st.one_of(ints, bigs, st.builds(Fraction, bigs,
+                                                   st.integers(1, 2 ** 20)))
+             }[kind]
     row = st.dictionaries(st.integers(0, width - 1), value, max_size=width)
     return st.lists(row, min_size=min_rows, max_size=max_rows)
 
