@@ -40,8 +40,9 @@ from .covariants import (FlagContext, covariant_complex, covariants,
 from .catalog import (PseudogroupSpec, contact_lie_dim, parse_pseudogroup,
                       point_lie_total, stratum_tau, symbol_dim, system,
                       volume_claimed_dim)
-from .jetcalc import (JetPoint, RationalLCG, TresseFrame, parse_jet_polynomial,
-                      parse_variable, symbol_oracle, tresse)
+from .jetcalc import (JetPoint, RationalLCG, TresseFrame, check_symbol_oracle,
+                      parse_jet_polynomial, parse_variable, symbol_oracle,
+                      tresse)
 
 USAGE_ERRORS = (ParamOutOfRange, ValueError, KeyError)
 PRECONDITION_ERRORS = (SingularJacobian, EquationNotInvariant, NotASubcomplex,
@@ -255,26 +256,35 @@ def cmd_oracle(args) -> int:
     lo, hi = _parse_range(args.l, 0)
     if spec.kind == "point_lie":
         n, r, k = (spec.param(p) for p in ("n", "r", "k"))
-        formula, brute = (
-            lambda l: point_lie_total(n, r, k, l, args.allow_r1_point_lift),
-            lambda l: symbol_oracle("point", n, r, k, l, cap=args.cap))
+        family, formula = ("point", n, r, k), (
+            lambda l: point_lie_total(n, r, k, l, args.allow_r1_point_lift))
     elif spec.kind == "contact_lie":
         n, k = spec.param("n"), spec.param("k")
-        formula, brute = (
-            lambda l: contact_lie_dim(n, k, l),
-            lambda l: symbol_oracle("contact", n, 1, k, l, cap=args.cap))
+        family, formula = ("contact", n, 1, k), (
+            lambda l: contact_lie_dim(n, k, l))
     elif spec.kind == "volume":
         m = spec.param("m")
-        formula, brute = (lambda l: volume_claimed_dim(m, l),
-                          lambda l: symbol_dim(spec, l))
+        family, formula = None, lambda l: volume_claimed_dim(m, l)
     else:
         raise ParamOutOfRange(
             "oracle compares point_lie, contact_lie or volume groups")
-    rows = []
-    for l in range(lo, hi + 1):
-        ref, computed = formula(l), brute(l)
-        rows.append({"l": l, "formula": ref, "oracle": computed,
-                     "match": ref == computed})
+    orders = range(lo, hi + 1)
+    refs, found = {}, {}
+    # Every order is checked, lowest first, before anything is lifted, so
+    # a failing range reports its lowest failing order.
+    for l in orders:
+        refs[l] = formula(l)
+        if family is None:
+            found[l] = symbol_dim(spec, l)
+        else:
+            check_symbol_oracle(*family, l, cap=args.cap)
+    if family is not None:
+        # Highest order first: its lifts, stored truncated at that order,
+        # serve every lower order without lifting again.
+        for l in reversed(orders):
+            found[l] = symbol_oracle(*family, l, cap=args.cap)
+    rows = [{"l": l, "formula": refs[l], "oracle": found[l],
+             "match": refs[l] == found[l]} for l in orders]
     payload = {"group": str(spec), "rows": rows}
     table = [[r["l"], r["formula"], r["oracle"], r["match"]] for r in rows]
     _emit(args, payload, ["l", "formula", "oracle", "match"], table)

@@ -24,7 +24,9 @@ D_rho c (|rho| <= k) per nonzero generating component c, shared by all r
 fibres, and assembles each coefficient by Leibniz; a contact lift takes
 the D_sigma phi chain.  ``_assembled`` adds sum_i a^i p_(sigma+1_i) and is
 the one place where a surviving order-(k+1) exponent raises
-``CancellationFailure``.
+``CancellationFailure``.  The oracle passes an order l, and the kernel
+then forms only the terms of degree <= l of the lift (the sum of an
+exponent vector is its degree); the public lifts pass none.
 """
 
 from __future__ import annotations
@@ -508,16 +510,32 @@ def _leibniz(sigma: Tuple[int, ...]) -> Tuple[Tuple, ...]:
                  for rho in itertools.product(*(range(s + 1) for s in sigma)))
 
 
-def _total_derivative(lay: _Layout, f: Dict, i: int) -> Dict:
+def _below(f: Dict, top: Optional[int]) -> Dict:
+    """A new dict of the terms of f of degree at most top (all of them when
+    top is None).  A term's degree is the sum of its exponent vector."""
+    if top is None:
+        return dict(f)
+    return {m: c for m, c in f.items() if sum(m) <= top}
+
+
+def _total_derivative(lay: _Layout, f: Dict, i: int,
+                      top: Optional[int] = None) -> Dict:
     """D_i f: d/dx_i plus p^j_(sigma+1_i) d/dp^j_sigma over every jet
-    coordinate; a term whose derivative leaves the layout raises."""
+    coordinate; a term whose derivative leaves the layout raises.  With
+    top, only the terms of degree <= top are formed: d/dx_i lowers a
+    term's degree by one and the jet part keeps it."""
     up = lay.up[i]
     n = lay.n
 
     def terms():
         for m, c in f.items():
+            excess = 0 if top is None else sum(m) - top
+            if excess > 1:
+                continue
             if m[i]:
                 yield m[:i] + (m[i] - 1,) + m[i + 1:], c * m[i]
+            if excess == 1:
+                continue
             for t in range(n, len(m)):
                 e = m[t]
                 if e:
@@ -536,14 +554,19 @@ def _total_derivative(lay: _Layout, f: Dict, i: int) -> Dict:
     return out
 
 
-def _derivative_table(lay: _Layout, f: Dict) -> Dict[Tuple[int, ...], Dict]:
+def _derivative_table(lay: _Layout, f: Dict,
+                      top: Optional[int] = None) -> Dict[Tuple[int, ...], Dict]:
     """D_sigma f for every |sigma| <= k, each one total derivative of a
     derivative of the degree below: D_sigma = D_i D_(sigma - 1_i), with i
-    the first direction that sigma holds."""
-    out = {lay.sigmas[0]: f}
+    the first direction that sigma holds.  With top, D_sigma f keeps its
+    terms of degree <= top - |sigma|, which D_i forms exactly from the
+    entry below, since it lowers a degree by at most one."""
+    out = {lay.sigmas[0]: _below(f, top)}
     for sigma in lay.sigmas[1:]:
         i = next(t for t, e in enumerate(sigma) if e)
-        out[sigma] = _total_derivative(lay, out[_lowered(sigma, i)], i)
+        out[sigma] = _total_derivative(
+            lay, out[_lowered(sigma, i)], i,
+            None if top is None else top - sum(sigma))
     return out
 
 
@@ -554,17 +577,22 @@ def _add_times(out: Dict, f: Dict, q: int, s) -> None:
 
 
 def _assembled(lay: _Layout, a: Sequence[Dict],
-               parts: Sequence[Dict[Tuple[int, ...], Dict]]) -> Dict[int, Dict]:
+               parts: Sequence[Dict[Tuple[int, ...], Dict]],
+               l: Optional[int] = None) -> Dict[int, Dict]:
     """The lifted field's nonzero coefficients, position -> polynomial with
     exponents cut to the Taylor width: a^i at x_i, and
     parts[j][sigma] + sum_i a^i p^j_(sigma+1_i) at p^j_sigma.  This is the
-    one place where the order-(k+1) coordinates must have cancelled."""
-    coeffs = {i: ai for i, ai in enumerate(a) if ai}
+    one place where the order-(k+1) coordinates must have cancelled.  The
+    parts are the lift's own and receive the products in place.  With l,
+    the parts hold no term of degree above l, and a^i enters with its
+    terms of degree <= l at x_i and <= l - 1 in the products, which raise
+    the degree by one."""
+    low = [_below(ai, None if l is None else l - 1) for ai in a]
+    coeffs = {i: c for i, c in enumerate(_below(ai, l) for ai in a) if c}
     for j, part in enumerate(parts):
         for sigma, c in part.items():
             q = lay.p(j, sigma)
-            c = dict(c)  # a part may be the caller's generating function
-            for i, ai in enumerate(a):
+            for i, ai in enumerate(low):
                 if ai:
                     _add_times(c, ai, lay.up[i][q], 1)
             if c:
@@ -582,21 +610,33 @@ def _assembled(lay: _Layout, a: Sequence[Dict],
     return out
 
 
-def _point_lift(lay: _Layout, a: Sequence[Dict],
-                b: Sequence[Dict]) -> Dict[int, Dict]:
+def _point_lift(lay: _Layout, a: Sequence[Dict], b: Sequence[Dict],
+                l: Optional[int] = None) -> Dict[int, Dict]:
     """Kernel lift of sum a^i d/dx_i + sum b^j d/du_j (order-0 components):
     the coefficient of p^j_sigma is, by Leibniz,
     D_sigma b^j - sum_i sum_(rho <= sigma) C(sigma, rho) D_rho a^i
     p^j_(1_i + sigma - rho) + sum_i a^i p^j_(sigma+1_i).  One table D_rho c
     per nonzero component c serves all r fibres, and the rho = 0 term is
-    formed, so the cancellation check sees it cancel."""
-    da = [_derivative_table(lay, ai) if ai else None for ai in a]
+    formed, so the cancellation check sees it cancel.
+
+    With l, only the terms of degree <= l are formed: the tables keep
+    D_rho c to degree l + k - |rho|, and data with no term of degree
+    <= l + k lifts to nothing."""
+    top = None if l is None else l + lay.k
+    if top is not None and not any(sum(m) <= top for c in (*a, *b)
+                                   for m in c):
+        return {}
+    da = [_derivative_table(lay, ai, top) if ai else None for ai in a]
+    if l is not None:
+        # The Leibniz products raise the degree by one: factors stop at l - 1.
+        da = [None if t is None else {rho: _below(f, l - 1)
+                                      for rho, f in t.items()} for t in da]
     parts = []
     for j, bj in enumerate(b):
-        db = _derivative_table(lay, bj) if bj else None
+        db = _derivative_table(lay, bj, top) if bj else None
         part = {}
         for sigma in lay.sigmas:
-            c = dict(db[sigma]) if db else {}
+            c = _below(db[sigma], l) if db else {}
             for i, table in enumerate(da):
                 if table is not None:
                     up = lay.up[i]
@@ -604,13 +644,19 @@ def _point_lift(lay: _Layout, a: Sequence[Dict],
                         _add_times(c, table[rho], up[lay.p(j, rest)], -binom)
             part[sigma] = c
         parts.append(part)
-    return _assembled(lay, a, parts)
+    return _assembled(lay, a, parts, l)
 
 
-def _contact_lift(lay: _Layout, phi: Dict) -> Dict[int, Dict]:
+def _contact_lift(lay: _Layout, phi: Dict,
+                  l: Optional[int] = None) -> Dict[int, Dict]:
     """Kernel lift of the contact field with generating function phi (order
     <= 1, one fibre): a^i = -d phi/d p_(1_i), and the coefficient of p_sigma
-    is D_sigma phi + sum_i a^i p_(sigma+1_i)."""
+    is D_sigma phi + sum_i a^i p_(sigma+1_i).  With l, only the terms of
+    degree <= l are formed, and a phi with no term of degree <= l + k
+    lifts to nothing."""
+    top = None if l is None else l + lay.k
+    if top is not None and not any(sum(m) <= top for m in phi):
+        return {}
     a = []
     for i in range(lay.n):
         q = lay.up[i][lay.p(0, (0,) * lay.n)]
@@ -618,7 +664,10 @@ def _contact_lift(lay: _Layout, phi: Dict) -> Dict[int, Dict]:
         _accumulate(ai, ((m[:q] + (m[q] - 1,) + m[q + 1:], -c * m[q])
                          for m, c in phi.items() if m[q]))
         a.append(ai)
-    return _assembled(lay, a, [_derivative_table(lay, phi)])
+    table = _derivative_table(lay, phi, top)
+    if l is not None:
+        table = {sigma: _below(f, l) for sigma, f in table.items()}
+    return _assembled(lay, a, [table], l)
 
 
 def prolong_point(a: Sequence[JetPolynomial], b: Sequence[JetPolynomial],
@@ -848,11 +897,13 @@ def _weight(v: Var, r: int) -> Tuple[int, ...]:
     return tuple(w)
 
 
-def _lifted_rows(kind: str, lay: _Layout, d: int) -> list:
+def _lifted_rows(kind: str, lay: _Layout, d: int,
+                 l: Optional[int] = None) -> list:
     """(weight, Taylor row) of the kernel lift of every degree-d monomial
     generator, for each variable the generator can move.  The weight, the
     monomial's minus the moved variable's, is a scaling weight that the
-    lift preserves."""
+    lift preserves.  With l, the rows hold only their entries of Taylor
+    degree <= l."""
     n, r = lay.n, lay.r
     base = [x_var(i) for i in range(n)] + [u_var(j, n) for j in range(r)]
     variables = base if kind == "point" else \
@@ -871,9 +922,9 @@ def _lifted_rows(kind: str, lay: _Layout, d: int) -> list:
             lifts = []
             for t, v in enumerate(base):
                 comps = [mono if s == t else {} for s in range(n + r)]
-                lifts.append((v, _point_lift(lay, comps[:n], comps[n:])))
+                lifts.append((v, _point_lift(lay, comps[:n], comps[n:], l)))
         else:
-            lifts = [(base[n], _contact_lift(lay, mono))]
+            lifts = [(base[n], _contact_lift(lay, mono, l))]
         for v, coeffs in lifts:
             out.append((tuple(a - b for a, b in zip(weight, _weight(v, r))),
                         {(sum(m), m, q): c for q, poly in coeffs.items()
@@ -884,10 +935,12 @@ def _lifted_rows(kind: str, lay: _Layout, d: int) -> list:
 @lru_cache(maxsize=1)
 def _lift_store(kind: str, n: int, r: int, k: int) -> Tuple[_Layout,
                                                            Dict[int, list]]:
-    """The family's layout, and degree -> (weight, Taylor row) of the lifts
-    of its monomial generators, filled on demand.  One family is kept at a
-    time, so the cutoffs and degrees l of one oracle run share their lifts,
-    and the next family frees them."""
+    """The family's layout, and degree -> (l, rows): the (weight, Taylor
+    row) of the lifts of its monomial generators, truncated at Taylor
+    degree l, the highest order asked of that degree so far.  A higher
+    order lifts the degree again; a lower one reads the stored rows.  One
+    family is kept at a time, so the cutoffs and orders of one oracle run
+    share their lifts, and the next family frees them."""
     return _layout(n, r, k), {}
 
 
@@ -904,9 +957,9 @@ def _order_l_rows(kind: str, n: int, r: int, k: int, l: int,
     lay, store = _lift_store(kind, n, r, k)
     groups: Dict[Tuple, List[Dict]] = {}
     for d in range(cutoff + 1):
-        if d not in store:
-            store[d] = _lifted_rows(kind, lay, d)
-        for weight, row in store[d]:
+        if d not in store or store[d][0] < l:
+            store[d] = l, _lifted_rows(kind, lay, d, l)
+        for weight, row in store[d][1]:
             part = {c: v for c, v in row.items() if c[0] <= l}
             if part:
                 groups.setdefault(weight, []).append(part)
@@ -915,12 +968,12 @@ def _order_l_rows(kind: str, n: int, r: int, k: int, l: int,
             if pivot[0] == l]
 
 
-def _saturated(kind: str, n: int, r: int, k: int, l: int,
-               cutoff: Optional[int], saturate: bool, measure_for):
-    """measure(order-l rows) at the degree cutoff, k + l + 1 unless given,
-    where measure is measure_for(number of jet coordinates), which checks
-    its cap before any lift.  With saturate, the rows are recomputed at
-    cutoff + 1 and must measure the same."""
+def _prepared(kind: str, n: int, r: int, k: int, l: int,
+              cutoff: Optional[int], measure_for):
+    """(measure, cutoff) after every check that comes before a lift: the
+    family and order, then measure_for(number of jet coordinates), which
+    checks its cap and returns measure, then the cutoff, k + l + 1 unless
+    given."""
     if n < 1 or r < 1 or k < 0 or l < 1:
         raise ParamOutOfRange("need n, r, l >= 1 and k >= 0")
     if kind not in ("point", "contact"):
@@ -934,6 +987,15 @@ def _saturated(kind: str, n: int, r: int, k: int, l: int,
         # Generators of degree below l add nothing to the order-l symbol:
         # both passes could read 0, and saturation would pass on a wrong 0.
         raise ParamOutOfRange("degree cutoff %d is below l = %d" % (cutoff, l))
+    return measure, cutoff
+
+
+def _saturated(kind: str, n: int, r: int, k: int, l: int,
+               cutoff: Optional[int], saturate: bool, measure_for):
+    """measure(order-l rows) at the degree cutoff, as ``_prepared`` checks
+    and sets it.  With saturate, the rows are recomputed at cutoff + 1 and
+    must measure the same."""
+    measure, cutoff = _prepared(kind, n, r, k, l, cutoff, measure_for)
     rows = _order_l_rows(kind, n, r, k, l, cutoff)
     first = measure(rows)
     if saturate:
@@ -945,13 +1007,9 @@ def _saturated(kind: str, n: int, r: int, k: int, l: int,
     return first
 
 
-def symbol_oracle(kind: str, n: int, r: int, k: int, l: int,
-                  cutoff: Optional[int] = None, saturate: bool = True,
-                  cap: Optional[int] = None) -> int:
-    """Dimension of the order-l symbol of jet-lifted transformations,
-    computed by brute force: enumerate monomial generating data, lift each
-    to the order-k jet space, and take the rank of the degree-l Taylor
-    parts of lifts vanishing to order l."""
+def _oracle_count(l: int, cap: Optional[int]):
+    """symbol_oracle's measure_for: refuse a matrix wider than the column
+    cap, else count the rows."""
 
     def count(width: int):
         columns = width * sum(math.comb(width + d - 1, d) for d in range(l + 1))
@@ -959,7 +1017,26 @@ def symbol_oracle(kind: str, n: int, r: int, k: int, l: int,
             raise CapExceeded("oracle matrix would have %d columns" % columns)
         return len
 
-    return _saturated(kind, n, r, k, l, cutoff, saturate, count)
+    return count
+
+
+def symbol_oracle(kind: str, n: int, r: int, k: int, l: int,
+                  cutoff: Optional[int] = None, saturate: bool = True,
+                  cap: Optional[int] = None) -> int:
+    """Dimension of the order-l symbol of jet-lifted transformations,
+    computed by brute force: enumerate monomial generating data, lift each
+    to the order-k jet space, and take the rank of the degree-l Taylor
+    parts of lifts vanishing to order l."""
+    return _saturated(kind, n, r, k, l, cutoff, saturate,
+                      _oracle_count(l, cap))
+
+
+def check_symbol_oracle(kind: str, n: int, r: int, k: int, l: int,
+                        cap: Optional[int] = None) -> None:
+    """Raise what ``symbol_oracle(kind, n, r, k, l, cap=cap)`` raises before
+    its first lift (a bad family or order, or too many columns), lifting
+    nothing."""
+    _prepared(kind, n, r, k, l, None, _oracle_count(l, cap))
 
 
 def lie_symbol_subspace(kind: str, n: int, r: int, k: int, l: int,

@@ -194,6 +194,24 @@ def test_oracle_cap_exit_code(capsys):
                  "--l", "3..3", "--cap", "100"]) == 4
 
 
+@pytest.mark.parametrize("l, cap, code, message", [
+    # l = 0 is refused before order 3's cap of 9520 columns is reached.
+    ("0..3", "100", 2, "need n, r, l >= 1"),
+    # Order 1 fits; order 2 is the lowest order over the cap.
+    ("1..3", "1000", 4, "oracle matrix would have 1680 columns"),
+])
+def test_oracle_reports_the_lowest_failing_order(capsys, l, cap, code,
+                                                 message):
+    # The oracle lifts from the highest order down, but it checks the
+    # whole range from the lowest order up first.
+    assert main(["oracle", "--group", "point_lie:n=2,r=2,k=2",
+                 "--l", l, "--cap", cap]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "9520" not in captured.err
+    assert captured.out == ""
+
+
 def test_full_group_grades_respect_the_cap(capsys):
     # Grade 2 of general:m=3 has ambient dimension 18.
     assert main(["cohomology", "--table", "spencer", "--group",

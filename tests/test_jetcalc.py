@@ -1,6 +1,7 @@
 """Jet-space calculus: total derivatives, lifted fields, moving-frame
 derivatives, and the filtered dimension oracle."""
 
+import functools
 import json
 import operator
 from fractions import Fraction
@@ -316,33 +317,74 @@ def test_kernel_refuses_what_leaves_the_layout():
         jetcalc._assembled(lay, [x], [{(1,): {}}])
 
 
-@pytest.mark.parametrize("kind, n, r, k", [
+# The two benchmark families and the families of
+# test_symbol_space_and_oracle_share_their_rows.
+KERNEL_FAMILIES = [
     ("point", 2, 2, 2), ("contact", 2, 1, 2),
     ("point", 1, 2, 0), ("point", 1, 2, 1),
     ("contact", 1, 1, 1), ("contact", 1, 1, 2),
-])
+]
+
+# The reference lifts are slow; the kernel tests below share them.
+reference_rows = functools.lru_cache(maxsize=None)(reference_lift.lifted_rows)
+
+
+@pytest.mark.parametrize("kind, n, r, k", KERNEL_FAMILIES)
 def test_kernel_rows_match_the_reference_lift(kind, n, r, k):
-    # The two benchmark families and the families of
-    # test_symbol_space_and_oracle_share_their_rows, every degree <= 7.
+    # Every degree <= 7.
     lay = jetcalc._layout(n, r, k)
     for d in range(8):
         rows = [row for _, row in jetcalc._lifted_rows(kind, lay, d)]
-        assert rows == reference_lift.lifted_rows(kind, n, r, k, d)
+        assert rows == reference_rows(kind, n, r, k, d)
         assert all(type(c) is int for row in rows for c in row.values())
+
+
+@pytest.mark.parametrize("kind, n, r, k", KERNEL_FAMILIES)
+def test_truncated_rows_are_the_reference_rows_cut_to_degree_l(kind, n, r,
+                                                                 k):
+    # Every generator up to the saturation pass's cutoff k + l + 2.
+    lay = jetcalc._layout(n, r, k)
+    for l in (1, 2, 3):
+        for d in range(k + l + 3):
+            rows = [row for _, row in jetcalc._lifted_rows(kind, lay, d, l)]
+            assert rows == [{c: v for c, v in row.items() if c[0] <= l}
+                            for row in reference_rows(kind, n, r, k, d)]
+
+
+@pytest.mark.parametrize("kind, n, r, k", KERNEL_FAMILIES)
+def test_generators_above_degree_l_plus_k_lift_to_nothing(count_calls, kind,
+                                                          n, r, k):
+    # D_sigma lowers a degree by at most |sigma| <= k, so a generator of
+    # degree l + k still reaches degree l and one of degree l + k + 1 does
+    # not; it returns before it builds a table or assembles a coefficient.
+    lay = jetcalc._layout(n, r, k)
+    tables = count_calls(jetcalc, "_derivative_table")
+    assembled = count_calls(jetcalc, "_assembled")
+    for l in (1, 2, 3):
+        assert any(row for _, row in jetcalc._lifted_rows(kind, lay, l + k, l))
+        built = tables.total(), assembled.total()
+        for d in (l + k + 1, l + k + 2):
+            rows = jetcalc._lifted_rows(kind, lay, d, l)
+            assert rows and not any(row for _, row in rows)
+        assert (tables.total(), assembled.total()) == built
+
+
+def rational_polynomial(data, n, r, order):
+    """A drawn polynomial of degree <= 3 with rational coefficients in the
+    variables of order <= order."""
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    coords = jet_coords(n, r, order)
+    terms = data.draw(st.lists(st.tuples(
+        coefficient, st.lists(st.sampled_from(coords), max_size=3)),
+        max_size=4))
+    return JetPolynomial(n, r, {tuple((v, 1) for v in mono): c
+                                for c, mono in terms})
 
 
 def test_lifts_match_the_reference_lift_on_rational_data():
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    coefficient = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-
-    def polynomial(data, n, r, order):
-        coords = jet_coords(n, r, order)
-        terms = data.draw(st.lists(st.tuples(
-            coefficient, st.lists(st.sampled_from(coords), max_size=3)),
-            max_size=4))
-        return JetPolynomial(n, r, {tuple((v, 1) for v in mono): c
-                                    for c, mono in terms})
 
     @hyp.settings(max_examples=60, deadline=None, database=None,
                   derandomize=True)
@@ -352,17 +394,58 @@ def test_lifts_match_the_reference_lift_on_rational_data():
         if data.draw(st.booleans()):
             r = data.draw(st.integers(1, 2))
             k = data.draw(st.integers(0, 3))
-            a = [polynomial(data, n, r, 0) for _ in range(n)]
-            b = [polynomial(data, n, r, 0) for _ in range(r)]
+            a = [rational_polynomial(data, n, r, 0) for _ in range(n)]
+            b = [rational_polynomial(data, n, r, 0) for _ in range(r)]
             got = prolong_point(a, b, k)
             want = reference_lift.prolong_point(a, b, k)
         else:
             k = data.draw(st.integers(1, 3))
-            phi = polynomial(data, n, 1, 1)
+            phi = rational_polynomial(data, n, 1, 1)
             got = prolong_contact(phi, k)
             want = reference_lift.prolong_contact(phi, k)
         assert got.coeffs == want.coeffs
         assert (got.n, got.r, got.k) == (want.n, want.r, want.k)
+
+    check()
+
+
+def cut_to_degree(field, l):
+    """The field's coefficients with their terms of degree <= l."""
+    out = {}
+    for v, poly in field.coeffs.items():
+        terms = {m: c for m, c in poly.terms.items()
+                 if sum(e for _, e in m) <= l}
+        if terms:
+            out[v] = JetPolynomial(field.n, field.r, terms)
+    return out
+
+
+def test_truncated_lifts_match_the_reference_cut_to_degree_l():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=60, deadline=None, database=None,
+                  derandomize=True)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 2))
+        l = data.draw(st.integers(0, 4))
+        if data.draw(st.booleans()):
+            r = data.draw(st.integers(1, 2))
+            k = data.draw(st.integers(0, 3))
+            a = [rational_polynomial(data, n, r, 0) for _ in range(n)]
+            b = [rational_polynomial(data, n, r, 0) for _ in range(r)]
+            lay = jetcalc._layout(n, r, k)
+            got = jetcalc._point_lift(lay, [lay.dense(f) for f in a],
+                                      [lay.dense(f) for f in b], l)
+            want = reference_lift.prolong_point(a, b, k)
+        else:
+            k = data.draw(st.integers(1, 3))
+            phi = rational_polynomial(data, n, 1, 1)
+            lay = jetcalc._layout(n, 1, k)
+            got = jetcalc._contact_lift(lay, lay.dense(phi), l)
+            want = reference_lift.prolong_contact(phi, k)
+        assert lay.field(got).coeffs == cut_to_degree(want, l)
 
     check()
 
@@ -512,6 +595,21 @@ def test_oracle_respects_column_cap():
         symbol_oracle("point", 2, 2, 2, 3, cap=100)
 
 
+def test_oracle_check_raises_what_the_oracle_raises_and_lifts_nothing(
+        count_calls):
+    lifted = count_calls(jetcalc, "_lifted_rows")
+    with pytest.raises(CapExceeded, match="9520 columns"):
+        jetcalc.check_symbol_oracle("point", 2, 2, 2, 3, cap=1000)
+    with pytest.raises(ParamOutOfRange, match="l >= 1"):
+        jetcalc.check_symbol_oracle("point", 2, 2, 2, 0, cap=100)
+    with pytest.raises(ParamOutOfRange):
+        jetcalc.check_symbol_oracle("projective", 1, 1, 1, 1)
+    with pytest.raises(ParamOutOfRange):
+        jetcalc.check_symbol_oracle("contact", 1, 2, 1, 1)
+    jetcalc.check_symbol_oracle("point", 2, 2, 2, 3)
+    assert lifted.total() == 0
+
+
 @pytest.mark.parametrize("family, dim", [
     (("point", 1, 2, 0, 1), 9),
     (("point", 1, 2, 1, 1), 13),
@@ -578,6 +676,25 @@ def test_oracle_lifts_each_generator_once(count_calls, capsys, group, name,
     assert all(r["match"] for r in rows)
     assert set(calls.values()) == {1}
     assert calls.total() == lifts
+
+
+@pytest.mark.parametrize("group, family", [
+    ("point_lie:n=2,r=2,k=2", ("point", 2, 2, 2)),
+    ("contact_lie:n=2,k=2", ("contact", 2, 1, 2)),
+])
+def test_ascending_library_calls_agree_with_the_cli(count_calls, capsys,
+                                                    group, family):
+    assert main(["oracle", "--group", group, "--l", "1..3"]) == 0
+    cli = [r["oracle"] for r in json.loads(capsys.readouterr().out)["rows"]]
+    jetcalc._lift_store.cache_clear()
+    lifted = count_calls(jetcalc, "_lifted_rows",
+                         key=lambda kind, lay, d, l=None: l)
+    got = [symbol_oracle(*family, l) for l in (1, 3, 2)]
+    assert got == [cli[0], cli[2], cli[1]]
+    # l = 1 lifts degrees 0..k + 3 (both cutoffs); l = 3 lifts degrees
+    # 0..k + 5 again, truncated at 3; l = 2 reads the stored rows.
+    k = family[3]
+    assert lifted == {1: k + 4, 3: k + 6}
 
 
 def test_saturation_recomputes_with_a_warm_lift_store():
