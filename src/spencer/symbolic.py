@@ -18,14 +18,15 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from itertools import islice
+from typing import (Callable, Container, Dict, Iterable,
+                    Iterator, List, Mapping, Optional, Sequence, Set, Tuple)
 
 from .errors import (AmbientMismatch, DegreeUnderflow, EquationNotInvariant,
                      MissingGrade, NotASubcomplex, ShapeMismatch, ZeroVector)
 from .exactla import (LinearMap, Subspace, TensorShape, Vec, _exact,
-                      _sym_index, _wedge_index, contains, kernel_of_rows,
-                      preimage, rank_of_rows, subspace_intersect, sym_basis,
+                      _sym_index, _wedge_index, contains, echelon,
+                      kernel_of_rows, preimage, subspace_intersect, sym_basis,
                       tensor_all_forms)
 
 
@@ -254,35 +255,92 @@ class CohomologyTable:
         }
 
 
+def _closed(images: Iterable[Tuple[int, Vec]], C_next: Subspace,
+            d: int) -> Iterator[Tuple[int, Vec]]:
+    """The (key, image) pairs, each checked to lie in C_next."""
+    for k, image in images:
+        if not C_next.contains_vector(image):
+            raise NotASubcomplex(
+                "differential leaves the cells at degree %d" % d)
+        yield k, image
+
+
+def _basis_images(delta, C: Subspace) -> Iterable[Tuple[int, Vec]]:
+    """(key, delta of the basis row) for each basis row of C, keyed by its
+    pivot column; a full C's rows are the map's own rows."""
+    if C.is_full:
+        return enumerate(delta.rows)
+    return ((c, delta.apply(row)) for c, row in zip(C.pivots, C.int_rows))
+
+
+def _bucketed(images: Iterable[Tuple[int, Vec]],
+              keep: Optional[Set[int]]) -> Iterator[Vec]:
+    """The columns of the rows keyed k at the coordinates in keep (every
+    coordinate when keep is None): column c maps k to image[c].  Each image
+    is bucketed as it comes and then dropped, and each column once it is
+    handed over; none is empty."""
+    columns: Dict[int, Vec] = {}
+    for k, image in images:
+        for c, v in image.items():
+            if keep is None or c in keep:
+                column = columns.get(c)
+                if column is None:
+                    columns[c] = {k: v}
+                else:
+                    column[k] = v
+    for c in list(columns):
+        yield columns.pop(c)
+
+
 class CochainComplex:
     """Cells C(d, s), d >= 0 and 0 <= s <= top, modulo an optional
     subcomplex V(d, s), with a differential from (d, s) to (d - 1, s + 1)
-    that ``differential(shape)`` gives as the identity on the value factor.
+    that ``differential(shape)`` gives as the identity on the value factor:
+    a LinearMap, or an object that builds its own columns (see
+    _KoszulMap), whose closure its complex checks elsewhere (the Spencer
+    complex through its lowering tables).
 
     H(d, s) counts the cell elements whose differential falls in
     V(d - 1, s + 1), modulo V(d, s) and the differential of C(d + 1, s - 1).
     Maps and ranks are memoized, and a cell is kept until both ranks that
     read it are known, so a table builds each cell and takes each rank once.
     Raises EquationNotInvariant when V is not inside C, and NotASubcomplex
-    when a count is negative or the differential leaves V or C.  A full
-    cell over a full next cell (no subcomplex) takes value_dim times the
-    rank of the differential on the unit value space.
+    when a count is negative, the differential leaves V or C, or it does
+    not square to zero.  A full cell over a full next cell (no subcomplex)
+    takes value_dim times the rank of the differential on the unit value
+    space.
+
+    Each rank is taken on the columns of the differential on C(d, s): one
+    row per coordinate of C(d - 1, s + 1) (its flat column when that cell
+    is full, else a pivot column of its canonical basis, under a nonzero
+    V(d - 1, s + 1) a quotient coordinate), over C's basis rows keyed by
+    their pivot columns.  Without a subcomplex the ranks are cleared (Chen
+    and Kerber, EuroCG 2011; Bauer, J. Appl. Comput. Topol. 5, 2021): as
+    delta^2 = 0, the rows of the rank at (d - 1, s + 1) annihilate the
+    columns of the rank at (d, s), so at each pivot p of the former the
+    column at p depends on the columns after p and is dropped.  A table
+    takes those two ranks in that order (s rising within d, then d
+    rising) and releases each pivot set once read, so every degree but the
+    lowest of its range is cleared.  Under a subcomplex nothing is.
 
     Closure is checked once per degree, on the (d, 0) cell: the first rank
     taken at a degree d >= 1 (with s < top) first takes the rank at (d, 0),
     which checks that the differential sends C(d, 0) into C(d - 1, 1) and
     V(d, 0) into V(d - 1, 1); into a full next cell this holds trivially
-    and is skipped.  So a table whose form degrees exclude 0 still builds
-    the (d, 0) cell of each degree it reads.  This relies on the shape of
-    the cells: each is a sum of pieces u (x) omega, with u in C(d, 0) and
-    omega in all of Lambda^s, or with u in a grade closed under lowering
-    (checked by its SymbolicSystem) and omega in an ideal of the exterior
-    algebra.  As delta(u (x) omega) = (delta u) ^ omega, the check at
-    (d, 0) then holds at every s.
+    and is skipped.  Without a subcomplex that rank first checks
+    delta^2 = 0 from (d, 0), before any rank of degree d is cleared.  So a
+    table whose form degrees exclude 0 still builds the (d, 0) cell of
+    each degree it reads.  This relies on the shape of the cells: each is
+    a sum of pieces u (x) omega, with u in C(d, 0) and omega in all of
+    Lambda^s, or with u in a grade closed under lowering (checked by its
+    SymbolicSystem) and omega in an ideal of the exterior algebra.  As
+    delta(u (x) omega) = (delta u) ^ omega, the checks at (d, 0) then hold
+    at every s.
     """
 
     def __init__(self, top: int, cell: Callable[[int, int], Subspace],
-                 differential: Callable[[TensorShape], LinearMap],
+                 differential: Callable[[TensorShape],
+                                        LinearMap | _KoszulMap],
                  sub: Optional[Callable[[int, int], Subspace]] = None):
         self.top = top
         self._cell = cell
@@ -290,6 +348,8 @@ class CochainComplex:
         self._differential = lru_cache(maxsize=None)(differential)
         self._cells: Dict[Tuple[int, int], Tuple[Subspace, Optional[Subspace]]] = {}
         self._ranks: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        # Pivot set of the rank at (d, s), kept until (d + 1, s - 1) reads it.
+        self._pivots: Dict[Tuple[int, int], Set[int]] = {}
 
     def _subspaces(self, d: int, s: int) -> Tuple[Subspace, Optional[Subspace]]:
         """C(d, s) and V(d, s) (None without a subcomplex), V checked in C."""
@@ -318,14 +378,39 @@ class CochainComplex:
             self._release(d - 1, s + 1)
         return self._ranks[(d, s)]
 
+    def _check_square(self, d: int, C: Subspace):
+        """delta^2 = 0 from (d, 0): the differential of (d - 1, 1) vanishes
+        on the images of the basis vectors of C(d, 0)'s ambient at the
+        first value coordinate.  The differential is the identity on the
+        value factor, so it then vanishes on every image of C(d, 0), and,
+        as delta(u (x) omega) = (delta u) ^ omega, at every s.  It reads
+        the maps that the ranks read: on one value coordinate when C is
+        full."""
+        shape = replace(C.ambient, value_dim=1) if C.is_full else C.ambient
+        delta = self._differential(shape)
+        after = self._differential(delta.codomain)
+        if not isinstance(after, LinearMap):
+            # Its rows, built once for this check and then dropped.
+            after = LinearMap(after.domain, after.codomain, list(after.rows))
+        if any(map(after.apply,
+                   islice(delta.rows, 0, None, shape.value_dim))):
+            raise NotASubcomplex(
+                "the differential does not square to zero at degree %d" % d)
+
     def _differential_rank(self, d: int, s: int, C: Subspace,
                            V: Optional[Subspace]) -> int:
         """Rank of the differential on C(d, s) modulo V(d - 1, s + 1), 0
-        when that is full; at s = 0 also the closure check of degree d."""
+        when that is full, on its columns less those cleared by the rank
+        at (d - 1, s + 1); at s = 0 also the checks of degree d."""
         if d < 1 or s >= self.top:
             return 0
         if s > 0:
             self._cell_ranks(d, 0)
+        elif self._sub is None and d >= 2 and self.top >= 2:
+            # Ranks of degree d are cleared only by ranks at (d - 1, s + 1)
+            # with d - 1 >= 1 and s + 1 < top.
+            self._check_square(d, C)
+        cleared = self._pivots.pop((d - 1, s + 1), ())
         if C.dim == 0:
             return 0
         C_next, V_next = self._subspaces(d - 1, s + 1)
@@ -338,17 +423,34 @@ class CochainComplex:
         if V_next is not None and V_next.is_full:
             return 0
         mod_next = V_next is not None and V_next.dim > 0
-        if C.is_full and C_next.is_full and not mod_next:
-            unit = self._differential(replace(C.ambient, value_dim=1))
-            return C.ambient.value_dim * rank_of_rows(unit.rows)
-        images = list(map(self._differential(C.ambient).apply, C.int_rows))
-        if (s == 0 and not C_next.is_full
-                and not all(map(C_next.contains_vector, images))):
-            raise NotASubcomplex(
-                "differential leaves the cells at degree %d" % d)
-        if mod_next:
-            images = map(V_next.quotient_coords, images)
-        return rank_of_rows(images)
+        w = (C.ambient.value_dim if C.is_full and C_next.is_full
+             and not mod_next else 1)
+        if w > 1:
+            # The unit value column at c stands for the w columns
+            # c * w + b; it is dropped when all of them are cleared.
+            cleared = {c // w for c in cleared if c % w == 0
+                       and all(c + b in cleared for b in range(1, w))}
+        delta = self._differential(replace(C.ambient, value_dim=1)
+                                   if w > 1 else C.ambient)
+        if not isinstance(delta, LinearMap):
+            columns = delta.columns(cleared)
+        else:
+            images = _basis_images(delta, C)
+            if s == 0 and not C_next.is_full:
+                images = _closed(images, C_next, d)
+            if mod_next:
+                images = ((k, V_next.quotient_coords(image))
+                          for k, image in images)
+                keep = None
+            else:
+                keep = set(range(delta.codomain.dim) if C_next.is_full
+                           else C_next.pivots).difference(cleared)
+            columns = _bucketed(images, keep)
+        piv = echelon(columns, canonical=False)
+        if self._sub is None and s > 0 and (d + 1, s - 1) not in self._ranks:
+            self._pivots[(d, s)] = ({c * w + b for c in piv for b in range(w)}
+                                    if w > 1 else set(piv))
+        return w * len(piv)
 
     def H(self, d: int, s: int) -> int:
         """Cohomology dimension at (d, s); 0 outside the complex."""
@@ -378,13 +480,101 @@ class GradeShape(TensorShape):
         return self.base_dim
 
 
+# Per direction i: coordinate p of g_(d-1) -> [(u, coordinate of D_i u at p)].
+TransposedTable = Tuple[Dict[int, List[Tuple[int, int]]], ...]
+
+
+def _transposed(table: LoweringTable, n: int) -> TransposedTable:
+    """The lowering table of degree d by direction and coordinate."""
+    out: TransposedTable = tuple({} for _ in range(n))
+    for u, lowerings in enumerate(table):
+        for i, coords in lowerings:
+            low = out[i]
+            for p, v in coords.items():
+                low.setdefault(p, []).append((u, v))
+    return out
+
+
+class _KoszulMap:
+    """sum_i D_i (x) (e^i ^ .) from the GradeShape cell of g_d (x) Lambda^s
+    into the cell of (d - 1, s + 1), read off the lowering table of degree
+    d (per basis row u of g_d, the pairs (i, coordinates of D_i u)).
+
+    The engine's ranks read its columns, one per coordinate (p, K) of the
+    codomain, built from the table transposed: the entries
+    sign(i, K) D_i u [p] at (u, K - i) for i in K, which fall on distinct
+    domain columns.  The table writes D_i u in the basis of g_(d-1) scaled
+    to pivot entries 1, which scales each column by a positive number and
+    changes neither a rank nor a pivot set.  Its rows, which only the
+    engine's delta^2 check composes, are formed on demand in the primitive
+    basis of both cells: they divide the coordinate at p by scale[p], the
+    pivot entry of g_(d-1)'s primitive row p (1 in monomial coordinates)."""
+
+    def __init__(self, domain: GradeShape, codomain: TensorShape,
+                 table: LoweringTable, transposed: TransposedTable,
+                 scale: Sequence[int]):
+        self.domain = domain
+        self.codomain = codomain
+        self._table = table
+        self._transposed = transposed
+        self._scale = scale
+        # Flat codomain column of coordinate p tensor the first form.
+        w, wc = codomain.value_dim, codomain.wedge_count
+        self._base = [p // w * wc * w + p % w
+                      for p in range(codomain.sym_count * w)]
+        # Per domain form e_J and direction i: (sign, column offset of
+        # e^i ^ e_J), for the rows.
+        K_index = _wedge_index(codomain.ext_dim, codomain.ext_degree)
+        self._inserts = [[ins and (ins[0], K_index[ins[1]] * w)
+                          for ins in (_wedge_insert(i, J)
+                                      for i in range(domain.ext_dim))]
+                         for J in domain.wedge_list()]
+
+    def columns(self, cleared: Container[int]) -> Iterator[Vec]:
+        """The nonempty columns at coordinates outside cleared."""
+        wc = self.domain.wedge_count
+        w = self.codomain.value_dim
+        J_index = _wedge_index(self.domain.ext_dim, self.domain.ext_degree)
+        for K_i, K in enumerate(self.codomain.wedge_list()):
+            # Per i in K: (D_i by coordinate, sign of e^i ^ e_(K - i), K - i).
+            faces = [(self._transposed[i], -1 if t % 2 else 1,
+                      J_index[K[:t] + K[t + 1:]]) for t, i in enumerate(K)]
+            off = K_i * w
+            for p, flat in enumerate(self._base):
+                if flat + off in cleared:
+                    continue
+                column = {u * wc + J: sign * v for low, sign, J in faces
+                          for u, v in low.get(p, ())}
+                if column:
+                    yield column
+
+    def _row(self, k: int) -> Vec:
+        u, j = divmod(k, self.domain.wedge_count)
+        inserts, scale, base = self._inserts[j], self._scale, self._base
+        row: Vec = {}
+        for i, coords in self._table[u]:
+            if inserts[i]:
+                sign, off = inserts[i]
+                for p, v in coords.items():
+                    row[base[p] + off] = (sign * v if scale[p] == 1
+                                          else Fraction(sign * v, scale[p]))
+        return row
+
+    @property
+    def rows(self) -> Iterator[Vec]:
+        return map(self._row, range(self.domain.dim))
+
+
 def spencer_complex(system: SymbolicSystem) -> CochainComplex:
     """g_d (x) Lambda^s V* with the lowering differential, in the
     coordinates of g_d (a full GradeShape cell): the differential is
     sum_i D_i (x) (e^i ^ .), with the D_i of system.lowering(d), which
-    checked the closure.  A full or zero grade keeps its monomial
-    coordinates and delta_map, for the engine's unit value fast path."""
+    checked the closure, and the engine builds its columns from that table
+    transposed, once per degree (_KoszulMap).  A full or zero grade keeps
+    its monomial coordinates and delta_map, for the engine's unit value
+    fast path."""
     n = system.base_dim
+    transposed: Dict[int, TransposedTable] = {}
 
     def cell(d: int, s: int) -> Subspace:
         g = system.grade(d)
@@ -392,29 +582,18 @@ def spencer_complex(system: SymbolicSystem) -> CochainComplex:
             return tensor_all_forms(g, TensorShape(n, d, s, system.value_dim))
         return Subspace.full(GradeShape(g.dim, d, s, 1, n))
 
-    def differential(dom: TensorShape) -> LinearMap:
+    def differential(dom: TensorShape) -> LinearMap | _KoszulMap:
         if not isinstance(dom, GradeShape):
             return delta_map(dom)
-        cod = cell(dom.sym_degree - 1, dom.ext_degree + 1).ambient
-        w, wc = cod.value_dim, cod.wedge_count
-        wedge_index = _wedge_index(n, cod.ext_degree)
-        # Per form e_J and direction i: (sign, column offset of e^i ^ e_J).
-        inserts = [[(ins[0], wedge_index[ins[1]] * w) if ins else None
-                    for ins in (_wedge_insert(i, J) for i in range(n))]
-                   for J in dom.wedge_list()]
-        rows: List[Vec] = []
-        for lowerings in system.lowering(dom.sym_degree):
-            # Column of coordinate p, tensor the first form of degree s + 1.
-            split = [(i, [(p // w * wc * w + p % w, v)
-                          for p, v in coords.items()])
-                     for i, coords in lowerings]
-            for moves in inserts:
-                # For one (u, J) each (i, coordinate) is its own column.
-                rows.append({c + off: sign * v
-                             for i, entries in split if moves[i]
-                             for sign, off in (moves[i],)
-                             for c, v in entries})
-        return LinearMap(dom, cod, rows)
+        d = dom.sym_degree
+        table = system.lowering(d)
+        if d not in transposed:
+            transposed[d] = _transposed(table, n)
+        lower = system.grade(d - 1)
+        scale = ([1] * lower.dim if lower.is_full else
+                 [row[c] for c, row in zip(lower.pivots, lower.int_rows)])
+        return _KoszulMap(dom, cell(d - 1, dom.ext_degree + 1).ambient,
+                          table, transposed[d], scale)
 
     return CochainComplex(n, cell, differential)
 

@@ -3,6 +3,7 @@ row cohomology, and the restriction comparison maps."""
 
 import collections
 import importlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -409,6 +410,49 @@ def test_engine_rejects_cells_that_are_not_differential_stable():
 
     with pytest.raises(NotASubcomplex):
         CochainComplex(2, _full, delta_map, sub).H(1, 0)
+
+
+def _not_squaring_to_zero(shape):
+    """delta_map with the first entry of row 1 of the (2, 0) map doubled."""
+    dmap = delta_map(shape)
+    if (shape.sym_degree, shape.ext_degree) != (2, 0):
+        return dmap
+    rows = [dict(row) for row in dmap.rows]
+    rows[1][min(rows[1])] *= 2
+    return LinearMap(dmap.domain, dmap.codomain, rows)
+
+
+def test_engine_rejects_a_differential_that_does_not_square_to_zero():
+    # Clearing trusts delta^2 = 0, so the engine checks it once per degree,
+    # on the images from (d, 0).  Without that check this table reads
+    # [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]] and raises nothing.
+    cx = CochainComplex(2, _full, _not_squaring_to_zero)
+    with pytest.raises(NotASubcomplex, match="square to zero at degree 2"):
+        [[cx.H(d, s) for s in range(3)] for d in range(4)]
+    # A range of form degrees without 0 (and 1) still runs the check at
+    # (d, 0) before any rank of degree d.
+    for s_range in (range(1, 3), range(2, 3)):
+        cx = CochainComplex(2, _full, _not_squaring_to_zero)
+        with pytest.raises(NotASubcomplex, match="square to zero"):
+            cx.table(range(4), s_range, "t")
+
+
+def test_stationary_table_over_some_form_degrees_equals_the_full_table(
+        capsys):
+    # The (1, 2) cell is 4 on both planes; over --s 1..2 the lowest form
+    # degree read is 1, and the (d, 0) ranks are still taken for the checks.
+    for flag in ("tau=1,0,0;0,1,0", "tau=1,2,0;0,1,-1/2"):
+        tables = []
+        for extra in ([], ["--s", "1..2"]):
+            assert main(["cohomology", "--table", "stationary", "--group",
+                         "isometry:n=3", "--flag", flag, "--l", "1..4"]
+                        + extra) == 0
+            tables.append(json.loads(capsys.readouterr().out)
+                          ["table"]["cells"])
+        full, part = tables
+        assert part == {k: v for k, v in full.items()
+                        if k.split(",")[1] in ("1", "2")}
+        assert part["1,2"] == 4
 
 
 def test_engine_rejects_a_subcomplex_outside_the_cells():

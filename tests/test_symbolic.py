@@ -7,14 +7,14 @@ from fractions import Fraction
 import pytest
 
 from per_cell import PerCellComplex
-from spencer.catalog import parse_pseudogroup, symbol
+from spencer.catalog import parse_pseudogroup, symbol, system
 from spencer.cli import main
 from spencer.errors import (MissingGrade, NotASubcomplex, ZeroVector,
                             DegreeUnderflow, ShapeMismatch)
 from spencer.exactla import TensorShape, Subspace, contains, tensor_all_forms
 from spencer.symbolic import (
     delta_map, restrict_delta, prolong, SymbolicSystem,
-    spencer_H, cell_dim, spencer_table,
+    spencer_H, cell_dim, spencer_complex, spencer_table,
     char_fiber, annihilator, noncharacteristic_obstruction,
     strongly_noncharacteristic, _substituted,
 )
@@ -325,13 +325,17 @@ def test_prolong_lowers_into_the_grade_on_rational_grades():
 
 # ------------------------------------------- coordinate tables, reference
 
-def reference_spencer_table(n, w, grades, fill, d_hi):
+def reference_spencer_table(n, w, grades, fill, d_hi, d_range=None,
+                            s_range=None):
     """The Spencer table on the ambient cells g_d (x) Lambda^s V*, with
     delta_map applied to every cell row: the per-cell reference checks that
     each image lies in the next cell, which at s = 0 is the closure of the
     grades.
     Missing grades are full at degree 0, and above the supplied ones full
-    or prolonged as fill says.  Returns the cells, or "not closed"."""
+    or prolonged as fill says.  The cells are those of d_range and s_range
+    (by default 0..d_hi and every form degree), after the closure of every
+    grade up to d_hi + 1 is checked, as SymbolicSystem does for the
+    supplied ones.  Returns the cells, or "not closed"."""
     chain = {0: Subspace.full(TensorShape(n, 0, 0, w))}
     chain.update(grades)
     for d in range(1, d_hi + 2):
@@ -343,16 +347,20 @@ def reference_spencer_table(n, w, grades, fill, d_hi):
         return tensor_all_forms(chain[d], TensorShape(n, d, s, w))
 
     try:
-        return PerCellComplex(n, cell, delta_map).table(range(d_hi + 1),
-                                                        range(n + 1))
+        ref = PerCellComplex(n, cell, delta_map)
+        for d in range(1, d_hi + 2):
+            ref.rank(d, 0)
+        return ref.table(d_range or range(d_hi + 1), s_range or range(n + 1))
     except NotASubcomplex:
         return "not closed"
 
 
-def coordinate_spencer_table(n, w, grades, fill, d_hi):
+def coordinate_spencer_table(n, w, grades, fill, d_hi, d_range=None,
+                             s_range=None):
     try:
         sysm = SymbolicSystem(n, w, grades, fill)
-        return spencer_table(sysm, range(d_hi + 1), range(n + 1)).cells
+        return spencer_table(sysm, d_range or range(d_hi + 1),
+                             s_range or range(n + 1)).cells
     except NotASubcomplex:
         return "not closed"
 
@@ -373,6 +381,29 @@ def test_coordinate_tables_match_the_ambient_engine_on_the_catalog(group,
     assert coordinate_spencer_table(m, m, grades, "prolong", d_hi) == want
 
 
+@pytest.mark.parametrize("group, d_range, s_range", [
+    # Ranges from d = 2: the lowest degree is not cleared, those above are.
+    ("symplectic:2n=4", range(2, 4), range(5)),
+    ("contact:dim=3", range(2, 4), range(1, 4)),
+    ("isometry:n=3", range(2, 4), range(4)),
+    # Ranges without s = 0 and 1: the checks at (d, 0) still run first.
+    ("symplectic:2n=4", range(1, 4), range(2, 5)),
+    ("complex:nc=2", range(2, 4), range(2, 4)),
+    ("volume:m=3", range(1, 3), range(3, 4)),
+])
+def test_coordinate_tables_match_the_ambient_engine_on_partial_ranges(
+        group, d_range, s_range):
+    spec = parse_pseudogroup(group)
+    m = spec.ambient_dim
+    d_hi = d_range[-1]
+    grades = {l: symbol(spec, l) for l in range(1, d_hi + 2)}
+    want = reference_spencer_table(m, m, grades, "prolong", d_hi, d_range,
+                                   s_range)
+    assert want != "not closed"
+    assert coordinate_spencer_table(m, m, grades, "prolong", d_hi, d_range,
+                                    s_range) == want
+
+
 def test_coordinate_tables_match_the_ambient_engine_on_rational_grades():
     # Pivot entries other than 1, and H(1, 1) = 3 and H(4, 2) = 1 on the
     # second system.
@@ -384,6 +415,13 @@ def test_coordinate_tables_match_the_ambient_engine_on_rational_grades():
         want = reference_spencer_table(n, w, grades, "prolong", 4)
         assert coordinate_spencer_table(n, w, grades, "prolong", 4) == want
         tables.append(want)
+        # From degree 2 on, and over form degrees 2 and up.
+        for d_range, s_range in ((range(2, 5), None),
+                                 (range(1, 5), range(2, n + 1))):
+            assert coordinate_spencer_table(
+                n, w, grades, "prolong", 4, d_range, s_range) == \
+                reference_spencer_table(n, w, grades, "prolong", 4, d_range,
+                                        s_range)
     assert tables[1][(1, 1)] == 3 and tables[1][(4, 2)] == 1
 
 
@@ -432,6 +470,14 @@ def test_coordinate_tables_match_the_ambient_engine_on_random_grades():
         fill = data.draw(st.sampled_from(["prolong", "prolong", "full"]))
         want = reference_spencer_table(n, w, grades, fill, 3)
         assert coordinate_spencer_table(n, w, grades, fill, 3) == want
+        # A drawn range: uncleared from its lowest degree, and without the
+        # low form degrees.
+        d_range = range(data.draw(st.integers(0, 3)), 4)
+        s_lo = data.draw(st.integers(0, n))
+        s_range = range(s_lo, data.draw(st.integers(s_lo, n)) + 1)
+        assert coordinate_spencer_table(n, w, grades, fill, 3, d_range,
+                                        s_range) == \
+            reference_spencer_table(n, w, grades, fill, 3, d_range, s_range)
 
     check()
 
@@ -452,6 +498,50 @@ def test_spencer_table_reads_each_lowering_table_once(count_calls, capsys):
     assert all(shape.ext_degree == 0 for shape in ambient)
     # Grades 1..4: the (4, s - 1) cells feed the incoming ranks at d = 3.
     assert tables == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+def test_delta_squared_check_divides_by_the_pivot_entries(monkeypatch):
+    # lowering(d) takes u among g_d's primitive rows but writes D_i u in
+    # g_(d-1)'s basis scaled to pivot entries 1.  On symplectic:2n=4 those
+    # entries exceed 1, so the engine's delta^2 check, which composes two
+    # tables, must divide by them: composed without them it fires.
+    spec = parse_pseudogroup("symplectic:2n=4")
+    grades = {l: symbol(spec, l) for l in range(1, 4)}
+    assert any(row[c] > 1 for c, row in zip(grades[2].pivots,
+                                            grades[2].int_rows))
+    cells = spencer_table(SymbolicSystem(4, 4, grades), range(3),
+                          range(5)).cells
+    assert cells == reference_spencer_table(4, 4, grades, "prolong", 2)
+
+    symbolic = importlib.import_module("spencer.symbolic")
+    init = symbolic._KoszulMap.__init__
+
+    def unscaled(self, domain, codomain, table, transposed, scale):
+        init(self, domain, codomain, table, transposed, [1] * len(scale))
+
+    monkeypatch.setattr(symbolic._KoszulMap, "__init__", unscaled)
+    with pytest.raises(NotASubcomplex, match="square to zero at degree 3"):
+        spencer_table(SymbolicSystem(4, 4, grades), range(3), range(5))
+
+
+def test_spencer_ranks_read_only_uncleared_nonempty_columns(count_calls):
+    # Rows handed to echelon on the complex:nc=2 table over d = 1..3: 840
+    # before clearing (96 of them empty, 352 with one entry), 396 now.
+    # The grades and their lowering tables are built first, so that every
+    # row _as_int_row sees comes from a rank.
+    sysm = system(parse_pseudogroup("complex:nc=2"), 4)
+    for d in range(1, 5):
+        sysm.lowering(d)
+    exactla = importlib.import_module("spencer.exactla")
+    rows = count_calls(exactla, "_as_int_row", key=len)
+    cx = spencer_complex(sysm)
+    cells = cx.table(range(1, 4), range(5), "spencer").cells
+    assert len(cells) == 15 and not any(cells.values())
+    assert 0 not in rows
+    assert rows.total() == 396
+    # Each pivot set was released when read; left are those of the
+    # incoming ranks at d = 4, which no rank of the range reads.
+    assert {d for d, s in cx._pivots} == {4}
 
 
 # ---------------------------------------------------------------- characteristics
