@@ -17,7 +17,7 @@ flag and order.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (AmbientMismatch, ConsistencyCheckFailed, DegreeUnderflow,
@@ -38,7 +38,8 @@ class FlagContext:
     tau_basis rows are vectors in V; the quotient nu = V/tau carries the
     canonical basis of non-pivot coordinates of tau's reduced form, and
     rho[j] = {a: tau[a][j]} is the covector e^j restricted to the given
-    tau basis.
+    tau basis.  ``restricted_delta(shape)`` is restrict_delta(tau, shape),
+    built once per shape for every tau-form complex of the flag.
     """
 
     def __init__(self, m: int, tau_basis: Sequence[Sequence[object]]):
@@ -56,6 +57,8 @@ class FlagContext:
             raise ShapeMismatch("tau basis vectors are linearly dependent")
         self.ann = annihilator(self.tau, m)
         self.rho = _restriction_frame(self.tau, m)
+        self.restricted_delta = lru_cache(maxsize=None)(
+            partial(restrict_delta, self.tau))
         self._stationary: Dict[Tuple[SymbolicSystem, int], Subspace] = {}
         self._kernels: Dict[int, Subspace] = {}
 
@@ -302,8 +305,7 @@ def tau_form_complex(ctx: FlagContext, gsys: SymbolicSystem,
         return tensor_all_forms(g, TensorShape(ctx.m, d, s, ctx.m,
                                                ext_dim=ctx.n))
 
-    return CochainComplex(ctx.n, cell,
-                          lambda shape: restrict_delta(ctx.tau, shape))
+    return CochainComplex(ctx.n, cell, ctx.restricted_delta)
 
 
 def covariant_complex(ctx: FlagContext, gsys: SymbolicSystem,

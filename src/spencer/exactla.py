@@ -229,13 +229,20 @@ def echelon(rows: Iterable[Mapping[int, object]],
     piv: Dict[int, IntVec] = {}
     for raw in rows:
         r = _as_int_row(raw)
+        fresh = True
         while r:
             c = min(r)
             p = piv.get(c)
             if p is None:
-                piv[c] = _stored(r, c)
+                # A row that met no pivot is _as_int_row's primitive new row.
+                if not fresh:
+                    r = _stored(r, c)
+                elif r[c] < 0:
+                    r = {k: -v for k, v in r.items()}
+                piv[c] = r
                 break
             _eliminate(r, p, c)
+            fresh = False
     if canonical:
         _back_substitute(piv)
     return piv

@@ -26,7 +26,8 @@ the D_sigma phi chain.  ``_assembled`` adds sum_i a^i p_(sigma+1_i) and is
 the one place where a surviving order-(k+1) exponent raises
 ``CancellationFailure``.  The oracle passes an order l, and the kernel
 then forms only the terms of degree <= l of the lift (the sum of an
-exponent vector is its degree); the public lifts pass none.
+exponent vector is its degree); the public lifts pass none.  The oracle
+lifts no data of degree above ``_reach(k, l)``, which has no such term.
 """
 
 from __future__ import annotations
@@ -554,13 +555,23 @@ def _total_derivative(lay: _Layout, f: Dict, i: int,
     return out
 
 
+def _reach(k: int, l: int) -> int:
+    """The highest degree of generating data whose order-k lift has a
+    Taylor term of degree <= l.  Each coefficient of the lift sums products
+    of coordinates with D_sigma of the data, |sigma| <= k, or (contact
+    lifts, k >= 1) with its d/dp_(1_i); D_sigma lowers a degree by at most
+    |sigma| (the prolongation formula, Olver, GTM 107, Thm 2.36)."""
+    return l + k
+
+
 def _derivative_table(lay: _Layout, f: Dict,
-                      top: Optional[int] = None) -> Dict[Tuple[int, ...], Dict]:
+                      l: Optional[int] = None) -> Dict[Tuple[int, ...], Dict]:
     """D_sigma f for every |sigma| <= k, each one total derivative of a
     derivative of the degree below: D_sigma = D_i D_(sigma - 1_i), with i
-    the first direction that sigma holds.  With top, D_sigma f keeps its
-    terms of degree <= top - |sigma|, which D_i forms exactly from the
-    entry below, since it lowers a degree by at most one."""
+    the first direction that sigma holds.  With l, D_sigma f keeps its
+    terms of degree <= _reach(k, l) - |sigma|, which D_i forms exactly
+    from the entry below, since it lowers a degree by at most one."""
+    top = None if l is None else _reach(lay.k, l)
     out = {lay.sigmas[0]: _below(f, top)}
     for sigma in lay.sigmas[1:]:
         i = next(t for t, e in enumerate(sigma) if e)
@@ -620,20 +631,15 @@ def _point_lift(lay: _Layout, a: Sequence[Dict], b: Sequence[Dict],
     formed, so the cancellation check sees it cancel.
 
     With l, only the terms of degree <= l are formed: the tables keep
-    D_rho c to degree l + k - |rho|, and data with no term of degree
-    <= l + k lifts to nothing."""
-    top = None if l is None else l + lay.k
-    if top is not None and not any(sum(m) <= top for c in (*a, *b)
-                                   for m in c):
-        return {}
-    da = [_derivative_table(lay, ai, top) if ai else None for ai in a]
+    D_rho c to degree _reach(k, l) - |rho|."""
+    da = [_derivative_table(lay, ai, l) if ai else None for ai in a]
     if l is not None:
         # The Leibniz products raise the degree by one: factors stop at l - 1.
         da = [None if t is None else {rho: _below(f, l - 1)
                                       for rho, f in t.items()} for t in da]
     parts = []
     for j, bj in enumerate(b):
-        db = _derivative_table(lay, bj, top) if bj else None
+        db = _derivative_table(lay, bj, l) if bj else None
         part = {}
         for sigma in lay.sigmas:
             c = _below(db[sigma], l) if db else {}
@@ -652,11 +658,7 @@ def _contact_lift(lay: _Layout, phi: Dict,
     """Kernel lift of the contact field with generating function phi (order
     <= 1, one fibre): a^i = -d phi/d p_(1_i), and the coefficient of p_sigma
     is D_sigma phi + sum_i a^i p_(sigma+1_i).  With l, only the terms of
-    degree <= l are formed, and a phi with no term of degree <= l + k
-    lifts to nothing."""
-    top = None if l is None else l + lay.k
-    if top is not None and not any(sum(m) <= top for m in phi):
-        return {}
+    degree <= l are formed."""
     a = []
     for i in range(lay.n):
         q = lay.up[i][lay.p(0, (0,) * lay.n)]
@@ -664,7 +666,7 @@ def _contact_lift(lay: _Layout, phi: Dict,
         _accumulate(ai, ((m[:q] + (m[q] - 1,) + m[q + 1:], -c * m[q])
                          for m, c in phi.items() if m[q]))
         a.append(ai)
-    table = _derivative_table(lay, phi, top)
+    table = _derivative_table(lay, phi, l)
     if l is not None:
         table = {sigma: _below(f, l) for sigma, f in table.items()}
     return _assembled(lay, a, [table], l)
@@ -968,67 +970,40 @@ def _order_l_rows(kind: str, n: int, r: int, k: int, l: int,
             if pivot[0] == l]
 
 
-def _prepared(kind: str, n: int, r: int, k: int, l: int,
-              cutoff: Optional[int], measure_for):
-    """(measure, cutoff) after every check that comes before a lift: the
-    family and order, then measure_for(number of jet coordinates), which
-    checks its cap and returns measure, then the cutoff, k + l + 1 unless
-    given."""
+def _checked_width(kind: str, n: int, r: int, k: int, l: int) -> int:
+    """The number of order-k jet coordinates of a family the oracle lifts,
+    after the checks of the family and the order."""
     if n < 1 or r < 1 or k < 0 or l < 1:
         raise ParamOutOfRange("need n, r, l >= 1 and k >= 0")
     if kind not in ("point", "contact"):
         raise ParamOutOfRange("oracle kind must be point or contact")
     if kind == "contact" and r != 1:
         raise ParamOutOfRange("contact lifts need fibre rank 1")
-    measure = measure_for(len(jet_coords(n, r, k)))
+    return len(jet_coords(n, r, k))
+
+
+def _oracle_rows(kind: str, n: int, r: int, k: int, l: int,
+                 cutoff: Optional[int]) -> List[Dict[Tuple, object]]:
+    """The order-l rows of the generators of degree <= min(cutoff,
+    _reach(k, l)); no generator above that reaches degree l.  A cutoff
+    below the reach is cross-checked: the rows are recomputed at cutoff + 1
+    and must keep their number, which for echelon rows of nested spans
+    means keeping their span."""
+    reach = _reach(k, l)
     if cutoff is None:
-        cutoff = k + l + 1
+        cutoff = reach
     elif cutoff < l:
         # Generators of degree below l add nothing to the order-l symbol:
         # both passes could read 0, and saturation would pass on a wrong 0.
         raise ParamOutOfRange("degree cutoff %d is below l = %d" % (cutoff, l))
-    return measure, cutoff
-
-
-def _saturated(kind: str, n: int, r: int, k: int, l: int,
-               cutoff: Optional[int], saturate: bool, measure_for):
-    """measure(order-l rows) at the degree cutoff, as ``_prepared`` checks
-    and sets it.  With saturate, the rows are recomputed at cutoff + 1 and
-    must measure the same."""
-    measure, cutoff = _prepared(kind, n, r, k, l, cutoff, measure_for)
-    rows = _order_l_rows(kind, n, r, k, l, cutoff)
-    first = measure(rows)
-    if saturate:
-        more = _order_l_rows(kind, n, r, k, l, cutoff + 1)
-        if measure(more) != first:
+    rows = _order_l_rows(kind, n, r, k, l, min(cutoff, reach))
+    if cutoff < reach:
+        more = len(_order_l_rows(kind, n, r, k, l, cutoff + 1))
+        if more != len(rows):
             raise CancellationFailure(
                 "degree cutoff %d is not saturated (%d -> %d)"
-                % (cutoff, len(rows), len(more)))
-    return first
-
-
-def _oracle_count(l: int, cap: Optional[int]):
-    """symbol_oracle's measure_for: refuse a matrix wider than the column
-    cap, else count the rows."""
-
-    def count(width: int):
-        columns = width * sum(math.comb(width + d - 1, d) for d in range(l + 1))
-        if columns > (cap if cap is not None else ORACLE_COLUMN_CAP):
-            raise CapExceeded("oracle matrix would have %d columns" % columns)
-        return len
-
-    return count
-
-
-def symbol_oracle(kind: str, n: int, r: int, k: int, l: int,
-                  cutoff: Optional[int] = None, saturate: bool = True,
-                  cap: Optional[int] = None) -> int:
-    """Dimension of the order-l symbol of jet-lifted transformations,
-    computed by brute force: enumerate monomial generating data, lift each
-    to the order-k jet space, and take the rank of the degree-l Taylor
-    parts of lifts vanishing to order l."""
-    return _saturated(kind, n, r, k, l, cutoff, saturate,
-                      _oracle_count(l, cap))
+                % (cutoff, len(rows), more))
+    return rows
 
 
 def check_symbol_oracle(kind: str, n: int, r: int, k: int, l: int,
@@ -1036,21 +1011,33 @@ def check_symbol_oracle(kind: str, n: int, r: int, k: int, l: int,
     """Raise what ``symbol_oracle(kind, n, r, k, l, cap=cap)`` raises before
     its first lift (a bad family or order, or too many columns), lifting
     nothing."""
-    _prepared(kind, n, r, k, l, None, _oracle_count(l, cap))
+    width = _checked_width(kind, n, r, k, l)
+    columns = width * sum(math.comb(width + d - 1, d) for d in range(l + 1))
+    if columns > (cap if cap is not None else ORACLE_COLUMN_CAP):
+        raise CapExceeded("oracle matrix would have %d columns" % columns)
+
+
+def symbol_oracle(kind: str, n: int, r: int, k: int, l: int,
+                  cutoff: Optional[int] = None,
+                  cap: Optional[int] = None) -> int:
+    """Dimension of the order-l symbol of jet-lifted transformations,
+    computed by brute force: enumerate monomial generating data, lift each
+    to the order-k jet space, and take the rank of the degree-l Taylor
+    parts of lifts vanishing to order l."""
+    check_symbol_oracle(kind, n, r, k, l, cap)
+    return len(_oracle_rows(kind, n, r, k, l, cutoff))
 
 
 def lie_symbol_subspace(kind: str, n: int, r: int, k: int, l: int,
-                        cutoff: Optional[int] = None, saturate: bool = True,
+                        cutoff: Optional[int] = None,
                         cap: Optional[int] = None) -> Subspace:
     """The order-l symbol of jet-lifted transformations materialized inside
     the symmetric tensors over the full jet-space coordinates; an ambient
     above materialization_cap(cap) raises CapExceeded before any lift."""
-
-    def span(width: int):
-        shape = TensorShape(width, l, 0, width)
-        check_cap(shape.dim, cap)
-        return lambda rows: Subspace.from_rows(shape, [
-            {shape.index(shape.sym_pos(exp), 0, vp): c
-             for (_, exp, vp), c in row.items()} for row in rows])
-
-    return _saturated(kind, n, r, k, l, cutoff, saturate, span)
+    width = _checked_width(kind, n, r, k, l)
+    shape = TensorShape(width, l, 0, width)
+    check_cap(shape.dim, cap)
+    return Subspace.from_rows(shape, [
+        {shape.index(shape.sym_pos(exp), 0, vp): c
+         for (_, exp, vp), c in row.items()}
+        for row in _oracle_rows(kind, n, r, k, l, cutoff)])

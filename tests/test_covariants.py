@@ -535,6 +535,23 @@ def test_transversality_scan_builds_one_kernel_per_order(count_calls,
     assert kernels == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
+def test_transversality_scan_builds_each_restricted_delta_once(count_calls,
+                                                              capsys):
+    # The stationary and the restricted tau-form complexes of the scan read
+    # the flag's one memoized restrict_delta: 9 distinct differentials, each
+    # built once (15 builds when each complex built its own).
+    symbolic = importlib.import_module("spencer.symbolic")
+    built = count_calls(symbolic, "_lowering_map",
+                        key=lambda shape, frame: (shape, repr(frame)))
+    # Emptied, so that every plain differential the command reads is built.
+    symbolic.delta_map.cache_clear()
+    assert main(["transversality", "--group", "complex:nc=3", "--flag",
+                 "stratum=totally-real", "--l", "1..4"]) == 0
+    capsys.readouterr()
+    assert len(built) == 9
+    assert built.total() == 9
+
+
 # Catalog systems and flags for the stationary-type families below; the
 # flags of dimension 2 give tau-form tables whose top is above 1.
 FAMILY_CASES = [

@@ -342,7 +342,7 @@ def test_kernel_rows_match_the_reference_lift(kind, n, r, k):
 @pytest.mark.parametrize("kind, n, r, k", KERNEL_FAMILIES)
 def test_truncated_rows_are_the_reference_rows_cut_to_degree_l(kind, n, r,
                                                                  k):
-    # Every generator up to the saturation pass's cutoff k + l + 2.
+    # Every generator up to degree k + l + 2, past the oracle's reach l + k.
     lay = jetcalc._layout(n, r, k)
     for l in (1, 2, 3):
         for d in range(k + l + 3):
@@ -356,17 +356,41 @@ def test_generators_above_degree_l_plus_k_lift_to_nothing(count_calls, kind,
                                                           n, r, k):
     # D_sigma lowers a degree by at most |sigma| <= k, so a generator of
     # degree l + k still reaches degree l and one of degree l + k + 1 does
-    # not; it returns before it builds a table or assembles a coefficient.
+    # not.  The oracle therefore lifts the degrees 0..l + k, once each, at
+    # the default cutoff and at any cutoff of l + k or more.
     lay = jetcalc._layout(n, r, k)
-    tables = count_calls(jetcalc, "_derivative_table")
-    assembled = count_calls(jetcalc, "_assembled")
     for l in (1, 2, 3):
         assert any(row for _, row in jetcalc._lifted_rows(kind, lay, l + k, l))
-        built = tables.total(), assembled.total()
         for d in (l + k + 1, l + k + 2):
             rows = jetcalc._lifted_rows(kind, lay, d, l)
             assert rows and not any(row for _, row in rows)
-        assert (tables.total(), assembled.total()) == built
+    degrees = count_calls(jetcalc, "_lifted_rows",
+                          key=lambda kind, lay, d, l=None: d)
+    for l in (1, 2, 3):
+        for cutoff in (None, l + k, l + k + 3):
+            jetcalc._lift_store.cache_clear()
+            degrees.clear()
+            symbol_oracle(kind, n, r, k, l, cutoff=cutoff)
+            assert degrees == dict.fromkeys(range(l + k + 1), 1)
+
+
+@pytest.mark.parametrize("kind, n, r, k", KERNEL_FAMILIES)
+def test_saturation_pass_runs_only_below_l_plus_k(count_calls, kind, n, r,
+                                                  k):
+    # At a cutoff of l + k or more one pass reads every generator that
+    # reaches degree l; below it a second pass at cutoff + 1 checks the
+    # first, and may fail.
+    passes = count_calls(jetcalc, "_order_l_rows")
+    for l in (1, 2, 3):
+        runs = [(cutoff, 1) for cutoff in (None, l + k, l + k + 3)]
+        runs += [(cutoff, 2) for cutoff in range(l, l + k)]
+        for cutoff, expected in runs:
+            before = passes.total()
+            try:
+                symbol_oracle(kind, n, r, k, l, cutoff=cutoff)
+            except CancellationFailure:
+                assert expected == 2
+            assert passes.total() - before == expected
 
 
 def rational_polynomial(data, n, r, order):
@@ -661,14 +685,14 @@ def test_oracle_refuses_cutoff_below_l():
 
 
 @pytest.mark.parametrize("group, name, lifts", [
-    ("point_lie:n=1,r=2,k=1", "_point_lift", 252),
-    ("contact_lie:n=1,k=1", "_contact_lift", 84),
+    ("point_lie:n=1,r=2,k=1", "_point_lift", 105),
+    ("contact_lie:n=1,k=1", "_contact_lift", 35),
 ])
 def test_oracle_lifts_each_generator_once(count_calls, capsys, group, name,
                                           lifts):
-    # Degrees 0..6 serve l = 1..3 at both cutoffs; for the point family
-    # that is 3 * C(d + 2, 2) generators of degree d, for the contact
-    # family C(d + 2, 2).  The counter is keyed by the generating data.
+    # Degrees 0..l + k = 0..4 serve l = 1..3; for the point family that is
+    # 3 * C(d + 2, 2) generators of degree d, for the contact family
+    # C(d + 2, 2).  The counter is keyed by the generating data.
     jetcalc._lift_store.cache_clear()
     calls = count_calls(jetcalc, name, key=lambda lay, *data: repr(data))
     assert main(["oracle", "--group", group, "--l", "1..3"]) == 0
@@ -691,10 +715,10 @@ def test_ascending_library_calls_agree_with_the_cli(count_calls, capsys,
                          key=lambda kind, lay, d, l=None: l)
     got = [symbol_oracle(*family, l) for l in (1, 3, 2)]
     assert got == [cli[0], cli[2], cli[1]]
-    # l = 1 lifts degrees 0..k + 3 (both cutoffs); l = 3 lifts degrees
-    # 0..k + 5 again, truncated at 3; l = 2 reads the stored rows.
+    # l = 1 lifts degrees 0..k + 1; l = 3 lifts degrees 0..k + 3 again,
+    # truncated at 3; l = 2 reads the stored rows.
     k = family[3]
-    assert lifted == {1: k + 4, 3: k + 6}
+    assert lifted == {1: k + 2, 3: k + 4}
 
 
 def test_saturation_recomputes_with_a_warm_lift_store():
