@@ -25,9 +25,8 @@ Jet-lifted kinds (formula-backed; materialization lives in jetcalc):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ParamOutOfRange
 from .exactla import (Subspace, TensorShape, Vec, _sym_index, check_cap,
@@ -53,8 +52,7 @@ _KIND_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class PseudogroupSpec:
+class PseudogroupSpec(NamedTuple):
     kind: str
     params: Tuple[Tuple[str, int], ...]
 

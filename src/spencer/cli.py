@@ -108,8 +108,11 @@ def _parse_flag(text: str, spec: PseudogroupSpec) -> FlagContext:
     if key == "stratum":
         return FlagContext(m, stratum_tau(spec, val.strip()))
     if key == "tau":
-        return FlagContext(m, [[_rational(x) for x in row.split(",")]
-                               for row in val.split(";")])
+        tau = [[_rational(x) for x in row.split(",")]
+               for row in val.split(";")]
+        if any(len(row) != m for row in tau):
+            raise ParamOutOfRange("tau rows must have length %d" % m)
+        return FlagContext(m, tau)
     raise ParamOutOfRange("unknown flag key %r" % key)
 
 

@@ -16,9 +16,8 @@ flag and order.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (AmbientMismatch, ConsistencyCheckFailed, DegreeUnderflow,
                      EquationNotInvariant, ParamOutOfRange, ShapeMismatch)
@@ -38,8 +37,12 @@ class FlagContext:
     tau_basis rows are vectors in V; the quotient nu = V/tau carries the
     canonical basis of non-pivot coordinates of tau's reduced form, and
     rho[j] = {a: tau[a][j]} is the covector e^j restricted to the given
-    tau basis.  ``restricted_delta(shape)`` is restrict_delta(tau, shape),
-    built once per shape for every tau-form complex of the flag.
+    tau basis.  ``restricted_delta(shape)`` is restrict_delta along the
+    primitive integer rows of tau_space, built once per shape for every
+    tau-form complex of the flag.  A tau-form cell holds all of
+    Lambda^s tau*, so a change of basis of tau is an isomorphism of
+    complexes: the tables are those along tau, and the rows, the delta^2
+    check and the ranks run in ints on every flag.
     """
 
     def __init__(self, m: int, tau_basis: Sequence[Sequence[object]]):
@@ -57,8 +60,10 @@ class FlagContext:
             raise ShapeMismatch("tau basis vectors are linearly dependent")
         self.ann = annihilator(self.tau, m)
         self.rho = _restriction_frame(self.tau, m)
+        frame = [[row.get(j, 0) for j in range(m)]
+                 for row in self.tau_space.int_rows]
         self.restricted_delta = lru_cache(maxsize=None)(
-            partial(restrict_delta, self.tau))
+            partial(restrict_delta, frame))
         self._stationary: Dict[Tuple[SymbolicSystem, int], Subspace] = {}
         self._kernels: Dict[int, Subspace] = {}
 
@@ -174,8 +179,7 @@ def _stationary_grade(ctx: FlagContext, gsys: SymbolicSystem,
     return ctx._stationary[key]
 
 
-@dataclass
-class CovariantReport:
+class CovariantReport(NamedTuple):
     """Dimensions of the order-l restriction data at one flag."""
 
     l: int
@@ -189,7 +193,7 @@ class CovariantReport:
     caveat: Optional[str] = None
 
     def to_jsonable(self) -> Dict[str, object]:
-        out = asdict(self)
+        out = self._asdict()
         if self.caveat is None:
             del out["caveat"]
         return out
@@ -386,8 +390,7 @@ def acyclicity_window(gsys: SymbolicSystem, i_lo: int, i_hi: int,
     return q
 
 
-@dataclass
-class RestrictionIsomorphismResult:
+class RestrictionIsomorphismResult(NamedTuple):
     applicable: bool
     lhs: int
     rhs: int
@@ -395,7 +398,7 @@ class RestrictionIsomorphismResult:
     window: int
 
     def to_jsonable(self) -> Dict[str, object]:
-        return asdict(self)
+        return self._asdict()
 
 
 def restriction_isomorphism_check(ctx: FlagContext, gsys: SymbolicSystem,
@@ -416,8 +419,7 @@ def restriction_isomorphism_check(ctx: FlagContext, gsys: SymbolicSystem,
     return RestrictionIsomorphismResult(applicable, lhs, rhs, snc, q)
 
 
-@dataclass
-class ScanEntry:
+class ScanEntry(NamedTuple):
     report: CovariantReport
     stationary_tau_H2_zero: bool
     restricted_H1_zero: bool

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .errors import (AmbientMismatch, DegreeUnderflow, NotASubspace,
                      ParamOutOfRange, ShapeMismatch, UnsupportedDegree)
@@ -101,23 +101,48 @@ def _wedge_index(n: int, e: int) -> Dict[Tuple[int, ...], int]:
     return {w: i for i, w in enumerate(wedge_basis(n, e))}
 
 
-@dataclass(frozen=True)
-class TensorShape:
-    """Shape record for ``S^d (base)* (x) Lambda^e (ext)* (x) B``."""
-
+class _Shape(NamedTuple):
     base_dim: int
     sym_degree: int
     ext_degree: int
     value_dim: int
-    ext_dim: Optional[int] = None
+    ext_dim: int
 
-    def __post_init__(self):
-        if self.ext_dim is None:
-            object.__setattr__(self, "ext_dim", self.base_dim)
-        if self.base_dim < 1 or self.ext_dim < 0 or self.value_dim < 0:
+
+class TensorShape(_Shape):
+    """Shape record for ``S^d (base)* (x) Lambda^e (ext)* (x) B``.
+
+    A tuple of its five fields, ext_dim defaulting to base_dim.  Equality
+    is class-strict: a subclass such as ``symbolic.GradeShape`` lays its
+    coordinates out differently, so it never equals a TensorShape with
+    the same fields, and the complexes memoize their differentials by
+    shape."""
+
+    __slots__ = ()
+
+    def __new__(cls, base_dim: int, sym_degree: int, ext_degree: int,
+                value_dim: int, ext_dim: Optional[int] = None):
+        if ext_dim is None:
+            ext_dim = base_dim
+        if base_dim < 1 or ext_dim < 0 or value_dim < 0:
             raise ShapeMismatch("dimensions out of range")
-        if self.sym_degree < 0 or self.ext_degree < 0:
+        if sym_degree < 0 or ext_degree < 0:
             raise DegreeUnderflow("negative degree in shape")
+        return tuple.__new__(cls, (base_dim, sym_degree, ext_degree,
+                                   value_dim, ext_dim))
+
+    @classmethod
+    def _make(cls, iterable) -> "TensorShape":
+        # _replace builds through _make: validate there too.
+        return cls(*iterable)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @classmethod
     def vector(cls, w: int) -> "TensorShape":

@@ -15,12 +15,11 @@ grade extends the system by prolongation on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import (Callable, Container, Dict, Iterable,
-                    Iterator, List, Mapping, Optional, Sequence, Set, Tuple)
+from typing import (Callable, Container, Dict, Iterable, Iterator, List,
+                    Mapping, NamedTuple, Optional, Sequence, Set, Tuple)
 
 from .errors import (AmbientMismatch, DegreeUnderflow, EquationNotInvariant,
                      MissingGrade, NotASubcomplex, ShapeMismatch, ZeroVector)
@@ -241,8 +240,7 @@ def cell_dim(system: SymbolicSystem, i: int, j: int) -> int:
     return system.grade(i).dim * math.comb(system.base_dim, j)
 
 
-@dataclass
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     """A labelled table of cohomology dimensions keyed by (sym, form) degree."""
 
     source: str
@@ -386,7 +384,7 @@ class CochainComplex:
         as delta(u (x) omega) = (delta u) ^ omega, at every s.  It reads
         the maps that the ranks read: on one value coordinate when C is
         full."""
-        shape = replace(C.ambient, value_dim=1) if C.is_full else C.ambient
+        shape = C.ambient._replace(value_dim=1) if C.is_full else C.ambient
         delta = self._differential(shape)
         after = self._differential(delta.codomain)
         if not isinstance(after, LinearMap):
@@ -430,7 +428,7 @@ class CochainComplex:
             # c * w + b; it is dropped when all of them are cleared.
             cleared = {c // w for c in cleared if c % w == 0
                        and all(c + b in cleared for b in range(1, w))}
-        delta = self._differential(replace(C.ambient, value_dim=1)
+        delta = self._differential(C.ambient._replace(value_dim=1)
                                    if w > 1 else C.ambient)
         if not isinstance(delta, LinearMap):
             columns = delta.columns(cleared)
@@ -474,6 +472,8 @@ class GradeShape(TensorShape):
     """g_d (x) Lambda^s V* in the coordinates of g_d: base_dim counts the
     basis rows of g_d, which take the place of the monomials of
     S^d V* (x) W, so the value factor is 1; sym_degree keeps d."""
+
+    __slots__ = ()
 
     @property
     def sym_count(self) -> int:

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +19,20 @@ def run_json(capsys, argv):
     code = main(argv)
     data = json.loads(capsys.readouterr().out)
     return code, data
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Each CLI command is its own process, so the import is part of every
+    # command's time; dataclasses alone pulls in inspect, ast and dis.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, spencer.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------- symbols
@@ -346,6 +364,15 @@ def test_zero_denominator_flag_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["tau=1,0,0,0", "tau=1,2"])
+def test_wrong_length_flag_row_is_usage_error(capsys, flag):
+    code = main(["cohomology", "--table", "restricted", "--group",
+                 "general:m=3", "--flag", flag, "--l", "1..2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "tau rows must have length 3" in err
 
 
 GOOD_POLY = {"n": 1, "r": 1, "frame": ["x1 + u"]}

@@ -552,6 +552,26 @@ def test_transversality_scan_builds_each_restricted_delta_once(count_calls,
     assert built.total() == 9
 
 
+def test_restricted_delta_rows_are_integers_on_a_rational_flag():
+    # The tau-form differential restricts along tau_space's primitive
+    # integer rows, so it has int entries even where tau has Fractions;
+    # a basis change of tau leaves the tables as they are along tau.
+    ctx = FlagContext(4, RATIONAL_PLANE)
+    assert any(type(v) is Fraction for row in ctx.tau for v in row)
+    for d in range(1, 4):
+        for s in range(2):
+            rows = ctx.restricted_delta(
+                TensorShape(4, d, s, 4, ext_dim=2)).rows
+            assert all(type(v) is int for row in rows for v in row.values())
+    gsys = system(parse_pseudogroup("volume:m=4"), 4)
+    along_tau = CochainComplex(
+        ctx.n, lambda d, s: tensor_all_forms(
+            gsys.grade(d), TensorShape(4, d, s, 4, ext_dim=2)),
+        lambda shape: restrict_delta(ctx.tau, shape))
+    assert tau_form_complex(ctx, gsys, stationary=False).table(
+        range(4), range(3), "t") == along_tau.table(range(4), range(3), "t")
+
+
 # Catalog systems and flags for the stationary-type families below; the
 # flags of dimension 2 give tau-form tables whose top is above 1.
 FAMILY_CASES = [

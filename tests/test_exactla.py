@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from spencer.covariants import FlagContext, restriction_map
-from spencer.errors import AmbientMismatch, ShapeMismatch, NotASubspace
-from spencer.symbolic import delta_map
+from spencer.errors import (AmbientMismatch, DegreeUnderflow, ShapeMismatch,
+                            NotASubspace)
+from spencer.symbolic import GradeShape, delta_map
 from spencer.exactla import (
     TensorShape, Subspace, LinearMap,
     sym_basis, wedge_basis, echelon, rank_of_rows,
@@ -74,6 +75,36 @@ def test_tensor_shape_separate_exterior_dim():
     shp = TensorShape(3, 1, 1, 1, ext_dim=2)
     assert shp.wedge_count == 2
     assert shp.dim == 3 * 2
+
+
+def test_tensor_shape_is_a_class_strict_validated_tuple():
+    # The complexes memoize differentials by shape, and a GradeShape lays
+    # out its coordinates differently: equal fields must not make it equal
+    # to a TensorShape, under == or !=.
+    plain, grade = TensorShape(2, 1, 1, 1), GradeShape(2, 1, 1, 1)
+    assert tuple(plain) == tuple(grade)
+    assert not plain == grade and not grade == plain
+    assert plain != grade and grade != plain
+    assert plain != tuple(plain) and not plain == tuple(plain)
+    assert len({plain, grade}) == 2
+    assert plain == TensorShape(2, 1, 1, 1, ext_dim=2)
+    assert hash(plain) == hash(TensorShape(2, 1, 1, 1, 2))
+    assert hash(grade) == hash(GradeShape(2, 1, 1, 1))
+    assert plain.ext_dim == 2 and TensorShape(3, 0, 0, 1).ext_dim == 3
+    wide = grade._replace(value_dim=3)
+    assert type(wide) is GradeShape and wide.value_dim == 3
+    assert wide.dim == 2 * 2 * 3  # base_dim rows, 2 forms, 3 values
+    assert type(plain._replace(ext_dim=1)) is TensorShape
+    for args in ((0, 1, 1, 1), (2, 1, 1, -1), (2, 1, 1, 1, -1)):
+        with pytest.raises(ShapeMismatch):
+            TensorShape(*args)
+    for args in ((2, -1, 0, 1), (2, 0, -1, 1)):
+        with pytest.raises(DegreeUnderflow):
+            TensorShape(*args)
+    with pytest.raises(ShapeMismatch):
+        plain._replace(value_dim=-1)
+    with pytest.raises(DegreeUnderflow):
+        plain._replace(sym_degree=-1)
 
 
 # ---------------------------------------------------------------- echelon
