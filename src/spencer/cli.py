@@ -34,9 +34,9 @@ from .errors import (AmbientMismatch, CancellationFailure, CapExceeded,
                      ShapeMismatch, SingularJacobian, ZeroVector)
 from .exactla import Subspace, TensorShape
 from .symbolic import CohomologyTable, SymbolicSystem, spencer_complex
-from .covariants import (FlagContext, covariant_complex, covariants,
-                         stationary_row_complex, tau_form_complex,
-                         transversality_scan)
+from .covariants import (CovariantReport, FlagContext, covariant_complex,
+                         covariants, stationary_row_complex,
+                         tau_form_complex, transversality_scan)
 from .catalog import (PseudogroupSpec, contact_lie_dim, parse_pseudogroup,
                       point_lie_total, stratum_tau, symbol_dim, system,
                       volume_claimed_dim)
@@ -217,8 +217,7 @@ def cmd_cohomology(args) -> int:
     return 0
 
 
-REPORT_FIELDS = ["l", "dim_g", "dim_h", "dim_stationary", "dim_lambda_image",
-                 "dim_O", "transversal", "dim_necessary_ok", "caveat"]
+REPORT_FIELDS = list(CovariantReport._fields)
 
 
 def cmd_covariants(args) -> int:

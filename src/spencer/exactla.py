@@ -328,14 +328,16 @@ def det(matrix: Sequence[Sequence[object]]) -> int | Fraction:
 
 def solve(matrix: Sequence[Sequence[object]],
           rhs: Sequence[object]) -> Optional[List[Fraction]]:
-    """The unique x with matrix x = rhs, as Fractions by Cramer's rule, or
-    None when the square matrix is singular."""
-    d = det(matrix)
-    if not d:
+    """The unique x with matrix x = rhs, as Fractions, or None when the
+    square matrix is singular: one canonical echelon of the rows
+    [matrix | rhs].  x is unique exactly when every column of matrix holds
+    a pivot, and row i then reads p x_i = q."""
+    n = len(matrix)
+    piv = echelon({**dict(enumerate(row)), n: b}
+                  for row, b in zip(matrix, rhs))
+    if not all(i in piv for i in range(n)):
         return None
-    return [Fraction(det([list(row[:i]) + [b] + list(row[i + 1:])
-                          for row, b in zip(matrix, rhs)])) / d
-            for i in range(len(matrix))]
+    return [Fraction(piv[i].get(n, 0), piv[i][i]) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

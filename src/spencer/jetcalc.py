@@ -19,11 +19,12 @@ as {dense exponent vector: coefficient}.  A family's layout (``_Layout``)
 puts ``jet_coords(n, r, k)`` first and the order-(k+1) coordinates after
 them, so an exponent vector cut to the first ``width`` entries is the
 oracle's Taylor key.  D_i runs from a table of raised positions, raises
-when it would leave the layout, and also serves ``total_derivative``.  A point lift takes one table
-D_rho c (|rho| <= k) per nonzero generating component c, shared by all r
-fibres, and assembles each coefficient by Leibniz; a contact lift takes
-the D_sigma phi chain.  ``_assembled`` adds sum_i a^i p_(sigma+1_i) and is
-the one place where a surviving order-(k+1) exponent raises
+when it would leave the layout, and also serves ``total_derivative``.
+Both lifts are the one prolongation formula of ``_lift`` (Olver, GTM 107,
+Thm 2.36): a^i at x_i and D_sigma Q^j + sum_i a^i p^j_(sigma+1_i) at
+p^j_sigma, for the characteristics Q^j = b^j - sum_i a^i p^j_(1_i) of a
+point field and Q = phi, a^i = -d phi/d p_(1_i) of a contact field.
+``_lift`` is the one place where a surviving order-(k+1) exponent raises
 ``CancellationFailure``.  The oracle passes an order l, and the kernel
 then forms only the terms of degree <= l of the lift (the sum of an
 exponent vector is its degree); the public lifts pass none.  The oracle
@@ -32,7 +33,6 @@ lifts no data of degree above ``_reach(k, l)``, which has no such term.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -502,15 +502,6 @@ def _layout(n: int, r: int, k: int) -> _Layout:
     return _Layout(n, r, k)
 
 
-@lru_cache(maxsize=None)
-def _leibniz(sigma: Tuple[int, ...]) -> Tuple[Tuple, ...]:
-    """(rho, C(sigma, rho), sigma - rho) for every rho <= sigma, rho = 0
-    first."""
-    return tuple((rho, math.prod(map(math.comb, sigma, rho)),
-                  tuple(s - t for s, t in zip(sigma, rho)))
-                 for rho in itertools.product(*(range(s + 1) for s in sigma)))
-
-
 def _below(f: Dict, top: Optional[int]) -> Dict:
     """A new dict of the terms of f of degree at most top (all of them when
     top is None).  A term's degree is the sum of its exponent vector."""
@@ -557,10 +548,11 @@ def _total_derivative(lay: _Layout, f: Dict, i: int,
 
 def _reach(k: int, l: int) -> int:
     """The highest degree of generating data whose order-k lift has a
-    Taylor term of degree <= l.  Each coefficient of the lift sums products
-    of coordinates with D_sigma of the data, |sigma| <= k, or (contact
-    lifts, k >= 1) with its d/dp_(1_i); D_sigma lowers a degree by at most
-    |sigma| (the prolongation formula, Olver, GTM 107, Thm 2.36)."""
+    Taylor term of degree <= l.  Each coefficient of the lift is a^i or
+    D_sigma Q^j + sum_i a^i p^j_(sigma+1_i), |sigma| <= k (``_lift``); data
+    of degree d gives a^i of degree >= d - 1 (d - 1 only for contact lifts,
+    k >= 1) and Q^j of degree >= d, and D_sigma lowers a degree by at most
+    |sigma|."""
     return l + k
 
 
@@ -587,21 +579,22 @@ def _add_times(out: Dict, f: Dict, q: int, s) -> None:
                       for m, c in f.items()))
 
 
-def _assembled(lay: _Layout, a: Sequence[Dict],
-               parts: Sequence[Dict[Tuple[int, ...], Dict]],
-               l: Optional[int] = None) -> Dict[int, Dict]:
-    """The lifted field's nonzero coefficients, position -> polynomial with
-    exponents cut to the Taylor width: a^i at x_i, and
-    parts[j][sigma] + sum_i a^i p^j_(sigma+1_i) at p^j_sigma.  This is the
-    one place where the order-(k+1) coordinates must have cancelled.  The
-    parts are the lift's own and receive the products in place.  With l,
-    the parts hold no term of degree above l, and a^i enters with its
-    terms of degree <= l at x_i and <= l - 1 in the products, which raise
-    the degree by one."""
+def _lift(lay: _Layout, a: Sequence[Dict], Q: Sequence[Dict],
+          l: Optional[int] = None) -> Dict[int, Dict]:
+    """The prolongation formula (Olver, GTM 107, Thm 2.36): the lifted
+    field's nonzero coefficients, position -> polynomial with exponents cut
+    to the Taylor width, a^i at x_i and D_sigma Q^j + sum_i a^i
+    p^j_(sigma+1_i) at p^j_sigma, for the characteristics Q^j.  This is
+    the one place where the order-(k+1) coordinates must have cancelled.
+    With l, only the terms of degree <= l are formed: D_sigma Q^j comes
+    from a table cut to degree l, and a^i enters with its terms of degree
+    <= l at x_i and <= l - 1 in the products, which raise the degree by
+    one."""
     low = [_below(ai, None if l is None else l - 1) for ai in a]
     coeffs = {i: c for i, c in enumerate(_below(ai, l) for ai in a) if c}
-    for j, part in enumerate(parts):
-        for sigma, c in part.items():
+    for j, qj in enumerate(Q):
+        for sigma, c in _derivative_table(lay, qj, l).items():
+            c = _below(c, l)
             q = lay.p(j, sigma)
             for i, ai in enumerate(low):
                 if ai:
@@ -623,42 +616,23 @@ def _assembled(lay: _Layout, a: Sequence[Dict],
 
 def _point_lift(lay: _Layout, a: Sequence[Dict], b: Sequence[Dict],
                 l: Optional[int] = None) -> Dict[int, Dict]:
-    """Kernel lift of sum a^i d/dx_i + sum b^j d/du_j (order-0 components):
-    the coefficient of p^j_sigma is, by Leibniz,
-    D_sigma b^j - sum_i sum_(rho <= sigma) C(sigma, rho) D_rho a^i
-    p^j_(1_i + sigma - rho) + sum_i a^i p^j_(sigma+1_i).  One table D_rho c
-    per nonzero component c serves all r fibres, and the rho = 0 term is
-    formed, so the cancellation check sees it cancel.
-
-    With l, only the terms of degree <= l are formed: the tables keep
-    D_rho c to degree _reach(k, l) - |rho|."""
-    da = [_derivative_table(lay, ai, l) if ai else None for ai in a]
-    if l is not None:
-        # The Leibniz products raise the degree by one: factors stop at l - 1.
-        da = [None if t is None else {rho: _below(f, l - 1)
-                                      for rho, f in t.items()} for t in da]
-    parts = []
+    """Kernel lift of sum a^i d/dx_i + sum b^j d/du_j (order-0 components)
+    through its characteristics Q^j = b^j - sum_i a^i p^j_(1_i).  The
+    formula's sum_i a^i p^j_(sigma+1_i) cancels a term of D_sigma Q^j, and
+    the cancellation check sees it cancel."""
+    Q = []
     for j, bj in enumerate(b):
-        db = _derivative_table(lay, bj, l) if bj else None
-        part = {}
-        for sigma in lay.sigmas:
-            c = _below(db[sigma], l) if db else {}
-            for i, table in enumerate(da):
-                if table is not None:
-                    up = lay.up[i]
-                    for rho, binom, rest in _leibniz(sigma):
-                        _add_times(c, table[rho], up[lay.p(j, rest)], -binom)
-            part[sigma] = c
-        parts.append(part)
-    return _assembled(lay, a, parts, l)
+        qj = dict(bj)
+        for i, ai in enumerate(a):
+            _add_times(qj, ai, lay.up[i][lay.p(j, (0,) * lay.n)], -1)
+        Q.append(qj)
+    return _lift(lay, a, Q, l)
 
 
 def _contact_lift(lay: _Layout, phi: Dict,
                   l: Optional[int] = None) -> Dict[int, Dict]:
     """Kernel lift of the contact field with generating function phi (order
-    <= 1, one fibre): a^i = -d phi/d p_(1_i), and the coefficient of p_sigma
-    is D_sigma phi + sum_i a^i p_(sigma+1_i).  With l, only the terms of
-    degree <= l are formed."""
+    <= 1, one fibre), its own characteristic: a^i = -d phi/d p_(1_i)."""
     a = []
     for i in range(lay.n):
         q = lay.up[i][lay.p(0, (0,) * lay.n)]
@@ -666,10 +640,7 @@ def _contact_lift(lay: _Layout, phi: Dict,
         _accumulate(ai, ((m[:q] + (m[q] - 1,) + m[q + 1:], -c * m[q])
                          for m, c in phi.items() if m[q]))
         a.append(ai)
-    table = _derivative_table(lay, phi, l)
-    if l is not None:
-        table = {sigma: _below(f, l) for sigma, f in table.items()}
-    return _assembled(lay, a, [table], l)
+    return _lift(lay, a, [phi], l)
 
 
 def prolong_point(a: Sequence[JetPolynomial], b: Sequence[JetPolynomial],

@@ -1,12 +1,13 @@
 """Reference jet lifts built from ``JetPolynomial`` arithmetic.
 
 ``spencer.jetcalc`` lifts, and takes total derivatives, through one kernel
-over dense exponent vectors.  This reference lifts by iterated total
-derivatives written with ``JetPolynomial`` partial derivatives and general
-polynomial products, with the prolongation formula
+over dense exponent vectors.  This reference uses the kernel's formula,
+the prolongation formula through characteristics
 phi_sigma = D_sigma(phi - sum_i a^i p_(1_i)) + sum_i a^i p_(sigma + 1_i),
-and reads the Taylor rows off the ``LieField`` it builds, so tests can
-hold the kernel to it.
+and stays independent of it in its arithmetic: iterated total derivatives
+written with ``JetPolynomial`` partial derivatives and general polynomial
+products.  It reads the Taylor rows off the ``LieField`` it builds, so
+tests can hold the kernel to it.
 """
 
 from spencer.exactla import sym_basis

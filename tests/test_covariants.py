@@ -388,6 +388,65 @@ def test_one_complex_table_matches_the_per_cell_functions():
     assert nonzero
 
 
+def per_cell_covariant_complex(ctx, gsys, hsys):
+    """The covariant complex cell by cell: h_d (x) Lambda^s tau* modulo
+    lambda(g_d) (x) Lambda^s tau*, with h full when hsys is None."""
+    n, r = ctx.n, ctx.r
+
+    def cell(d, s):
+        shape = TensorShape(n, d, s, r)
+        return Subspace.full(shape) if hsys is None \
+            else tensor_all_forms(hsys.grade(d), shape)
+
+    def sub(d, s):
+        return tensor_all_forms(image(restriction_map(ctx, d), gsys.grade(d)),
+                                TensorShape(n, d, s, r))
+
+    return PerCellComplex(n, cell, delta_map, sub)
+
+
+# Flags that are not transversal: lambda(g_d) is a proper nonzero subspace,
+# so the engine takes the covariant ranks modulo a proper next cell.
+@pytest.mark.parametrize("group, stratum, nonzero", [
+    ("contact:dim=3", "inside-contact-plane", {(1, 0): 1}),
+    ("symplectic:2n=4", "lagrangian", {(1, 0): 1}),
+    ("complex:nc=2", "j-invariant-line", {(1, 0): 2}),
+])
+def test_covariant_table_modulo_a_proper_subcomplex_matches_the_reference(
+        group, stratum, nonzero):
+    spec = parse_pseudogroup(group)
+    ctx = FlagContext(spec.ambient_dim, stratum_tau(spec, stratum))
+    gsys = system(spec, 5)
+    ref = per_cell_covariant_complex(ctx, gsys, None)
+    assert all(0 < ref.cells(d, 0)[1].dim < ref.cells(d, 0)[0].dim
+               for d in range(1, 5))
+    want = ref.table(range(5), range(ctx.n + 1))
+    assert covariant_complex(ctx, gsys, None).table(
+        range(5), range(ctx.n + 1), "t").cells == want
+    assert {cell: v for cell, v in want.items() if v} == nonzero
+
+
+def test_covariant_table_modulo_a_proper_subcomplex_with_an_equation_file(
+        capsys, tmp_path):
+    h = {"1": [[1, 0], [0, 1]], "2": [[1, 0], [0, 1]], "3": [[0, 1]],
+         "4": [[0, 1]], "5": [[0, 1]]}
+    h_path = tmp_path / "h.json"
+    h_path.write_text(json.dumps({"ambient": {"m": 3, "n": 1}, "h": h}))
+    assert main(["cohomology", "--table", "covariant", "--group",
+                 "contact:dim=3", "--flag", "stratum=inside-contact-plane",
+                 "--l", "1..4", "--h-file", str(h_path)]) == 0
+    cells = json.loads(capsys.readouterr().out)["table"]["cells"]
+    spec = parse_pseudogroup("contact:dim=3")
+    ctx = FlagContext(3, stratum_tau(spec, "inside-contact-plane"))
+    hsys = SymbolicSystem(1, 2, {
+        int(l): Subspace.from_dense(TensorShape(1, int(l), 0, 2), rows)
+        for l, rows in h.items()})
+    want = per_cell_covariant_complex(ctx, system(spec, 5), hsys).table(
+        range(1, 5), range(2))
+    assert cells == {"%d,%d" % cell: v for cell, v in want.items()}
+    assert {k: v for k, v in cells.items() if v} == {"1,0": 1, "2,1": 1}
+
+
 def _full(d, s):
     return Subspace.full(TensorShape(2, d, s, 1))
 

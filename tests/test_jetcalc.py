@@ -311,10 +311,10 @@ def test_kernel_refuses_what_leaves_the_layout():
     top[lay.pos[p_var(0, (2,))]] = 1
     with pytest.raises(CancellationFailure, match="leaves the order-2"):
         jetcalc._total_derivative(lay, {tuple(top): 1}, 0)
-    # p_(sigma+1_i) without the rho = 0 term that cancels it
+    # a^i p_(sigma+1_i) with a zero characteristic: nothing cancels it
     x = lay.dense(JetPolynomial.variable(1, 1, x_var(0)))
     with pytest.raises(CancellationFailure, match="survives"):
-        jetcalc._assembled(lay, [x], [{(1,): {}}])
+        jetcalc._lift(lay, [x], [{}])
 
 
 # The two benchmark families and the families of
