@@ -34,7 +34,7 @@ from .exactla import (Subspace, TensorShape, Vec, _sym_index, check_cap,
 # Re-exported for callers that read the cap from the catalogue.
 from .exactla import DEFAULT_CAP, materialization_cap  # noqa: F401
 from .jetcalc import lie_symbol_subspace
-from .symbolic import SymbolicSystem, _lowered, prolong
+from .symbolic import SymbolicSystem, _lowered, _raised, prolong
 
 GEOMETRIC_KINDS = ("general", "volume", "complex", "symplectic", "contact",
                    "isometry")
@@ -77,13 +77,6 @@ class PseudogroupSpec(NamedTuple):
         if kind == "isometry":
             return self.param("n")
         raise ParamOutOfRange("no single ambient dimension for %s" % kind)
-
-    @property
-    def order(self) -> int:
-        """Order of the defining structure (1 for all geometric kinds)."""
-        if self.kind in GEOMETRIC_KINDS:
-            return 1
-        return self.param("k")
 
     def __str__(self) -> str:
         return "%s:%s" % (self.kind,
@@ -248,10 +241,10 @@ def _complex_symbol(nc: int, l: int, shp: TensorShape) -> Subspace:
             for _ in range(e):
                 nxt: Dict[Tuple[int, ...], Tuple[int, int]] = {}
                 for mo, (re, im) in acc.items():
-                    a = mo[:i] + (mo[i] + 1,) + mo[i + 1:]
+                    a = _raised(mo, i)
                     ra, ia = nxt.get(a, (0, 0))
                     nxt[a] = (ra + re, ia + im)
-                    b = mo[:nc + i] + (mo[nc + i] + 1,) + mo[nc + i + 1:]
+                    b = _raised(mo, nc + i)
                     rb, ib = nxt.get(b, (0, 0))
                     nxt[b] = (rb - im, ib + re)
                 acc = nxt

@@ -27,11 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
-from .errors import (AmbientMismatch, CancellationFailure, CapExceeded,
-                     ConsistencyCheckFailed, DegreeUnderflow,
-                     EquationNotInvariant, MissingGrade,
-                     NotASubcomplex, NotASubspace, ParamOutOfRange,
-                     ShapeMismatch, SingularJacobian, ZeroVector)
+from .errors import CapExceeded, ParamOutOfRange, SpencerError
 from .exactla import Subspace, TensorShape
 from .symbolic import CohomologyTable, SymbolicSystem, spencer_complex
 from .covariants import (CovariantReport, FlagContext, covariant_complex,
@@ -45,10 +41,6 @@ from .jetcalc import (JetPoint, RationalLCG, TresseFrame, check_symbol_oracle,
                       tresse)
 
 USAGE_ERRORS = (ParamOutOfRange, ValueError, KeyError)
-PRECONDITION_ERRORS = (SingularJacobian, EquationNotInvariant, NotASubcomplex,
-                       NotASubspace, ShapeMismatch, AmbientMismatch,
-                       DegreeUnderflow, MissingGrade, ZeroVector,
-                       CancellationFailure, ConsistencyCheckFailed)
 
 
 def _parse_range(text: str, least: int) -> Tuple[int, int]:
@@ -422,12 +414,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CapExceeded as exc:
         print("cap exceeded: %s" % exc, file=sys.stderr)
         return 4
-    except PRECONDITION_ERRORS as exc:
-        print("precondition failed: %s" % exc, file=sys.stderr)
-        return 3
     except USAGE_ERRORS as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
+    except SpencerError as exc:
+        # Every other package error is a failed precondition.
+        print("precondition failed: %s" % exc, file=sys.stderr)
+        return 3
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 2

@@ -515,15 +515,14 @@ def _total_derivative(lay: _Layout, f: Dict, i: int,
     """D_i f: d/dx_i plus p^j_(sigma+1_i) d/dp^j_sigma over every jet
     coordinate; a term whose derivative leaves the layout raises.  With
     top, only the terms of degree <= top are formed: d/dx_i lowers a
-    term's degree by one and the jet part keeps it."""
+    term's degree by one and the jet part keeps it.  Then f must hold no
+    term of degree above top + 1, as the entries of _derivative_table do."""
     up = lay.up[i]
     n = lay.n
 
     def terms():
         for m, c in f.items():
             excess = 0 if top is None else sum(m) - top
-            if excess > 1:
-                continue
             if m[i]:
                 yield m[:i] + (m[i] - 1,) + m[i + 1:], c * m[i]
             if excess == 1:

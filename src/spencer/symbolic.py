@@ -125,21 +125,22 @@ def prolong(g: Subspace) -> Subspace:
                     tensor_all_forms(g, TensorShape(n, k, 1, w)))
 
 
-# Per basis row of a grade: (direction i, coordinates of d_i u below).
-LoweringTable = Tuple[List[Tuple[int, Dict[int, int]]], ...]
+# Per direction i: coordinate p of g_(d-1) -> [(u, coordinate of D_i u at p)].
+LoweringTable = Tuple[Dict[int, List[Tuple[int, int]]], ...]
 
 
 def _lowering_table(upper: Subspace, lower: Subspace) -> LoweringTable:
-    """The lowerings D_i: g_d -> g_(d-1), with upper = g_d, lower = g_(d-1).
+    """The lowerings D_i: g_d -> g_(d-1), with upper = g_d, lower = g_(d-1),
+    each stored by its columns: for direction i, coordinate p of g_(d-1)
+    maps to the pairs (u, D_i u [p]) over the basis rows u of g_d (in
+    int_rows order), nonzero entries only.
 
-    For each basis row u of g_d (in int_rows order), the pairs
-    (i, coordinates of d_i u), nonzero lowerings only.  The coordinates are
-    in the basis of g_(d-1) scaled to pivot entries 1, keyed by pivot
-    position (by flat column when g_(d-1) is full): the entries of d_i u
-    at the pivot columns, integers, read once the integer residual check
-    of contains_vector has found d_i u in g_(d-1); else NotASubcomplex.
-    Along one direction distinct monomials lower to distinct monomials, so
-    no entries of d_i u meet."""
+    The coordinates are in the basis of g_(d-1) scaled to pivot entries 1,
+    keyed by pivot position (by flat column when g_(d-1) is full): the
+    entries of d_i u at the pivot columns, integers, read once the integer
+    residual check of contains_vector has found d_i u in g_(d-1); else
+    NotASubcomplex.  Along one direction distinct monomials lower to
+    distinct monomials, so no entries of d_i u meet."""
     shp = upper.ambient
     n, w = shp.base_dim, shp.value_dim
     low_index = _sym_index(n, shp.sym_degree - 1)
@@ -147,22 +148,19 @@ def _lowering_table(upper: Subspace, lower: Subspace) -> LoweringTable:
     moves = [[(low_index[_lowered(mono, i)] * w, mono[i]) if mono[i] else None
               for i in range(n)] for mono in shp.sym_list()]
     pos = None if lower.is_full else {c: p for p, c in enumerate(lower.pivots)}
-    table = []
-    for u in upper.int_rows:
-        split = [(moves[c // w], c % w, v) for c, v in u.items()]
-        lowerings = []
-        for i in range(n):
+    table: LoweringTable = tuple({} for _ in range(n))
+    for u, row in enumerate(upper.int_rows):
+        split = [(moves[c // w], c % w, v) for c, v in row.items()]
+        for i, by_coord in enumerate(table):
             low = {mv[i][0] + b: mv[i][1] * v for mv, b, v in split if mv[i]}
-            if not low:
-                continue
-            if pos is not None:
+            if pos is not None and low:
                 if not lower.contains_vector(low):
                     raise NotASubcomplex("grade %d is not closed under lowering"
                                          % shp.sym_degree)
                 low = {pos[c]: v for c, v in low.items() if c in pos}
-            lowerings.append((i, low))
-        table.append(lowerings)
-    return tuple(table)
+            for p, v in low.items():
+                by_coord.setdefault(p, []).append((u, v))
+    return table
 
 
 class SymbolicSystem:
@@ -383,13 +381,14 @@ class CochainComplex:
         value factor, so it then vanishes on every image of C(d, 0), and,
         as delta(u (x) omega) = (delta u) ^ omega, at every s.  It reads
         the maps that the ranks read: on one value coordinate when C is
-        full."""
+        full, and for a _KoszulMap the rows that are its rank columns
+        transposed."""
         shape = C.ambient._replace(value_dim=1) if C.is_full else C.ambient
         delta = self._differential(shape)
         after = self._differential(delta.codomain)
         if not isinstance(after, LinearMap):
             # Its rows, built once for this check and then dropped.
-            after = LinearMap(after.domain, after.codomain, list(after.rows))
+            after = LinearMap(after.domain, after.codomain, after.rows)
         if any(map(after.apply,
                    islice(delta.rows, 0, None, shape.value_dim))):
             raise NotASubcomplex(
@@ -480,64 +479,43 @@ class GradeShape(TensorShape):
         return self.base_dim
 
 
-# Per direction i: coordinate p of g_(d-1) -> [(u, coordinate of D_i u at p)].
-TransposedTable = Tuple[Dict[int, List[Tuple[int, int]]], ...]
-
-
-def _transposed(table: LoweringTable, n: int) -> TransposedTable:
-    """The lowering table of degree d by direction and coordinate."""
-    out: TransposedTable = tuple({} for _ in range(n))
-    for u, lowerings in enumerate(table):
-        for i, coords in lowerings:
-            low = out[i]
-            for p, v in coords.items():
-                low.setdefault(p, []).append((u, v))
-    return out
-
-
 class _KoszulMap:
     """sum_i D_i (x) (e^i ^ .) from the GradeShape cell of g_d (x) Lambda^s
     into the cell of (d - 1, s + 1), read off the lowering table of degree
-    d (per basis row u of g_d, the pairs (i, coordinates of D_i u)).
+    d (per direction i, coordinate p of g_(d-1) -> the pairs (u, D_i u [p])).
 
-    The engine's ranks read its columns, one per coordinate (p, K) of the
-    codomain, built from the table transposed: the entries
-    sign(i, K) D_i u [p] at (u, K - i) for i in K, which fall on distinct
-    domain columns.  The table writes D_i u in the basis of g_(d-1) scaled
-    to pivot entries 1, which scales each column by a positive number and
-    changes neither a rank nor a pivot set.  Its rows, which only the
-    engine's delta^2 check composes, are formed on demand in the primitive
-    basis of both cells: they divide the coordinate at p by scale[p], the
-    pivot entry of g_(d-1)'s primitive row p (1 in monomial coordinates)."""
+    One generator gives the matrix, column by column: per coordinate
+    (p, K) of the codomain, the entries sign(i, K) D_i u [p] at (u, K - i)
+    for i in K, which fall on distinct domain columns.  The engine's ranks
+    read those columns.  The table writes D_i u in the basis of g_(d-1)
+    scaled to pivot entries 1, which scales each column by a positive
+    number and changes neither a rank nor a pivot set.  The rows, which
+    only the engine's delta^2 check composes, are those same columns
+    transposed, in the primitive basis of both cells: the entries of
+    coordinate p divided by scale[p], the pivot entry of g_(d-1)'s
+    primitive row p (1 in monomial coordinates)."""
 
     def __init__(self, domain: GradeShape, codomain: TensorShape,
-                 table: LoweringTable, transposed: TransposedTable,
-                 scale: Sequence[int]):
+                 table: LoweringTable, scale: Sequence[int]):
         self.domain = domain
         self.codomain = codomain
         self._table = table
-        self._transposed = transposed
         self._scale = scale
         # Flat codomain column of coordinate p tensor the first form.
         w, wc = codomain.value_dim, codomain.wedge_count
         self._base = [p // w * wc * w + p % w
                       for p in range(codomain.sym_count * w)]
-        # Per domain form e_J and direction i: (sign, column offset of
-        # e^i ^ e_J), for the rows.
-        K_index = _wedge_index(codomain.ext_dim, codomain.ext_degree)
-        self._inserts = [[ins and (ins[0], K_index[ins[1]] * w)
-                          for ins in (_wedge_insert(i, J)
-                                      for i in range(domain.ext_dim))]
-                         for J in domain.wedge_list()]
 
-    def columns(self, cleared: Container[int]) -> Iterator[Vec]:
-        """The nonempty columns at coordinates outside cleared."""
+    def _columns(self, cleared: Container[int]
+                 ) -> Iterator[Tuple[int, int, Vec]]:
+        """(flat codomain column, p, column) for the nonempty columns at
+        coordinates outside cleared."""
         wc = self.domain.wedge_count
         w = self.codomain.value_dim
         J_index = _wedge_index(self.domain.ext_dim, self.domain.ext_degree)
         for K_i, K in enumerate(self.codomain.wedge_list()):
             # Per i in K: (D_i by coordinate, sign of e^i ^ e_(K - i), K - i).
-            faces = [(self._transposed[i], -1 if t % 2 else 1,
+            faces = [(self._table[i], -1 if t % 2 else 1,
                       J_index[K[:t] + K[t + 1:]]) for t, i in enumerate(K)]
             off = K_i * w
             for p, flat in enumerate(self._base):
@@ -546,35 +524,31 @@ class _KoszulMap:
                 column = {u * wc + J: sign * v for low, sign, J in faces
                           for u, v in low.get(p, ())}
                 if column:
-                    yield column
+                    yield flat + off, p, column
 
-    def _row(self, k: int) -> Vec:
-        u, j = divmod(k, self.domain.wedge_count)
-        inserts, scale, base = self._inserts[j], self._scale, self._base
-        row: Vec = {}
-        for i, coords in self._table[u]:
-            if inserts[i]:
-                sign, off = inserts[i]
-                for p, v in coords.items():
-                    row[base[p] + off] = (sign * v if scale[p] == 1
-                                          else Fraction(sign * v, scale[p]))
-        return row
+    def columns(self, cleared: Container[int]) -> Iterator[Vec]:
+        """The nonempty columns at coordinates outside cleared."""
+        return (column for _, _, column in self._columns(cleared))
 
     @property
-    def rows(self) -> Iterator[Vec]:
-        return map(self._row, range(self.domain.dim))
+    def rows(self) -> List[Vec]:
+        rows: List[Vec] = [{} for _ in range(self.domain.dim)]
+        scale = self._scale
+        for c, p, column in self._columns(()):
+            for k, v in column.items():
+                rows[k][c] = v if scale[p] == 1 else Fraction(v, scale[p])
+        return rows
 
 
 def spencer_complex(system: SymbolicSystem) -> CochainComplex:
     """g_d (x) Lambda^s V* with the lowering differential, in the
     coordinates of g_d (a full GradeShape cell): the differential is
     sum_i D_i (x) (e^i ^ .), with the D_i of system.lowering(d), which
-    checked the closure, and the engine builds its columns from that table
-    transposed, once per degree (_KoszulMap).  A full or zero grade keeps
-    its monomial coordinates and delta_map, for the engine's unit value
-    fast path."""
+    checked the closure and holds each D_i by its columns, from which the
+    engine's columns and the delta^2 check's rows are built (_KoszulMap).
+    A full or zero grade keeps its monomial coordinates and delta_map, for
+    the engine's unit value fast path."""
     n = system.base_dim
-    transposed: Dict[int, TransposedTable] = {}
 
     def cell(d: int, s: int) -> Subspace:
         g = system.grade(d)
@@ -586,14 +560,11 @@ def spencer_complex(system: SymbolicSystem) -> CochainComplex:
         if not isinstance(dom, GradeShape):
             return delta_map(dom)
         d = dom.sym_degree
-        table = system.lowering(d)
-        if d not in transposed:
-            transposed[d] = _transposed(table, n)
         lower = system.grade(d - 1)
         scale = ([1] * lower.dim if lower.is_full else
                  [row[c] for c, row in zip(lower.pivots, lower.int_rows)])
         return _KoszulMap(dom, cell(d - 1, dom.ext_degree + 1).ambient,
-                          table, transposed[d], scale)
+                          system.lowering(d), scale)
 
     return CochainComplex(n, cell, differential)
 

@@ -395,6 +395,10 @@ MALFORMED_FILES = [
     pytest.param("h", dict(GOOD_H, h=[]), id="h-grades-list"),
     pytest.param("h", dict(GOOD_H, h={"-1": [[1]]}), id="h-negative-grade"),
     pytest.param("h", dict(GOOD_H, h={"1": [[1, 2]]}), id="h-row-length"),
+    pytest.param("h", dict(GOOD_H, ambient={"m": 2, "n": 2}),
+                 id="h-ambient-mismatch"),
+    pytest.param("h", dict(GOOD_H, tau_basis=[[0, 1]]),
+                 id="h-tau-basis-mismatch"),
 ]
 
 
@@ -415,6 +419,12 @@ def test_malformed_file_is_usage_error(capsys, tmp_path, role, doc):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+def test_tresse_without_poly_file_is_usage_error(capsys):
+    assert main(["tresse"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--poly-file" in err
 
 
 def test_degree_zero_covariants_is_usage_error(capsys):
@@ -454,6 +464,26 @@ def test_failed_cross_check_is_precondition_failure(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("precondition failed:") and "Traceback" not in err
+
+
+def test_any_package_error_is_precondition_failure(capsys, monkeypatch):
+    # main maps the package's base error onto exit 3, so an error class
+    # that it does not name still exits with a message.
+    from spencer import cli
+    from spencer.errors import SpencerError
+
+    class Unlisted(SpencerError):
+        pass
+
+    def failing(args):
+        raise Unlisted("an unlisted package error")
+
+    monkeypatch.setattr(cli, "cmd_symbols", failing)
+    code = main(["symbols", "--group", "general:m=2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("precondition failed:") and "Traceback" not in err
+    assert "an unlisted package error" in err
 
 
 # ---------------------------------------------------------------- grammar fuzz

@@ -516,12 +516,30 @@ def test_delta_squared_check_divides_by_the_pivot_entries(monkeypatch):
     symbolic = importlib.import_module("spencer.symbolic")
     init = symbolic._KoszulMap.__init__
 
-    def unscaled(self, domain, codomain, table, transposed, scale):
-        init(self, domain, codomain, table, transposed, [1] * len(scale))
+    def unscaled(self, domain, codomain, table, scale):
+        init(self, domain, codomain, table, [1] * len(scale))
 
     monkeypatch.setattr(symbolic._KoszulMap, "__init__", unscaled)
     with pytest.raises(NotASubcomplex, match="square to zero at degree 3"):
         spencer_table(SymbolicSystem(4, 4, grades), range(3), range(5))
+
+
+def test_delta_squared_check_reads_the_rank_columns(monkeypatch, capsys):
+    # The check composes the rows of the very matrix whose columns the
+    # ranks read.  With every entry of those columns replaced by its
+    # absolute value the Koszul matrix no longer squares to zero, so the
+    # table is refused instead of printed nonzero.
+    symbolic = importlib.import_module("spencer.symbolic")
+    placed = symbolic._KoszulMap._columns
+
+    def unsigned(self, cleared):
+        for c, p, column in placed(self, cleared):
+            yield c, p, {k: abs(v) for k, v in column.items()}
+
+    monkeypatch.setattr(symbolic._KoszulMap, "_columns", unsigned)
+    assert main(["cohomology", "--table", "spencer", "--group",
+                 "symplectic:2n=4", "--l", "1..3"]) == 3
+    assert "does not square to zero" in capsys.readouterr().err
 
 
 def test_spencer_ranks_read_only_uncleared_nonempty_columns(count_calls):
