@@ -16,17 +16,19 @@ flag and order.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+import math
+from functools import cached_property, lru_cache, partial
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .errors import (AmbientMismatch, ConsistencyCheckFailed, DegreeUnderflow,
                      EquationNotInvariant, ParamOutOfRange, ShapeMismatch)
-from .exactla import (LinearMap, Subspace, TensorShape, Vec, _back_substitute,
-                      _exact, _sym_index, _wedge_index, contains, echelon,
-                      image, preimage, subspace_intersect, subspace_sum,
-                      tensor_all_forms, tensor_rows_with_wedge, wedge_basis)
-from .symbolic import (CochainComplex, SymbolicSystem, _lowered, _raised,
-                       _restriction_frame, _substituted, _wedge_insert,
+from .exactla import (IntVec, LinearMap, Subspace, TensorShape, Vec,
+                      _back_substitute, _exact, _sym_index, contains, det,
+                      echelon, image, preimage, subspace_intersect,
+                      subspace_sum, tensor_all_forms, wedge_basis)
+from .symbolic import (CochainComplex, SymbolicSystem, _bucketed, _lowered,
+                       _raised, _restriction_frame, _substituted,
                        annihilator, delta_map, restrict_delta,
                        spencer_complex, strongly_noncharacteristic)
 
@@ -42,7 +44,11 @@ class FlagContext:
     tau-form complex of the flag.  A tau-form cell holds all of
     Lambda^s tau*, so a change of basis of tau is an isomorphism of
     complexes: the tables are those along tau, and the rows, the delta^2
-    check and the ranks run in ints on every flag.
+    check and the ranks run in ints on every flag.  ``form_restriction(s)``
+    is Lambda^s of the restriction of forms along those rows, by its
+    columns, and ``integral_restriction(l)`` the order-l restriction along
+    them, with the projection to nu scaled to integers: the stationary
+    row's restriction, whose kernels do not depend on the basis of tau.
     """
 
     def __init__(self, m: int, tau_basis: Sequence[Sequence[object]]):
@@ -64,12 +70,42 @@ class FlagContext:
                  for row in self.tau_space.int_rows]
         self.restricted_delta = lru_cache(maxsize=None)(
             partial(restrict_delta, frame))
+        self.form_restriction = lru_cache(maxsize=None)(
+            partial(_form_restriction, frame))
+        self._int_rho = _restriction_frame(frame, m)
         self._stationary: Dict[Tuple[SymbolicSystem, int], Subspace] = {}
+        self._restrictions: Dict[Tuple[SymbolicSystem, int],
+                                 Sequence[Vec]] = {}
         self._kernels: Dict[int, Subspace] = {}
 
     def value_projection(self, b: int) -> Vec:
         """Coordinates of the b-th ambient basis vector in nu = V/tau."""
         return self.tau_space.quotient_coords({b: 1})
+
+    def integral_restriction(self, l: int) -> LinearMap:
+        """The order-l restriction along the integer rows of tau_space,
+        with integer entries; its kernel is restriction_kernel's."""
+        return _restriction(self, l, self._int_rho, self._int_projection)
+
+    @cached_property
+    def _int_projection(self) -> List[Vec]:
+        """value_projection times the lcm of tau_space's pivot entries: the
+        projection to nu with integer entries."""
+        scale = math.lcm(*(row[c] for c, row in zip(self.tau_space.pivots,
+                                                     self.tau_space.int_rows)))
+        return [{k: int(v * scale) for k, v in
+                 self.value_projection(b).items()} for b in range(self.m)]
+
+
+def _form_restriction(frame: Sequence[Sequence[int]],
+                      s: int) -> List[IntVec]:
+    """Lambda^s V* -> Lambda^s tau* along the frame rows, by its columns:
+    per K in wedge_basis(n, s), the minors J -> det frame[K][J], nonzero
+    ones only.  The frame rows are independent, so the columns are."""
+    m = len(frame[0])
+    return [{j: v for j, J in enumerate(wedge_basis(m, s))
+             if (v := det([[frame[a][c] for c in J] for a in K]))}
+            for K in wedge_basis(len(frame), s)]
 
 
 def restriction_map(ctx: FlagContext, l: int) -> LinearMap:
@@ -78,14 +114,21 @@ def restriction_map(ctx: FlagContext, l: int) -> LinearMap:
     Restricts the symmetric arguments to tau and projects the value to the
     quotient; its kernel is restriction_kernel.
     """
+    return _restriction(ctx, l, ctx.rho,
+                        [ctx.value_projection(b) for b in range(ctx.m)])
+
+
+def _restriction(ctx: FlagContext, l: int, rho: Sequence[Vec],
+                 proj: Sequence[Vec]) -> LinearMap:
+    """restriction_map along the covector restrictions rho, with the value
+    projections proj."""
     m, n = ctx.m, ctx.n
     dom = TensorShape(m, l, 0, m)
     cod = TensorShape(n, l, 0, ctx.r)
     cod_sym = _sym_index(n, l)
-    proj = [ctx.value_projection(b) for b in range(m)]
     rows: List[Vec] = []
     for mono in dom.sym_list():
-        sym_img = _substituted(mono, ctx.rho, n)
+        sym_img = _substituted(mono, rho, n)
         # Distinct (monomial, value) pairs are distinct columns, and each
         # factor is nonzero, so no entries meet.
         for b in range(m):
@@ -248,55 +291,83 @@ def covariants(ctx: FlagContext, g_l: Subspace,
 # the four-row diagram: cell constructors and cochain complexes
 
 
-def stationary_row_space(ctx: FlagContext, gsys: SymbolicSystem,
-                         l: int, s: int) -> Subspace:
-    """Cell of the stationary row inside g^(l-s) (x) Lambda^s V*.
+def _grade_restriction(ctx: FlagContext, gsys: SymbolicSystem,
+                       d: int) -> Sequence[Vec]:
+    """The restriction on g_d: per basis row of g_d (in int_rows order, the
+    ambient basis when g_d is full), its image under
+    ctx.integral_restriction(d).  Its kernel in g_d is stat_d.  Computed
+    once per flag, system and d."""
+    key = (gsys, d)
+    if key not in ctx._restrictions:
+        lam = ctx.integral_restriction(d)
+        g = gsys.grade(d)
+        ctx._restrictions[key] = (lam.rows if g.is_full else
+                                  [lam.apply(row) for row in g.int_rows])
+    return ctx._restrictions[key]
 
-    Sum of (symbol grade) (x) (annihilator wedge lower forms) with
-    (stationary subspace) (x) (all forms).  As stat_d lies in g_d, that is
-    the direct sum g_d (x) W + stat_d (x) W^c, with W the reduced span of
-    the annihilator wedges and W^c the unit forms at its non-pivot columns.
-    Canonical rows tensor canonical rows lead at (sym, W pivot, value) of
-    their pivots, and stat_d (x) e^j rows at the non-pivots j of W, so the
-    rows lead at distinct columns and need only back-substitution.
-    """
-    m = ctx.m
-    if gsys.base_dim != m or gsys.value_dim != m:
-        raise AmbientMismatch("symbol system does not live over the flag")
-    d = l - s
-    shape = TensorShape(m, max(d, 0), s, m)
-    if d < 0 or s > m:
-        return Subspace.zero(shape)
-    g = gsys.grade(d)
-    wedge_rows: List[Vec] = []
-    if s >= 1:
-        wpos = _wedge_index(m, s)
-        for alpha in ctx.ann.int_rows:
-            for L in wedge_basis(m, s - 1):
-                # Each j outside L gives its own form e^j ^ e^L.
-                wrow: Vec = {}
-                for j, coef in alpha.items():
-                    ins = _wedge_insert(j, L)
-                    if ins is not None:
-                        wrow[wpos[ins[1]]] = ins[0] * coef
-                if wrow:
-                    wedge_rows.append(wrow)
-    W = echelon(wedge_rows)
-    W_c = [{j: 1} for j in range(shape.wedge_count) if j not in W]
-    stat = _stationary_grade(ctx, gsys, d)
-    return _canonical_sum(
-        shape,
-        tensor_rows_with_wedge(g.int_rows, g.ambient, W.values(), shape)
-        + tensor_rows_with_wedge(stat.int_rows, stat.ambient, W_c, shape),
-        "stationary-row")
+
+class _RestrictedColumns:
+    """The columns l (x) phi of pi = lambda_d (x) (Lambda^s V* ->
+    Lambda^s tau*) on the Spencer cell of shape: l over independent
+    functionals on the coordinates p of g_d (p = monomial * w + value in
+    a full cell, the basis row of g_d in a GradeShape one, where w is 1),
+    phi over the independent columns of the form restriction.  Such
+    products are independent, and l (x) phi sits at
+    (p // w * wedge_count + J) * w + p % w.  Its length is their number,
+    and each pass builds them anew: they are dense, and a cell outlives
+    the rank that reads them."""
+
+    __slots__ = ("functionals", "forms", "shape")
+
+    def __init__(self, functionals: Sequence[IntVec],
+                 forms: Sequence[IntVec], shape: TensorShape):
+        self.functionals = functionals
+        self.forms = forms
+        self.shape = shape
+
+    def __len__(self) -> int:
+        return len(self.functionals) * len(self.forms)
+
+    def __iter__(self) -> Iterator[IntVec]:
+        w, wc = self.shape.value_dim, self.shape.wedge_count
+        for l in self.functionals:
+            split = [(p // w * wc * w + p % w, v) for p, v in l.items()]
+            for phi in self.forms:
+                yield {base + J * w: v * f for base, v in split
+                       for J, f in phi.items()}
 
 
 def stationary_row_complex(ctx: FlagContext,
                            gsys: SymbolicSystem) -> CochainComplex:
-    """Stationary-row cells with the lowering differential."""
-    return CochainComplex(
-        ctx.m, lambda d, s: stationary_row_space(ctx, gsys, d + s, s),
-        delta_map)
+    """The stationary row, with cells
+    S(d, s) = g_d (x) (ann ^ Lambda^(s-1) V*) + stat_d (x) Lambda^s V*,
+    read off g's Spencer complex: S(d, s) is the kernel of
+    pi = lambda_d (x) (Lambda^s V* -> Lambda^s tau*) on its cell
+    g_d (x) Lambda^s V*, where the factors' kernels are stat_d and the
+    annihilator ideal.  The engine ranks pi's columns with the
+    differential's and never builds S; pi is taken along the integer rows
+    of tau (ctx.integral_restriction, ctx.form_restriction), and its
+    functionals on g_d are one echelon per degree.  The clearing holds
+    because pi(d, s) o delta = delta_Q o pi(d + 1, s - 1), with delta_Q
+    the differential along tau of lambda(g) (x) Lambda tau*: restriction
+    commutes with lowering along tau."""
+    m = ctx.m
+    if gsys.base_dim != m or gsys.value_dim != m:
+        raise AmbientMismatch("symbol system does not live over the flag")
+
+    @lru_cache(maxsize=None)
+    def functionals(d: int) -> Tuple[IntVec, ...]:
+        images = enumerate(_grade_restriction(ctx, gsys, d))
+        return tuple(echelon((column for _, column
+                              in _bucketed(images, None)),
+                             canonical=False).values())
+
+    def restriction(d: int, s: int,
+                    shape: TensorShape) -> _RestrictedColumns:
+        return _RestrictedColumns(functionals(d), ctx.form_restriction(s),
+                                  shape)
+
+    return spencer_complex(gsys, restriction)
 
 
 def tau_form_complex(ctx: FlagContext, gsys: SymbolicSystem,

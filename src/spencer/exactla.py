@@ -91,6 +91,10 @@ def wedge_basis(n: int, e: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(combinations(range(n), e))
 
 
+# Every count of a shape is a binomial coefficient, read through this cache.
+_comb = lru_cache(maxsize=None)(math.comb)
+
+
 @lru_cache(maxsize=None)
 def _sym_index(n: int, d: int) -> Dict[Tuple[int, ...], int]:
     return {m: i for i, m in enumerate(sym_basis(n, d))}
@@ -151,11 +155,11 @@ class TensorShape(_Shape):
 
     @property
     def sym_count(self) -> int:
-        return math.comb(self.base_dim + self.sym_degree - 1, self.sym_degree)
+        return _comb(self.base_dim + self.sym_degree - 1, self.sym_degree)
 
     @property
     def wedge_count(self) -> int:
-        return math.comb(self.ext_dim, self.ext_degree)
+        return _comb(self.ext_dim, self.ext_degree)
 
     @property
     def dim(self) -> int:

@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from typing import (Callable, Container, Dict, Iterable, Iterator, List,
-                    Mapping, NamedTuple, Optional, Sequence, Set, Tuple)
+from itertools import chain, islice
+from typing import (Callable, Collection, Container, Dict, Iterable,
+                    Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from .errors import (AmbientMismatch, DegreeUnderflow, EquationNotInvariant,
                      MissingGrade, NotASubcomplex, ShapeMismatch, ZeroVector)
@@ -270,11 +271,11 @@ def _basis_images(delta, C: Subspace) -> Iterable[Tuple[int, Vec]]:
 
 
 def _bucketed(images: Iterable[Tuple[int, Vec]],
-              keep: Optional[Set[int]]) -> Iterator[Vec]:
-    """The columns of the rows keyed k at the coordinates in keep (every
-    coordinate when keep is None): column c maps k to image[c].  Each image
-    is bucketed as it comes and then dropped, and each column once it is
-    handed over; none is empty."""
+              keep: Optional[Set[int]]) -> Iterator[Tuple[int, Vec]]:
+    """(c, column) for the columns of the rows keyed k at the coordinates c
+    in keep (every coordinate when keep is None): the column maps k to
+    image[c].  Each image is bucketed as it comes and then dropped, and
+    each column once it is handed over; none is empty."""
     columns: Dict[int, Vec] = {}
     for k, image in images:
         for c, v in image.items():
@@ -285,26 +286,39 @@ def _bucketed(images: Iterable[Tuple[int, Vec]],
                 else:
                     column[k] = v
     for c in list(columns):
-        yield columns.pop(c)
+        yield c, columns.pop(c)
 
 
 class CochainComplex:
     """Cells C(d, s), d >= 0 and 0 <= s <= top, modulo an optional
-    subcomplex V(d, s), with a differential from (d, s) to (d - 1, s + 1)
-    that ``differential(shape)`` gives as the identity on the value factor:
+    subcomplex V(d, s), or cut down to the kernel of an optional
+    restriction, with a differential from (d, s) to (d - 1, s + 1) that
+    ``differential(shape)`` gives as the identity on the value factor:
     a LinearMap, or an object that builds its own columns (see
     _KoszulMap), whose closure its complex checks elsewhere (the Spencer
     complex through its lowering tables).
 
-    H(d, s) counts the cell elements whose differential falls in
-    V(d - 1, s + 1), modulo V(d, s) and the differential of C(d + 1, s - 1).
+    ``restriction(d, s, shape)`` gives a map pi(d, s) on C(d, s) (of that
+    ambient shape) by its columns, a collection that may be iterated more
+    than once, and whose members must be independent: the functionals on
+    C's coordinates whose common kernel S(d, s) is the cell that counts.  S(d, s) is never built: dim S = dim C - rank pi,
+    and the rank of the differential on S is the rank of the
+    differential's columns together with pi's, less rank pi, since the
+    span of both annihilates exactly the kernel of the differential inside
+    S.  One non-canonical echelon takes the differential's sparse columns
+    first and pi's few dense ones last, so that no sparse column is
+    reduced by a dense one.  Without a restriction pi is zero and S is C.
+
+    H(d, s) counts the elements of S(d, s) whose differential falls in
+    V(d - 1, s + 1), modulo V(d, s) and the differential of S(d + 1, s - 1).
     Maps and ranks are memoized, and a cell is kept until both ranks that
     read it are known, so a table builds each cell and takes each rank once.
     Raises EquationNotInvariant when V is not inside C, and NotASubcomplex
-    when a count is negative, the differential leaves V or C, or it does
-    not square to zero.  A full cell over a full next cell (no subcomplex)
-    takes value_dim times the rank of the differential on the unit value
-    space.
+    when a count is negative, the differential leaves V, C or S, or it does
+    not square to zero.  A full cell over a full next cell (no subcomplex,
+    no restriction on the cell) takes value_dim times the rank of the
+    differential on the unit value space; under a restriction it takes
+    the unit value columns at each of the value_dim coordinates c * w + b.
 
     Each rank is taken on the columns of the differential on C(d, s): one
     row per coordinate of C(d - 1, s + 1) (its flat column when that cell
@@ -314,22 +328,28 @@ class CochainComplex:
     and Kerber, EuroCG 2011; Bauer, J. Appl. Comput. Topol. 5, 2021): as
     delta^2 = 0, the rows of the rank at (d - 1, s + 1) annihilate the
     columns of the rank at (d, s), so at each pivot p of the former the
-    column at p depends on the columns after p and is dropped.  A table
-    takes those two ranks in that order (s rising within d, then d
-    rising) and releases each pivot set once read, so every degree but the
-    lowest of its range is cleared.  Under a subcomplex nothing is.
+    column at p depends on the columns after p and is dropped.  Under a
+    restriction, a row of the rank at (d - 1, s + 1) is a combination of
+    the columns of pi(d - 1, s + 1) and of the differential, and composed
+    with the differential it is a combination of the columns of
+    pi(d, s), as S is closed; so the whole pivot set clears, the pivots of
+    pi's columns too.  A table takes those two ranks in that order (s
+    rising within d, then d rising) and releases each pivot set once read,
+    so every degree but the lowest of its range is cleared.  Under a
+    subcomplex nothing is.
 
     Closure is checked once per degree, on the (d, 0) cell: the first rank
     taken at a degree d >= 1 (with s < top) first takes the rank at (d, 0),
-    which checks that the differential sends C(d, 0) into C(d - 1, 1) and
-    V(d, 0) into V(d - 1, 1); into a full next cell this holds trivially
-    and is skipped.  Without a subcomplex that rank first checks
-    delta^2 = 0 from (d, 0), before any rank of degree d is cleared.  So a
-    table whose form degrees exclude 0 still builds the (d, 0) cell of
-    each degree it reads.  This relies on the shape of the cells: each is
-    a sum of pieces u (x) omega, with u in C(d, 0) and omega in all of
-    Lambda^s, or with u in a grade closed under lowering (checked by its
-    SymbolicSystem) and omega in an ideal of the exterior algebra.  As
+    which checks that the differential sends C(d, 0) into C(d - 1, 1),
+    V(d, 0) into V(d - 1, 1) and S(d, 0) into S(d - 1, 1); into a full
+    next cell this holds trivially and is skipped.  Without a subcomplex
+    that rank first checks delta^2 = 0 from (d, 0), before any rank of
+    degree d is cleared.  So a table whose form degrees exclude 0 still
+    builds the (d, 0) cell of each degree it reads.  This relies on the
+    shape of the cells: each is a sum of pieces u (x) omega, with u in
+    C(d, 0) (or S(d, 0)) and omega in all of Lambda^s, or with u in a
+    grade closed under lowering (checked by its SymbolicSystem) and omega
+    in an ideal of the exterior algebra.  As
     delta(u (x) omega) = (delta u) ^ omega, the checks at (d, 0) then hold
     at every s.
     """
@@ -337,25 +357,33 @@ class CochainComplex:
     def __init__(self, top: int, cell: Callable[[int, int], Subspace],
                  differential: Callable[[TensorShape],
                                         LinearMap | _KoszulMap],
-                 sub: Optional[Callable[[int, int], Subspace]] = None):
+                 sub: Optional[Callable[[int, int], Subspace]] = None,
+                 restriction: Optional[Callable[[int, int, TensorShape],
+                                                Collection[Vec]]] = None):
         self.top = top
         self._cell = cell
         self._sub = sub
+        self._restriction = restriction
         self._differential = lru_cache(maxsize=None)(differential)
-        self._cells: Dict[Tuple[int, int], Tuple[Subspace, Optional[Subspace]]] = {}
+        self._cells: Dict[Tuple[int, int], Tuple[Subspace, Optional[Subspace],
+                                                 Collection[Vec]]] = {}
         self._ranks: Dict[Tuple[int, int], Tuple[int, int]] = {}
         # Pivot set of the rank at (d, s), kept until (d + 1, s - 1) reads it.
         self._pivots: Dict[Tuple[int, int], Set[int]] = {}
 
-    def _subspaces(self, d: int, s: int) -> Tuple[Subspace, Optional[Subspace]]:
-        """C(d, s) and V(d, s) (None without a subcomplex), V checked in C."""
+    def _subspaces(self, d: int, s: int
+                   ) -> Tuple[Subspace, Optional[Subspace], Collection[Vec]]:
+        """C(d, s), V(d, s) (None without a subcomplex), V checked in C,
+        and the columns of pi(d, s) (none without a restriction)."""
         if (d, s) not in self._cells:
             C = self._cell(d, s)
             V = None if self._sub is None else self._sub(d, s)
             if V is not None and not contains(C, V):
                 raise EquationNotInvariant(
                     "subcomplex leaves the cell at (%d, %d)" % (d, s))
-            self._cells[(d, s)] = (C, V)
+            R = (() if self._restriction is None
+                 else self._restriction(d, s, C.ambient))
+            self._cells[(d, s)] = (C, V, R)
         return self._cells[(d, s)]
 
     def _release(self, d: int, s: int):
@@ -365,11 +393,12 @@ class CochainComplex:
             self._cells.pop((d, s), None)
 
     def _cell_ranks(self, d: int, s: int) -> Tuple[int, int]:
-        """dim C(d, s) - dim V(d, s), and the differential's rank there."""
+        """dim S(d, s) - dim V(d, s), and the differential's rank there."""
         if (d, s) not in self._ranks:
-            C, V = self._subspaces(d, s)
-            self._ranks[(d, s)] = (C.dim - (0 if V is None else V.dim),
-                                   self._differential_rank(d, s, C, V))
+            C, V, R = self._subspaces(d, s)
+            self._ranks[(d, s)] = (C.dim - (0 if V is None else V.dim)
+                                   - len(R),
+                                   self._differential_rank(d, s, C, V, R))
             self._release(d, s)
             self._release(d - 1, s + 1)
         return self._ranks[(d, s)]
@@ -394,11 +423,34 @@ class CochainComplex:
             raise NotASubcomplex(
                 "the differential does not square to zero at degree %d" % d)
 
+    def _check_restriction(self, d: int, delta: LinearMap | _KoszulMap,
+                           w: int, R: Collection[Vec],
+                           R_next: Collection[Vec]):
+        """S(d, 0) -> S(d - 1, 1): each column of pi(d - 1, 1) composed
+        with the differential (the rows of delta at each of w value
+        coordinates, the rows that the ranks' columns are, transposed)
+        lies in the span of pi(d, 0)'s columns, so that
+        rank [pi(d, 0); pi(d - 1, 1) o delta] = rank pi(d, 0)."""
+        columns = dict(_bucketed(enumerate(delta.rows), None))
+        composed = []
+        for row in R_next:
+            out: Vec = {}
+            for key, v in row.items():
+                k, b = divmod(key, w)
+                for x, u in columns.get(k, {}).items():
+                    y = x * w + b
+                    out[y] = out.get(y, 0) + v * u
+            composed.append(out)
+        if len(echelon(chain(R, composed), canonical=False)) != len(R):
+            raise NotASubcomplex(
+                "differential leaves the cells at degree %d" % d)
+
     def _differential_rank(self, d: int, s: int, C: Subspace,
-                           V: Optional[Subspace]) -> int:
-        """Rank of the differential on C(d, s) modulo V(d - 1, s + 1), 0
-        when that is full, on its columns less those cleared by the rank
-        at (d - 1, s + 1); at s = 0 also the checks of degree d."""
+                           V: Optional[Subspace], R: Collection[Vec]) -> int:
+        """Rank of the differential on S(d, s) modulo V(d - 1, s + 1), 0
+        when that is full, on the differential's columns less those
+        cleared by the rank at (d - 1, s + 1), then pi(d, s)'s; at s = 0
+        also the checks of degree d."""
         if d < 1 or s >= self.top:
             return 0
         if s > 0:
@@ -410,7 +462,7 @@ class CochainComplex:
         cleared = self._pivots.pop((d - 1, s + 1), ())
         if C.dim == 0:
             return 0
-        C_next, V_next = self._subspaces(d - 1, s + 1)
+        C_next, V_next, R_next = self._subspaces(d - 1, s + 1)
         if (s == 0 and V is not None and not V_next.is_full
                 and not all(map(V_next.contains_vector,
                                 map(self._differential(C.ambient).apply,
@@ -422,13 +474,17 @@ class CochainComplex:
         mod_next = V_next is not None and V_next.dim > 0
         w = (C.ambient.value_dim if C.is_full and C_next.is_full
              and not mod_next else 1)
-        if w > 1:
-            # The unit value column at c stands for the w columns
-            # c * w + b; it is dropped when all of them are cleared.
-            cleared = {c // w for c in cleared if c % w == 0
-                       and all(c + b in cleared for b in range(1, w))}
         delta = self._differential(C.ambient._replace(value_dim=1)
                                    if w > 1 else C.ambient)
+        if s == 0 and R_next:
+            self._check_restriction(d, delta, w, R, R_next)
+        # Without pi the unit value column at c stands for the w columns
+        # c * w + b, and is dropped when all of them are cleared; with pi
+        # each of them is a column of its own.
+        spread = w if R else 1
+        if w > spread:
+            cleared = {c // w for c in cleared if c % w == 0
+                       and all(c + b in cleared for b in range(1, w))}
         if not isinstance(delta, LinearMap):
             columns = delta.columns(cleared)
         else:
@@ -441,13 +497,19 @@ class CochainComplex:
                 keep = None
             else:
                 keep = set(range(delta.codomain.dim) if C_next.is_full
-                           else C_next.pivots).difference(cleared)
-            columns = _bucketed(images, keep)
-        piv = echelon(columns, canonical=False)
+                           else C_next.pivots)
+                if spread == 1:
+                    keep.difference_update(cleared)
+            buckets = _bucketed(images, keep)
+            columns = ((column for _, column in buckets) if spread == 1 else
+                       ({k * spread + b: v for k, v in column.items()}
+                        for c, column in buckets for b in range(spread)
+                        if c * spread + b not in cleared))
+        piv = echelon(chain(columns, R), canonical=False)
         if self._sub is None and s > 0 and (d + 1, s - 1) not in self._ranks:
             self._pivots[(d, s)] = ({c * w + b for c in piv for b in range(w)}
-                                    if w > 1 else set(piv))
-        return w * len(piv)
+                                    if w > spread else set(piv))
+        return w // spread * (len(piv) - len(R))
 
     def H(self, d: int, s: int) -> int:
         """Cohomology dimension at (d, s); 0 outside the complex."""
@@ -490,10 +552,12 @@ class _KoszulMap:
     read those columns.  The table writes D_i u in the basis of g_(d-1)
     scaled to pivot entries 1, which scales each column by a positive
     number and changes neither a rank nor a pivot set.  The rows, which
-    only the engine's delta^2 check composes, are those same columns
-    transposed, in the primitive basis of both cells: the entries of
-    coordinate p divided by scale[p], the pivot entry of g_(d-1)'s
-    primitive row p (1 in monomial coordinates)."""
+    only the engine's delta^2 and restriction checks compose, are those
+    same columns transposed, in the primitive basis of both cells, times
+    the lcm of the scales: the entries of coordinate p times lcm / scale[p],
+    where scale[p] is the pivot entry of g_(d-1)'s primitive row p (1 in
+    monomial coordinates).  So they are integers, and a positive multiple
+    of the map, which is all that a test of vanishing or of a span reads."""
 
     def __init__(self, domain: GradeShape, codomain: TensorShape,
                  table: LoweringTable, scale: Sequence[int]):
@@ -533,21 +597,26 @@ class _KoszulMap:
     @property
     def rows(self) -> List[Vec]:
         rows: List[Vec] = [{} for _ in range(self.domain.dim)]
-        scale = self._scale
+        lcm = math.lcm(*self._scale)
+        factor = [lcm // c for c in self._scale]
         for c, p, column in self._columns(()):
             for k, v in column.items():
-                rows[k][c] = v if scale[p] == 1 else Fraction(v, scale[p])
+                rows[k][c] = v * factor[p]
         return rows
 
 
-def spencer_complex(system: SymbolicSystem) -> CochainComplex:
+def spencer_complex(system: SymbolicSystem,
+                    restriction: Optional[Callable[[int, int, TensorShape],
+                                                   Collection[Vec]]] = None
+                    ) -> CochainComplex:
     """g_d (x) Lambda^s V* with the lowering differential, in the
     coordinates of g_d (a full GradeShape cell): the differential is
     sum_i D_i (x) (e^i ^ .), with the D_i of system.lowering(d), which
     checked the closure and holds each D_i by its columns, from which the
     engine's columns and the delta^2 check's rows are built (_KoszulMap).
     A full or zero grade keeps its monomial coordinates and delta_map, for
-    the engine's unit value fast path."""
+    the engine's unit value path.  With a restriction, the complex of its
+    kernels inside these cells (see CochainComplex)."""
     n = system.base_dim
 
     def cell(d: int, s: int) -> Subspace:
@@ -566,7 +635,7 @@ def spencer_complex(system: SymbolicSystem) -> CochainComplex:
         return _KoszulMap(dom, cell(d - 1, dom.ext_degree + 1).ambient,
                           system.lowering(d), scale)
 
-    return CochainComplex(n, cell, differential)
+    return CochainComplex(n, cell, differential, restriction=restriction)
 
 
 def spencer_H(system: SymbolicSystem, i: int, j: int) -> int:

@@ -1,13 +1,23 @@
-"""Reference cochain complex with the closure checked on every cell.
+"""Reference cochain complex with the closure checked on every cell, and
+the stationary-row cells built in ambient coordinates.
 
 ``spencer.symbolic.CochainComplex`` checks that the differential keeps the
 cells (and the subcomplex) once per degree, on the (d, 0) cell.  This
 reference checks it on every cell whose differential it takes, and keeps
 no fast paths and no cell release, so tests can hold the engine to it.
+
+The engine reads the stationary row off g's Spencer complex as the kernel
+of a restriction and never builds its cells; ``stationary_row_space``
+builds them, and ``per_cell_stationary_complex`` takes their cohomology
+with the ambient ``delta_map``.
 """
 
+from spencer.covariants import _canonical_sum, _stationary_grade
 from spencer.errors import EquationNotInvariant, NotASubcomplex
-from spencer.exactla import contains, rank_of_rows
+from spencer.exactla import (Subspace, TensorShape, _wedge_index, contains,
+                             echelon, rank_of_rows, tensor_rows_with_wedge,
+                             wedge_basis)
+from spencer.symbolic import _wedge_insert, delta_map
 
 
 class PerCellComplex:
@@ -68,3 +78,51 @@ class PerCellComplex:
 
     def table(self, d_range, s_range):
         return {(d, s): self.H(d, s) for d in d_range for s in s_range}
+
+
+def stationary_row_space(ctx, gsys, l, s):
+    """Cell of the stationary row inside g^(l-s) (x) Lambda^s V*.
+
+    Sum of (symbol grade) (x) (annihilator wedge lower forms) with
+    (stationary subspace) (x) (all forms).  As stat_d lies in g_d, that is
+    the direct sum g_d (x) W + stat_d (x) W^c, with W the reduced span of
+    the annihilator wedges and W^c the unit forms at its non-pivot columns.
+    Canonical rows tensor canonical rows lead at (sym, W pivot, value) of
+    their pivots, and stat_d (x) e^j rows at the non-pivots j of W, so the
+    rows lead at distinct columns and need only back-substitution.  stat_d
+    is the flag's memoized stationary grade, ctx._stationary.
+    """
+    m = ctx.m
+    d = l - s
+    shape = TensorShape(m, max(d, 0), s, m)
+    if d < 0 or s > m:
+        return Subspace.zero(shape)
+    g = gsys.grade(d)
+    wedge_rows = []
+    if s >= 1:
+        wpos = _wedge_index(m, s)
+        for alpha in ctx.ann.int_rows:
+            for L in wedge_basis(m, s - 1):
+                # Each j outside L gives its own form e^j ^ e^L.
+                wrow = {}
+                for j, coef in alpha.items():
+                    ins = _wedge_insert(j, L)
+                    if ins is not None:
+                        wrow[wpos[ins[1]]] = ins[0] * coef
+                if wrow:
+                    wedge_rows.append(wrow)
+    W = echelon(wedge_rows)
+    W_c = [{j: 1} for j in range(shape.wedge_count) if j not in W]
+    stat = _stationary_grade(ctx, gsys, d)
+    return _canonical_sum(
+        shape,
+        tensor_rows_with_wedge(g.int_rows, g.ambient, W.values(), shape)
+        + tensor_rows_with_wedge(stat.int_rows, stat.ambient, W_c, shape),
+        "stationary-row")
+
+
+def per_cell_stationary_complex(ctx, gsys):
+    """The stationary row over the cells of stationary_row_space."""
+    return PerCellComplex(
+        ctx.m, lambda d, s: stationary_row_space(ctx, gsys, d + s, s),
+        delta_map)

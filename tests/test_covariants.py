@@ -4,26 +4,29 @@ row cohomology, and the restriction comparison maps."""
 import collections
 import importlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from per_cell import PerCellComplex
+from per_cell import (PerCellComplex, per_cell_stationary_complex,
+                      stationary_row_space)
 from spencer.cli import main
 from spencer.errors import (ConsistencyCheckFailed, EquationNotInvariant,
                             NotASubcomplex)
-from spencer.exactla import (LinearMap, TensorShape, Subspace, image, kernel,
-                             tensor_all_forms, tensor_rows_with_wedge,
-                             wedge_basis)
+from spencer.exactla import (LinearMap, TensorShape, Subspace, det, image,
+                             kernel, solve, tensor_all_forms,
+                             tensor_rows_with_wedge, wedge_basis)
 from spencer.symbolic import (CochainComplex, SymbolicSystem, _cone_rows,
-                              delta_map, restrict_delta, spencer_complex,
-                              spencer_H, strongly_noncharacteristic)
+                              _substituted, delta_map, restrict_delta,
+                              spencer_complex, spencer_H,
+                              strongly_noncharacteristic)
 from spencer.covariants import (
     FlagContext, restriction_map, restriction_kernel, stationary_subspace,
     covariants, ORDER_ONE_CAVEAT,
     stationary_row_cohomology, restricted_spencer_H, stationary_tau_cohomology,
     covariant_cohomology, acyclicity_window,
-    restriction_isomorphism_check, transversality_scan, stationary_row_space,
+    restriction_isomorphism_check, transversality_scan,
     covariant_complex, stationary_row_complex, tau_form_complex,
 )
 from spencer.catalog import parse_pseudogroup, symbol, system, stratum_tau
@@ -536,18 +539,30 @@ def test_full_cells_are_not_materialized(count_calls, capsys):
 
 
 def test_stationary_table_builds_each_cell_once(count_calls, capsys):
+    # The stationary row builds no cell of its own: per (d, s) the columns
+    # of its restriction on the Spencer cell, once, and per degree the
+    # restriction on g_d, once.  It intersects no stationary subspace and
+    # takes the plain differential on one value coordinate only.
     covariants_module = importlib.import_module("spencer.covariants")
-    built = count_calls(covariants_module, "stationary_row_space",
-                        key=lambda ctx, gsys, l, s: (l, s))
+    symbolic = importlib.import_module("spencer.symbolic")
+    built = count_calls(covariants_module._RestrictedColumns, "__init__",
+                        key=lambda columns, functionals, forms, shape:
+                        (shape.sym_degree, shape.ext_degree))
+    restrictions = count_calls(FlagContext, "integral_restriction",
+                               key=lambda ctx, l: l)
     stationary = count_calls(covariants_module, "stationary_subspace",
                              key=lambda ctx, g_l: g_l.ambient.sym_degree)
+    plain = count_calls(symbolic, "delta_map",
+                        key=lambda shape: shape.value_dim)
     assert main(["cohomology", "--table", "stationary", "--group",
                  "general:m=3", "--flag", "tau=1,0,0;0,1,0",
                  "--l", "1..3"]) == 0
     capsys.readouterr()
     assert built and set(built.values()) == {1}
-    # The cells of one degree share its stationary subspace.
-    assert stationary and set(stationary.values()) == {1}
+    assert sorted(restrictions) == [0, 1, 2, 3, 4]
+    assert set(restrictions.values()) == {1}
+    assert not stationary
+    assert set(plain) == {1}
 
     stationary.clear()
     gsys = system(parse_pseudogroup("general:m=3"), 4)
@@ -564,21 +579,29 @@ def test_stationary_table_checks_closure_once_per_degree(count_calls,
     covariants_module = importlib.import_module("spencer.covariants")
     argv = ["cohomology", "--table", "stationary", "--group", "general:m=3",
             "--flag", "tau=1,0,0;0,1,0", "--l", "1..3"]
+    # The closure of the stationary cells is one rank check per degree,
+    # and the full grades of general:m=3 need no membership test.
     members = count_calls(Subspace, "contains_vector")
+    checks = count_calls(CochainComplex, "_check_restriction",
+                         key=lambda cx, d, *rest: d)
     assert main(argv) == 0
     capsys.readouterr()
-    # 528 calls with the closure checked on every cell; 88 once per degree.
-    assert members.total() < 528
+    assert members.total() == 0
+    assert checks == {1: 1, 2: 1, 3: 1, 4: 1}
 
     # Without s = 0 the table reads degrees 1..4 (the (d + 1, 0) cells feed
-    # the incoming ranks at s = 1), and builds each (d, 0) cell once.
-    built = count_calls(covariants_module, "stationary_row_space",
-                        key=lambda ctx, gsys, l, s: (l, s))
+    # the incoming ranks at s = 1), builds the restriction on each (d, 0)
+    # cell once, and checks each of those degrees once.
+    checks.clear()
+    built = count_calls(covariants_module._RestrictedColumns, "__init__",
+                        key=lambda columns, functionals, forms, shape:
+                        (shape.sym_degree, shape.ext_degree))
     assert main(argv + ["--s", "1..1"]) == 0
     capsys.readouterr()
     assert set(built.values()) == {1}
     assert sorted(k for k in built if k[1] == 0) == [(d, 0)
                                                     for d in range(1, 5)]
+    assert checks == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
 def test_transversality_scan_builds_one_kernel_per_order(count_calls,
@@ -648,24 +671,29 @@ FAMILY_CASES = [
 def test_closure_once_per_degree_matches_the_per_cell_check():
     # The stationary grades stat_d are replaced by subspaces S_d of g_d:
     # random ones (most often not closed), the true stationary parts, g_d
-    # or zero.  The engine checks closure on the (d, 0) cells only; the
-    # reference checks every cell.  Over all form degrees both give the
-    # same table or both raise.  Over a drawn range of form degrees the
-    # engine also checks the (d, 0) cell of each degree it reads, which
-    # the reference is given as extra ranks.
+    # or zero.  The stationary row reads S_d as the kernel of its
+    # restriction on g_d, here g_d -> g_d / S_d through quotient_coords
+    # (the true restriction for the true stationary parts), and the
+    # reference builds its ambient cells from S_d.  The engine checks
+    # closure on the (d, 0) cells only, the stationary row by one rank
+    # check per degree; the reference checks every cell.  Over all form
+    # degrees both give the same table or both raise.  Over a drawn range
+    # of form degrees the engine also checks the (d, 0) cell of each
+    # degree it reads, which the reference is given as extra ranks.
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     outcomes = collections.Counter()
 
     def subspace_of(data, g, ctx):
+        """A drawn S_d, and whether it is the true stationary part."""
         kind = data.draw(st.sampled_from(
             ["random", "random", "stationary", "grade", "zero"]))
         if kind == "stationary":
-            return stationary_subspace(ctx, g)
+            return stationary_subspace(ctx, g), True
         if kind == "grade":
-            return g
+            return g, False
         if kind == "zero" or g.dim == 0:
-            return Subspace.zero(g.ambient)
+            return Subspace.zero(g.ambient), False
         combos = []
         for _ in range(data.draw(st.integers(0, 3))):
             combo = {}
@@ -675,7 +703,7 @@ def test_closure_once_per_degree_matches_the_per_cell_check():
                 for c, v in row.items():
                     combo[c] = combo.get(c, 0) + coef * v
             combos.append(combo)
-        return Subspace.from_rows(g.ambient, combos)
+        return Subspace.from_rows(g.ambient, combos), False
 
     def outcome(table):
         try:
@@ -692,7 +720,14 @@ def test_closure_once_per_degree_matches_the_per_cell_check():
         ctx = FlagContext(spec.ambient_dim, tau)
         gsys = system(spec, 5)
         for d in range(5):
-            ctx._stationary[(gsys, d)] = subspace_of(data, gsys.grade(d), ctx)
+            g = gsys.grade(d)
+            S, true = subspace_of(data, g, ctx)
+            ctx._stationary[(gsys, d)] = S
+            if not true:
+                # The restriction on g_d whose kernel is S: per basis row of
+                # g_d, its class in g_d / S.
+                ctx._restrictions[(gsys, d)] = [S.quotient_coords(row)
+                                                for row in g.int_rows]
         if data.draw(st.booleans()):
             top = ctx.m
 
@@ -700,9 +735,7 @@ def test_closure_once_per_degree_matches_the_per_cell_check():
                 return stationary_row_complex(ctx, gsys)
 
             def reference():
-                return PerCellComplex(
-                    top, lambda d, s: stationary_row_space(ctx, gsys, d + s,
-                                                           s), delta_map)
+                return per_cell_stationary_complex(ctx, gsys)
         else:
             top = ctx.n
 
@@ -786,8 +819,9 @@ STATIONARY_CASES = [
 
 @pytest.mark.parametrize("group, flag", STATIONARY_CASES)
 def test_stationary_row_space_matches_the_sum_of_rows(group, flag):
-    # The direct sum g_d (x) W + stat_d (x) W^c, only back-substituted, is
-    # the same canonical Subspace as the eliminated sum of rows.
+    # The reference cells, the direct sum g_d (x) W + stat_d (x) W^c only
+    # back-substituted, are the same canonical Subspaces as the eliminated
+    # sum of rows.
     spec = parse_pseudogroup(group)
     tau = stratum_tau(spec, flag) if isinstance(flag, str) else flag
     ctx = FlagContext(spec.ambient_dim, tau)
@@ -800,13 +834,191 @@ def test_stationary_row_space_matches_the_sum_of_rows(group, flag):
 
 def test_stationary_row_space_rejects_rows_with_one_leading_column(
         monkeypatch):
-    covariants_module = importlib.import_module("spencer.covariants")
+    # The reference cells, like restriction_kernel, go through
+    # _canonical_sum, which back-substitutes rows that lead at distinct
+    # columns and refuses a second row at a leading column.
+    per_cell = importlib.import_module("per_cell")
 
     def twice(*args):
         rows = tensor_rows_with_wedge(*args)
         return rows + rows
 
-    monkeypatch.setattr(covariants_module, "tensor_rows_with_wedge", twice)
+    monkeypatch.setattr(per_cell, "tensor_rows_with_wedge", twice)
     gsys = system(parse_pseudogroup("general:m=3"), 2)
-    with pytest.raises(ConsistencyCheckFailed):
+    with pytest.raises(ConsistencyCheckFailed, match="two stationary-row"):
         stationary_row_space(axis_flag(3, 1), gsys, 2, 1)
+
+
+# ------------------------------------------------ tables against the reference
+
+TABLE_PLANE = [[1, 2, 0], [0, 1, Fraction(-1, 2)]]
+
+
+@pytest.mark.parametrize("group, flag", [
+    ("symplectic:2n=4", "lagrangian"),
+    ("symplectic:2n=4", "omega-nondegenerate"),
+    ("complex:nc=2", "totally-real"),
+    ("complex:nc=2", "j-invariant-line"),
+    ("contact:dim=3", "transversal-to-contact-plane"),
+    ("contact:dim=3", "inside-contact-plane"),
+    ("general:m=4", RATIONAL_PLANE),
+    ("general:m=4", RATIONAL_3_PLANE),
+    ("volume:m=4", RATIONAL_PLANE),
+    ("volume:m=4", RATIONAL_3_PLANE),
+    ("isometry:n=3", TABLE_PLANE),
+    ("isometry:n=4", RATIONAL_3_PLANE),
+    ("symplectic:2n=4", RATIONAL_PLANE),
+    ("symplectic:2n=4", RATIONAL_3_PLANE),
+    ("complex:nc=2", RATIONAL_PLANE),
+    ("complex:nc=2", RATIONAL_3_PLANE),
+    ("contact:dim=3", TABLE_PLANE),
+])
+def test_stationary_table_matches_the_per_cell_reference(group, flag):
+    # The stationary row read off g's Spencer complex through its
+    # restriction equals the cohomology of the reference's ambient cells,
+    # closure checked on every cell.
+    spec = parse_pseudogroup(group)
+    tau = stratum_tau(spec, flag) if isinstance(flag, str) else flag
+    ctx = FlagContext(spec.ambient_dim, tau)
+    gsys = system(spec, 4)
+    d_range, s_range = range(4), range(ctx.m + 1)
+    want = per_cell_stationary_complex(
+        FlagContext(spec.ambient_dim, tau), gsys).table(d_range, s_range)
+    assert stationary_row_complex(ctx, gsys).table(
+        d_range, s_range, "t").cells == want
+    assert any(want.values())
+
+
+# ------------------------------------------------- invariance under G_0
+
+def integral(A):
+    """A positive multiple of the rational matrix A with integer entries."""
+    scale = math.lcm(*(Fraction(v).denominator for row in A for v in row))
+    return [[int(v * scale) for v in row] for row in A]
+
+
+def inverse(A):
+    n = len(A)
+    columns = [solve(A, [int(i == j) for i in range(n)]) for j in range(n)]
+    return [[columns[j][i] for j in range(n)] for i in range(n)]
+
+
+def pushed(A, grade):
+    """A . g_d for a grade g_d of S^d V* (x) V: a field xi goes to
+    x -> A xi(A^-1 x), so x^M (x) e_b goes to (A^-1 x)^M (x) A e_b.  A and
+    A^-1 are scaled to integers, which scales the whole grade by one
+    positive number and leaves its span."""
+    shp = grade.ambient
+    m = shp.base_dim
+    A_int, B = integral(A), integral(inverse(A))
+    forms = [{i: B[j][i] for i in range(m) if B[j][i]} for j in range(m)]
+    images = [_substituted(mono, forms, m) for mono in shp.sym_list()]
+    rows = []
+    for row in grade.int_rows:
+        out = {}
+        for flat, v in row.items():
+            sym_i, _, b = shp.unpack(flat)
+            for mono, pv in images[sym_i].items():
+                for c in range(m):
+                    if A_int[c][b]:
+                        key = shp.index(shp.sym_pos(mono), 0, c)
+                        out[key] = out.get(key, 0) + v * pv * A_int[c][b]
+        rows.append(out)
+    return Subspace.from_rows(shp, rows)
+
+
+def preserves(A, gsys, d_max):
+    """Whether A . g_d = g_d exactly for d = 0..d_max."""
+    return all(pushed(A, gsys.grade(d)) == gsys.grade(d)
+               for d in range(d_max + 1))
+
+
+def flag_tables(m, tau, gsys):
+    """The stationary, stationary-tau and restricted tables of a flag."""
+    ctx = FlagContext(m, tau)
+    return (stationary_row_complex(ctx, gsys).table(range(4), range(m + 1),
+                                                    "t"),
+            tau_form_complex(ctx, gsys, stationary=True).table(
+                range(4), range(len(tau) + 1), "t"),
+            tau_form_complex(ctx, gsys, stationary=False).table(
+                range(4), range(len(tau) + 1), "t"))
+
+
+def moved(A, tau):
+    return [[sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A))]
+            for v in tau]
+
+
+def transvection(v, c):
+    """x -> x + c omega(v, x) v, omega = sum dx_i ^ dx_(N+i)."""
+    N = len(v) // 2
+    w = [-v[N + k] for k in range(N)] + [v[k] for k in range(N)]
+    return [[int(r == k) + c * v[r] * w[k] for k in range(2 * N)]
+            for r in range(2 * N)]
+
+
+def complex_real_form(P, Q):
+    """The real form [[P, -Q], [Q, P]] of P + iQ on (x, y), z = x + iy."""
+    return ([p + [-q for q in qr] for p, qr in zip(P, Q)]
+            + [q + p for p, q in zip(P, Q)])
+
+
+def matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+def test_flag_tables_are_invariant_under_the_linear_isotropy():
+    # The stationary, stationary-tau and restricted tables of a flag
+    # depend only on its orbit under G_0.  Each drawn A is first checked to
+    # preserve g_d exactly at every degree the tables read.
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    small = st.integers(-2, 2)
+    cases = {"symplectic:2n=4": ["lagrangian", "omega-nondegenerate"],
+             "complex:nc=2": ["totally-real", "j-invariant-line"]}
+
+    @hyp.settings(max_examples=12, deadline=None, database=None,
+                  derandomize=True)
+    @hyp.given(st.data())
+    def check(data):
+        group = data.draw(st.sampled_from(sorted(cases)))
+        spec = parse_pseudogroup(group)
+        gsys = system(spec, 5)
+        if data.draw(st.booleans()):
+            tau = stratum_tau(spec, data.draw(st.sampled_from(cases[group])))
+        else:
+            tau = [[1, 0] + [data.draw(small) for _ in range(2)],
+                   [0, 1] + [Fraction(data.draw(small), data.draw(
+                       st.integers(1, 3))) for _ in range(2)]]
+        if group == "symplectic:2n=4":
+            A = [[int(i == j) for j in range(4)] for i in range(4)]
+            for _ in range(data.draw(st.integers(1, 3))):
+                v = [data.draw(small) for _ in range(4)]
+                c = Fraction(data.draw(st.sampled_from([-2, -1, 1, 3])),
+                             data.draw(st.integers(1, 3)))
+                A = matmul(transvection(v, c), A)
+        else:
+            P = [[data.draw(small) for _ in range(2)] for _ in range(2)]
+            Q = [[data.draw(small) for _ in range(2)] for _ in range(2)]
+            A = complex_real_form(P, Q)
+            hyp.assume(det(A) != 0)
+        # The tables below read the grades of degree 0..4.
+        assert preserves(A, gsys, 4)
+        assert flag_tables(4, moved(A, tau), gsys) == flag_tables(4, tau,
+                                                                  gsys)
+
+    check()
+
+    # A map outside G_0 is refused by the check, and moving the flag by it
+    # changes the tables: the swap of x_1 and x_2 takes the Lagrangian plane
+    # to a symplectic one and the totally real plane to a complex line.
+    swap = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    for group, stratum in (("symplectic:2n=4", "lagrangian"),
+                           ("complex:nc=2", "totally-real")):
+        spec = parse_pseudogroup(group)
+        gsys = system(spec, 5)
+        tau = stratum_tau(spec, stratum)
+        assert not preserves(swap, gsys, 4)
+        assert flag_tables(4, moved(swap, tau), gsys) != flag_tables(4, tau,
+                                                                     gsys)
