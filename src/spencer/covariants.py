@@ -269,19 +269,26 @@ def covariants(ctx: FlagContext, g_l: Subspace,
     if not contains(h_l, lam_image):
         raise EquationNotInvariant(
             "restricted symbol leaves the equation at order %d" % l)
+    # Only the dimension of the stationary part g_l meet sigma is
+    # reported: dim g_l + dim sigma - dim (sigma + g_l), where the sum, also
+    # the subspace identity's, adds the rank of g_l's residuals modulo
+    # sigma's canonical rows.  sigma is built from the annihilator and tau,
+    # not from lam, so comparing with lam's image is a check, not
+    # rank-nullity.
     sigma = _kernel(ctx, l)
-    stat = subspace_intersect(g_l, sigma)
-    if g_l.dim - stat.dim != lam_image.dim:
+    total = subspace_sum(sigma, g_l)
+    dim_stat = g_l.dim + sigma.dim - total.dim
+    if g_l.dim - dim_stat != lam_image.dim:
         raise ConsistencyCheckFailed(
             "stationary and image dimensions do not add up at order %d" % l)
     dim_O = h_l.dim - lam_image.dim
     by_count = dim_O == 0
-    by_spaces = subspace_sum(sigma, g_l) == preimage(lam, h_l)
+    by_spaces = total == preimage(lam, h_l)
     if by_count != by_spaces:
         raise ConsistencyCheckFailed(
             "covariant count and subspace identity disagree at order %d" % l)
     return CovariantReport(
-        l=l, dim_g=g_l.dim, dim_h=h_l.dim, dim_stationary=stat.dim,
+        l=l, dim_g=g_l.dim, dim_h=h_l.dim, dim_stationary=dim_stat,
         dim_lambda_image=lam_image.dim, dim_O=dim_O, transversal=by_count,
         dim_necessary_ok=g_l.dim >= h_l.dim,
         caveat=ORDER_ONE_CAVEAT if l == 1 else None)

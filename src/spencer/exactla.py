@@ -197,8 +197,12 @@ def _exact(c) -> int | Fraction:
 
 def _as_int_row(vec: Mapping[int, object]) -> IntVec:
     """A new integer row with gcd 1 along vec, zero entries dropped.  The
-    gcd of the entries is also the type test: it refuses a Fraction."""
-    row = {c: v for c, v in vec.items() if v}
+    gcd of the entries is also the type test: it refuses a Fraction.  A
+    plain copy is cheaper than a filtering one, and rows rarely hold zeros,
+    so only a row with one is filtered."""
+    row = dict(vec)
+    if not all(row.values()):
+        row = {c: v for c, v in row.items() if v}
     try:
         g = math.gcd(*row.values())
     except TypeError:
@@ -455,13 +459,18 @@ class Subspace:
                         del out[col]
         return out
 
-    def contains_vector(self, vec: Mapping[int, object]) -> bool:
-        """Whether vec lies in the span, decided in integers: the residual
-        of vec scaled to a primitive integer row, with its pivot columns
-        cleared by integer multiples of their rows, is zero."""
+    def residual(self, vec: Mapping[int, object]) -> IntVec:
+        """A positive multiple of reduce_vector(vec), in integers: vec
+        scaled to a primitive integer row, with its pivot columns cleared
+        by integer multiples of their rows.  Only the pivot columns that
+        vec holds are visited."""
         row = _as_int_row(vec)
         hits = [c for c in row if c in self._piv]
-        return not _clear_pivots(row, hits, self._piv)
+        return _clear_pivots(row, hits, self._piv)
+
+    def contains_vector(self, vec: Mapping[int, object]) -> bool:
+        """Whether vec lies in the span: its residual is zero."""
+        return not self.residual(vec)
 
     def _quotient_positions(self) -> Dict[int, int]:
         if self._qpos is None:
@@ -526,8 +535,20 @@ def _check_same_ambient(a: Subspace, b: Subspace):
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    """a + b: the larger operand's canonical rows, with the echelon of the
+    smaller one's residuals modulo them, back-substituted.  The residuals
+    hold no pivot column of the larger operand, so their pivots are new.
+    An operand that is full gives itself, and one that is zero the other."""
     _check_same_ambient(a, b)
-    return Subspace.from_rows(a.ambient, a.int_rows + b.int_rows)
+    if a.is_full or b.dim == 0:
+        return a
+    if b.is_full or a.dim == 0:
+        return b
+    small, big = sorted((a, b), key=lambda s: s.dim)
+    piv = echelon(map(big.residual, small.int_rows), canonical=False)
+    piv.update(big._piv)
+    _back_substitute(piv)
+    return Subspace(a.ambient, piv)
 
 
 def _right_block_span(pairs: Iterable[Tuple[Mapping[int, object],
@@ -544,16 +565,28 @@ def _right_block_span(pairs: Iterable[Tuple[Mapping[int, object],
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus intersection: [a | a] over [b | 0]; an operand that is
-    full gives the other, and one that is zero gives itself."""
+    """a meet b, modulo the larger operand: each row of the smaller one,
+    tagged with its index past the ambient columns, is reduced to its
+    residual modulo the larger one's canonical rows.  A non-canonical
+    echelon of those rows leaves, pivoting past the ambient, the
+    coefficient vectors of the combinations whose residuals cancel: those
+    combinations span the meet.  Residuals are as wide as the larger
+    operand's codimension, not twice the ambient.  An operand that is full
+    gives the other, and one that is zero gives itself."""
     _check_same_ambient(a, b)
     if a.is_full or b.dim == 0:
         return b
     if b.is_full or a.dim == 0:
         return a
-    pairs = [(r, r) for r in a.int_rows] + [(r, {}) for r in b.int_rows]
-    return Subspace.from_rows(a.ambient,
-                              _right_block_span(pairs, a.ambient.dim))
+    small, big = sorted((a, b), key=lambda s: s.dim)
+    n = a.ambient.dim
+    piv = echelon((big.residual({**row, n + i: 1})
+                   for i, row in enumerate(small.int_rows)), canonical=False)
+    combine = LinearMap(TensorShape.vector(small.dim), a.ambient,
+                        small.int_rows)
+    return Subspace(a.ambient, echelon(
+        combine.apply({t - n: v for t, v in coefs.items()})
+        for lead, coefs in piv.items() if lead >= n))
 
 
 def contains(big: Subspace, small: Subspace) -> bool:

@@ -10,13 +10,20 @@ The engine reads the stationary row off g's Spencer complex as the kernel
 of a restriction and never builds its cells; ``stationary_row_space``
 builds them, and ``per_cell_stationary_complex`` takes their cohomology
 with the ambient ``delta_map``.
+
+``covariants()`` takes only the dimension of the stationary part, off the
+sum of the grade and the restriction kernel; ``reference_covariants``
+builds that part as the Zassenhaus meet ``zassenhaus_intersect``.
 """
 
-from spencer.covariants import _canonical_sum, _stationary_grade
-from spencer.errors import EquationNotInvariant, NotASubcomplex
-from spencer.exactla import (Subspace, TensorShape, _wedge_index, contains,
-                             echelon, rank_of_rows, tensor_rows_with_wedge,
-                             wedge_basis)
+from spencer.covariants import (ORDER_ONE_CAVEAT, CovariantReport,
+                                _canonical_sum, _stationary_grade,
+                                restriction_kernel, restriction_map)
+from spencer.errors import (ConsistencyCheckFailed, EquationNotInvariant,
+                            NotASubcomplex)
+from spencer.exactla import (Subspace, TensorShape, _right_block_span,
+                             _wedge_index, contains, echelon, image, preimage,
+                             rank_of_rows, tensor_rows_with_wedge, wedge_basis)
 from spencer.symbolic import _wedge_insert, delta_map
 
 
@@ -126,3 +133,43 @@ def per_cell_stationary_complex(ctx, gsys):
     return PerCellComplex(
         ctx.m, lambda d, s: stationary_row_space(ctx, gsys, d + s, s),
         delta_map)
+
+
+def zassenhaus_intersect(a, b):
+    """Zassenhaus intersection: [a | a] over [b | 0]; an operand that is
+    full gives the other, and one that is zero gives itself."""
+    if a.is_full or b.dim == 0:
+        return b
+    if b.is_full or a.dim == 0:
+        return a
+    pairs = [(r, r) for r in a.int_rows] + [(r, {}) for r in b.int_rows]
+    return Subspace.from_rows(a.ambient,
+                              _right_block_span(pairs, a.ambient.dim))
+
+
+def reference_covariants(ctx, g_l, h_l=None):
+    """The report of ``covariants()``, with the stationary part built as the
+    Zassenhaus meet of g_l and the restriction kernel, and both checks."""
+    l = g_l.ambient.sym_degree
+    if h_l is None:
+        h_l = Subspace.full(TensorShape(ctx.n, l, 0, ctx.r))
+    lam = restriction_map(ctx, l)
+    lam_image = image(lam, g_l)
+    if not contains(h_l, lam_image):
+        raise EquationNotInvariant(
+            "restricted symbol leaves the equation at order %d" % l)
+    sigma = restriction_kernel(ctx, l)
+    stat = zassenhaus_intersect(g_l, sigma)
+    if g_l.dim - stat.dim != lam_image.dim:
+        raise ConsistencyCheckFailed(
+            "stationary and image dimensions do not add up at order %d" % l)
+    dim_O = h_l.dim - lam_image.dim
+    total = Subspace.from_rows(g_l.ambient, sigma.int_rows + g_l.int_rows)
+    if (dim_O == 0) != (total == preimage(lam, h_l)):
+        raise ConsistencyCheckFailed(
+            "covariant count and subspace identity disagree at order %d" % l)
+    return CovariantReport(
+        l=l, dim_g=g_l.dim, dim_h=h_l.dim, dim_stationary=stat.dim,
+        dim_lambda_image=lam_image.dim, dim_O=dim_O, transversal=dim_O == 0,
+        dim_necessary_ok=g_l.dim >= h_l.dim,
+        caveat=ORDER_ONE_CAVEAT if l == 1 else None)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from per_cell import (PerCellComplex, per_cell_stationary_complex,
-                      stationary_row_space)
+                      reference_covariants, stationary_row_space)
 from spencer.cli import main
 from spencer.errors import (ConsistencyCheckFailed, EquationNotInvariant,
                             NotASubcomplex)
@@ -226,6 +226,105 @@ def test_equation_must_contain_restricted_source():
     h = Subspace.zero(TensorShape(1, 1, 0, 1))
     with pytest.raises(EquationNotInvariant):
         covariants(ctx, g, h)
+
+
+GENERIC_3_PLANE = [[1, 0, 2, 0, 1, 0], [0, 1, 0, 3, 0, -1],
+                   [1, 1, 0, 0, 2, 1]]
+
+
+@pytest.mark.parametrize("group, flag, l_max", [
+    pytest.param("symplectic:2n=6", GENERIC_3_PLANE, 3,
+                 id="symplectic:2n=6-generic-3-plane-3"),
+    ("symplectic:2n=6", "lagrangian", 4),
+    ("symplectic:2n=4", "lagrangian", 4),
+    ("symplectic:2n=4", "omega-nondegenerate", 4),
+    ("complex:nc=2", "totally-real", 4),
+    ("complex:nc=2", "j-invariant-line", 4),
+    ("contact:dim=3", "transversal-to-contact-plane", 4),
+    ("contact:dim=3", "inside-contact-plane", 4),
+])
+def test_reports_match_the_zassenhaus_reference(group, flag, l_max):
+    # The report reads the stationary dimension off the sum of g_l and the
+    # restriction kernel, a rank of residuals modulo the kernel; the
+    # reference intersects g_l with that kernel by Zassenhaus elimination.
+    spec = parse_pseudogroup(group)
+    tau = stratum_tau(spec, flag) if isinstance(flag, str) else flag
+    ctx = FlagContext(spec.ambient_dim, tau)
+    for l in range(1, l_max + 1):
+        g = symbol(spec, l)
+        assert covariants(ctx, g) == reference_covariants(ctx, g)
+
+
+def test_reports_intersect_no_subspaces(count_calls):
+    # covariants() needs only the dimension of g_l meet sigma.
+    covariants_module = importlib.import_module("spencer.covariants")
+    meets = count_calls(covariants_module, "subspace_intersect")
+    spec = parse_pseudogroup("symplectic:2n=6")
+    ctx = FlagContext(6, GENERIC_3_PLANE)
+    for l in (1, 2, 3):
+        covariants(ctx, symbol(spec, l))
+    assert meets.total() == 0
+    stationary_subspace(ctx, symbol(spec, 2))
+    assert meets.total() == 1
+
+
+SHORT_KERNEL_CASES = [
+    ("symplectic:2n=6", "lagrangian", "do not add up"),
+    pytest.param("symplectic:2n=4", RATIONAL_PLANE, "do not add up",
+                 id="symplectic:2n=4-rational-plane"),
+    ("complex:nc=2", "totally-real", "disagree"),
+]
+
+
+@pytest.mark.parametrize("group, flag, message", SHORT_KERNEL_CASES)
+def test_report_checks_catch_a_restriction_kernel_without_its_last_row(
+        monkeypatch, group, flag, message):
+    covariants_module = importlib.import_module("spencer.covariants")
+    whole = covariants_module.restriction_kernel
+
+    def short(ctx, l):
+        sigma = whole(ctx, l)
+        if l != 2:
+            return sigma
+        return Subspace(sigma.ambient, dict(zip(sigma.pivots[:-1],
+                                                sigma.int_rows[:-1])))
+
+    monkeypatch.setattr(covariants_module, "restriction_kernel", short)
+    spec = parse_pseudogroup(group)
+    tau = stratum_tau(spec, flag) if isinstance(flag, str) else flag
+    ctx = FlagContext(spec.ambient_dim, tau)
+    covariants(ctx, symbol(spec, 1))
+    with pytest.raises(ConsistencyCheckFailed, match=message):
+        covariants(ctx, symbol(spec, 2))
+
+
+@pytest.mark.parametrize("group, flag", [
+    ("symplectic:2n=6", "lagrangian"),
+    ("symplectic:2n=4", "lagrangian"),
+    ("complex:nc=2", "totally-real"),
+])
+def test_report_checks_catch_a_restriction_map_with_a_zeroed_row(
+        monkeypatch, group, flag):
+    # On an axis stratum the nonzero rows of the restriction are distinct
+    # unit rows, so zeroing the first one drops the image of g_2, while the
+    # stationary dimension, taken modulo restriction_kernel, stays.
+    covariants_module = importlib.import_module("spencer.covariants")
+    whole = covariants_module.restriction_map
+
+    def zeroed(ctx, l):
+        lam = whole(ctx, l)
+        if l != 2:
+            return lam
+        rows = list(lam.rows)
+        rows[next(i for i, row in enumerate(rows) if row)] = {}
+        return LinearMap(lam.domain, lam.codomain, rows)
+
+    monkeypatch.setattr(covariants_module, "restriction_map", zeroed)
+    spec = parse_pseudogroup(group)
+    ctx = FlagContext(spec.ambient_dim, stratum_tau(spec, flag))
+    covariants(ctx, symbol(spec, 1))
+    with pytest.raises(ConsistencyCheckFailed, match="do not add up"):
+        covariants(ctx, symbol(spec, 2))
 
 
 # ---------------------------------------------------------------- catalog obstructions
@@ -526,7 +625,8 @@ def test_full_cells_are_not_materialized(count_calls, capsys):
     # A full space builds its unit rows (through __getattr__) on first use.
     # Modulo a full next cell the rank is 0, the image of a full space is
     # that of the map, and covariants() compares a full sum with a full
-    # preimage by dims, so none of them builds the rows.
+    # preimage by dims, so none of them builds the rows.  A full g_l is
+    # its own sum with sigma, and its stationary part is sigma.
     built = count_calls(Subspace, "__getattr__")
     cx = CochainComplex(2, _full, delta_map, _full)
     assert [cx.H(d, s) for d in range(4) for s in range(3)] == [0] * 12
@@ -534,6 +634,8 @@ def test_full_cells_are_not_materialized(count_calls, capsys):
     assert image(dmap, Subspace.full(dmap.domain)) == image(dmap)
     assert main(["covariants", "--group", "symplectic:2n=4", "--flag",
                  "stratum=lagrangian", "--l", "1..3"]) == 0
+    assert main(["covariants", "--group", "general:m=4", "--flag",
+                 "tau=1/2,2,1/2,1;-3/4,2,1,2", "--l", "1..3"]) == 0
     capsys.readouterr()
     assert built.total() == 0
 

@@ -1,5 +1,6 @@
 """Exact linear algebra: echelon canonicity, subspace lattice, map calculus."""
 
+import collections
 import copy
 import math
 import random
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from spencer import exactla
 from spencer.covariants import FlagContext, restriction_map
 from spencer.errors import (AmbientMismatch, DegreeUnderflow, ShapeMismatch,
                             NotASubspace)
@@ -620,23 +622,33 @@ def test_intersect_and_preimage_match_reference(kind):
         n = data.draw(st.integers(1, 8))
         shp = TensorShape.vector(n)
         a_rows = data.draw(_row_lists(st, kind, n, max_rows=5))
-        b_rows = data.draw(_row_lists(st, kind, n, max_rows=5))
+        b_rows = data.draw(_row_lists(st, kind, n, max_rows=8))
         a = Subspace.from_rows(shp, a_rows)
         b = Subspace.from_rows(shp, b_rows)
-        meet = subspace_intersect(a, b)
-        assert (meet.pivots, meet.rows) == \
-            ref_intersect(a.rows, b.rows, n)
+        # Each operand order: the smaller operand is reduced modulo the
+        # larger one whichever comes first.
+        for x, y in ((a, b), (b, a)):
+            meet = subspace_intersect(x, y)
+            assert (meet.pivots, meet.rows) == \
+                ref_intersect(x.rows, y.rows, n)
+            total = subspace_sum(x, y)
+            assert (total.pivots, total.rows) == \
+                ref_canonical_rows(x.rows + y.rows)
+        orders[(a.dim > b.dim) - (a.dim < b.dim)] += 1
         k = data.draw(st.integers(1, 6))
         f_rows = data.draw(_row_lists(st, kind, n, max_rows=k, min_rows=k))
         f = LinearMap(TensorShape.vector(k), shp, f_rows)
         back = preimage(f, b)
         assert (back.pivots, back.rows) == ref_preimage(f_rows, b_rows, n)
 
+    orders = collections.Counter()
     check()
+    # Operands of unequal dimensions came in both orders.
+    assert orders[1] and orders[-1]
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_full_and_zero_fast_paths_match_the_general_path(kind):
+def test_full_and_zero_fast_paths_match_the_general_path(kind, count_calls):
     given, settings, st = _strategies()
 
     @settings
@@ -664,7 +676,19 @@ def test_full_and_zero_fast_paths_match_the_general_path(kind):
         for meet in (subspace_intersect(zero, b),
                      subspace_intersect(b, zero)):
             assert (meet.pivots, meet.rows) == ref_intersect([], b.rows, n)
+        # A sum with a full or a zero operand eliminates nothing, and a
+        # full operand builds no unit rows (through __getattr__).
+        full = Subspace.full(shp)
+        before = built.total(), echelons.total()
+        sums = [subspace_sum(full, b), subspace_sum(b, full),
+                subspace_sum(zero, b), subspace_sum(b, zero)]
+        assert (built.total(), echelons.total()) == before
+        assert all(total.is_full for total in sums[:2])
+        for total in sums[2:]:
+            assert (total.pivots, total.rows) == ref_canonical_rows(b.rows)
 
+    built = count_calls(Subspace, "__getattr__")
+    echelons = count_calls(exactla, "echelon")
     check()
 
 
@@ -682,6 +706,11 @@ def test_contains_vector_agrees_with_reduce_vector(kind):
         leads.extend(row[c] for c, row in zip(sub.pivots, sub.int_rows))
         for vec in data.draw(_row_lists(st, kind, width, max_rows=4)):
             assert sub.contains_vector(vec) == (not sub.reduce_vector(vec))
+            # The integer residual is a positive multiple of the reduced one.
+            residual, reduced = sub.residual(vec), sub.reduce_vector(vec)
+            assert residual.keys() == reduced.keys()
+            ratios = {Fraction(residual[c]) / v for c, v in reduced.items()}
+            assert len(ratios) <= 1 and all(r > 0 for r in ratios)
         coefs = data.draw(st.lists(st.integers(-5, 5), min_size=len(rows),
                                    max_size=len(rows)))
         combo = {}
