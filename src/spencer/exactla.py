@@ -30,11 +30,12 @@ import math
 import os
 from fractions import Fraction
 from functools import lru_cache
-from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
-from .errors import (AmbientMismatch, DegreeUnderflow, NotASubspace,
-                     ParamOutOfRange, ShapeMismatch, UnsupportedDegree)
+from .errors import (AmbientMismatch, ConsistencyCheckFailed,
+                     DegreeUnderflow, NotASubspace, ParamOutOfRange,
+                     ShapeMismatch, UnsupportedDegree)
 
 Vec = Dict[int, int | Fraction]
 IntVec = Dict[int, int]
@@ -248,20 +249,41 @@ def _clear_pivots(row: IntVec, hits: List[int],
     return row
 
 
-def echelon(rows: Iterable[Mapping[int, object]],
-            canonical: bool = True) -> Dict[int, IntVec]:
-    """Row reduce sparse rows; returns pivot column -> primitive integer row.
+# A deferred row: (lead, build, arg), build(arg) giving the row and lead
+# its least column, known without building it.
+Deferred = Tuple[object, Callable[[object], Mapping[int, object]], object]
 
-    Columns are ints, or any keys with a total order: a row's pivot is its
-    least column.  The input rows are never modified.
 
-    With canonical=True the result is fully back-substituted (each pivot
-    column occurs in exactly one row), which pins the unique reduced echelon
-    form of the row space.
-    """
-    piv: Dict[int, IntVec] = {}
+def _built(row: Deferred) -> IntVec:
+    """The primitive integer row of a deferred row, positive at its lead,
+    checked to be its least column: a pivot filed under a wrong lead
+    would be met at a column that it does not lead, and elimination with
+    it need not end."""
+    lead, build, arg = row
+    r = _as_int_row(build(arg))
+    if not r or min(r) != lead:
+        raise ConsistencyCheckFailed(
+            "a deferred row filed under column %r leads elsewhere" % (lead,))
+    return r if r[lead] > 0 else {k: -v for k, v in r.items()}
+
+
+def _pivot_rows(rows: Iterable[Mapping[int, object] | Deferred]
+                ) -> Dict[object, IntVec | Deferred]:
+    """The non-canonical elimination of echelon, on rows that may be
+    deferred: pivot column -> primitive integer row with a positive
+    entry there, or the deferred row whose lead met no pivot, unbuilt.
+    A deferred row is built once a row meets its lead, or when it meets
+    a pivot itself (Bauer's emergent pairs, J. Appl. Comput. Topol. 5,
+    2021).  The keys are the pivot columns of the row space."""
+    piv: Dict[object, IntVec | Deferred] = {}
     for raw in rows:
-        r = _as_int_row(raw)
+        if type(raw) is tuple:
+            if raw[0] not in piv:
+                piv[raw[0]] = raw
+                continue
+            r = _built(raw)
+        else:
+            r = _as_int_row(raw)
         fresh = True
         while r:
             c = min(r)
@@ -274,8 +296,30 @@ def echelon(rows: Iterable[Mapping[int, object]],
                     r = {k: -v for k, v in r.items()}
                 piv[c] = r
                 break
+            if type(p) is tuple:
+                p = piv[c] = _built(p)
             _eliminate(r, p, c)
             fresh = False
+    return piv
+
+
+def echelon(rows: Iterable[Mapping[int, object] | Deferred],
+            canonical: bool = True) -> Dict[int, IntVec]:
+    """Row reduce sparse rows; returns pivot column -> primitive integer row.
+
+    Columns are ints, or any keys with a total order: a row's pivot is its
+    least column.  The input rows are never modified.  A row may be given
+    deferred, as a triple (lead, build, arg) (see _pivot_rows); every row
+    is built by the time echelon returns.
+
+    With canonical=True the result is fully back-substituted (each pivot
+    column occurs in exactly one row), which pins the unique reduced echelon
+    form of the row space.
+    """
+    piv = _pivot_rows(rows)
+    for c, row in piv.items():
+        if type(row) is tuple:
+            piv[c] = _built(row)
     if canonical:
         _back_substitute(piv)
     return piv
@@ -295,8 +339,8 @@ def _back_substitute(piv: Dict[int, IntVec]) -> None:
             piv[c] = _stored(_clear_pivots(dict(row), hits, piv), c)
 
 
-def rank_of_rows(rows: Iterable[Mapping[int, object]]) -> int:
-    return len(echelon(rows, canonical=False))
+def rank_of_rows(rows: Iterable[Mapping[int, object] | Deferred]) -> int:
+    return len(_pivot_rows(rows))
 
 
 # ---------------------------------------------------------------------------

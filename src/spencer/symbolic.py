@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, islice
+from functools import lru_cache, partial
+from itertools import chain, islice, repeat
 from typing import (Callable, Collection, Container, Dict, Iterable,
                     Iterator, List, Mapping, NamedTuple, Optional, Sequence,
                     Set, Tuple)
@@ -25,7 +25,7 @@ from typing import (Callable, Collection, Container, Dict, Iterable,
 from .errors import (AmbientMismatch, DegreeUnderflow, EquationNotInvariant,
                      MissingGrade, NotASubcomplex, ShapeMismatch, ZeroVector)
 from .exactla import (LinearMap, Subspace, TensorShape, Vec, _exact,
-                      _sym_index, _wedge_index, contains, echelon,
+                      _pivot_rows, _sym_index, _wedge_index, contains, echelon,
                       kernel_of_rows, preimage, subspace_intersect, sym_basis,
                       tensor_all_forms)
 
@@ -294,9 +294,9 @@ class CochainComplex:
     subcomplex V(d, s), or cut down to the kernel of an optional
     restriction, with a differential from (d, s) to (d - 1, s + 1) that
     ``differential(shape)`` gives as the identity on the value factor:
-    a LinearMap, or an object that builds its own columns (see
-    _KoszulMap), whose closure its complex checks elsewhere (the Spencer
-    complex through its lowering tables).
+    a LinearMap, or a _KoszulMap, which hands its columns over deferred
+    and whose closure the Spencer complex checks through its lowering
+    tables.
 
     ``restriction(d, s, shape)`` gives a map pi(d, s) on C(d, s) (of that
     ambient shape) by its columns, a collection that may be iterated more
@@ -324,11 +324,14 @@ class CochainComplex:
     row per coordinate of C(d - 1, s + 1) (its flat column when that cell
     is full, else a pivot column of its canonical basis, under a nonzero
     V(d - 1, s + 1) a quotient coordinate), over C's basis rows keyed by
-    their pivot columns.  Without a subcomplex the ranks are cleared (Chen
-    and Kerber, EuroCG 2011; Bauer, J. Appl. Comput. Topol. 5, 2021): as
-    delta^2 = 0, the rows of the rank at (d - 1, s + 1) annihilate the
-    columns of the rank at (d, s), so at each pivot p of the former the
-    column at p depends on the columns after p and is dropped.  Under a
+    their pivot columns.  A rank reads only the pivot columns of one
+    non-canonical elimination (exactla._pivot_rows), so a deferred column
+    whose lead no later column meets is never built.  Without a
+    subcomplex the ranks are cleared (Chen and Kerber, EuroCG 2011;
+    Bauer, J. Appl. Comput. Topol. 5, 2021): as delta^2 = 0, the rows
+    of the rank at (d - 1, s + 1) annihilate the columns of the rank at
+    (d, s), so at each pivot p of the former the column at p depends on
+    the columns after p and is dropped.  Under a
     restriction, a row of the rank at (d - 1, s + 1) is a combination of
     the columns of pi(d - 1, s + 1) and of the differential, and composed
     with the differential it is a combination of the columns of
@@ -486,7 +489,7 @@ class CochainComplex:
             cleared = {c // w for c in cleared if c % w == 0
                        and all(c + b in cleared for b in range(1, w))}
         if not isinstance(delta, LinearMap):
-            columns = delta.columns(cleared)
+            columns = delta.leads(cleared)
         else:
             images = _basis_images(delta, C)
             if s == 0 and not C_next.is_full:
@@ -505,7 +508,7 @@ class CochainComplex:
                        ({k * spread + b: v for k, v in column.items()}
                         for c, column in buckets for b in range(spread)
                         if c * spread + b not in cleared))
-        piv = echelon(chain(columns, R), canonical=False)
+        piv = _pivot_rows(chain(columns, R))
         if self._sub is None and s > 0 and (d + 1, s - 1) not in self._ranks:
             self._pivots[(d, s)] = ({c * w + b for c in piv for b in range(w)}
                                     if w > spread else set(piv))
@@ -546,18 +549,23 @@ class _KoszulMap:
     into the cell of (d - 1, s + 1), read off the lowering table of degree
     d (per direction i, coordinate p of g_(d-1) -> the pairs (u, D_i u [p])).
 
-    One generator gives the matrix, column by column: per coordinate
-    (p, K) of the codomain, the entries sign(i, K) D_i u [p] at (u, K - i)
-    for i in K, which fall on distinct domain columns.  The engine's ranks
-    read those columns.  The table writes D_i u in the basis of g_(d-1)
-    scaled to pivot entries 1, which scales each column by a positive
-    number and changes neither a rank nor a pivot set.  The rows, which
-    only the engine's delta^2 and restriction checks compose, are those
-    same columns transposed, in the primitive basis of both cells, times
-    the lcm of the scales: the entries of coordinate p times lcm / scale[p],
-    where scale[p] is the pivot entry of g_(d-1)'s primitive row p (1 in
-    monomial coordinates).  So they are integers, and a positive multiple
-    of the map, which is all that a test of vanishing or of a span reads."""
+    One builder gives the matrix, column by column: per coordinate (p, K)
+    of the codomain, the entries sign(i, K) D_i u [p] at (u, K - i) for i
+    in K, which fall on distinct domain columns.  The engine's ranks take
+    those columns deferred (see exactla._pivot_rows), each filed under its
+    least key, which leads reads off the table without building the
+    column.  So a rank builds a column only when its lead meets a pivot
+    or a later column meets its lead, and refuses one that does not lead
+    at its key.  The table writes D_i u in the basis of g_(d-1) scaled to
+    pivot entries 1, which scales each column by a positive number and
+    changes neither a rank nor a pivot set.  The rows, which only the
+    engine's delta^2 and restriction checks compose, are those same
+    columns transposed, from the same builder, in the primitive basis of
+    both cells, times the lcm of the scales: the entries of coordinate p times
+    lcm / scale[p], where scale[p] is the pivot entry of g_(d-1)'s
+    primitive row p (1 in monomial coordinates).  So they are integers,
+    and a positive multiple of the map, which is all that a test of
+    vanishing or of a span reads."""
 
     def __init__(self, domain: GradeShape, codomain: TensorShape,
                  table: LoweringTable, scale: Sequence[int]):
@@ -565,43 +573,60 @@ class _KoszulMap:
         self.codomain = codomain
         self._table = table
         self._scale = scale
+        self._wc = domain.wedge_count
         # Flat codomain column of coordinate p tensor the first form.
         w, wc = codomain.value_dim, codomain.wedge_count
         self._base = [p // w * wc * w + p % w
                       for p in range(codomain.sym_count * w)]
 
-    def _columns(self, cleared: Container[int]
-                 ) -> Iterator[Tuple[int, int, Vec]]:
-        """(flat codomain column, p, column) for the nonempty columns at
-        coordinates outside cleared."""
-        wc = self.domain.wedge_count
+    def _faces(self) -> Iterator[Tuple[int, List[Tuple[int, int, int]]]]:
+        """Per form K of the codomain: the offset of K in its flat columns,
+        and per i in K the face (i, sign of e^i ^ e_(K - i), K - i)."""
         w = self.codomain.value_dim
         J_index = _wedge_index(self.domain.ext_dim, self.domain.ext_degree)
         for K_i, K in enumerate(self.codomain.wedge_list()):
-            # Per i in K: (D_i by coordinate, sign of e^i ^ e_(K - i), K - i).
-            faces = [(self._table[i], -1 if t % 2 else 1,
-                      J_index[K[:t] + K[t + 1:]]) for t, i in enumerate(K)]
-            off = K_i * w
-            for p, flat in enumerate(self._base):
-                if flat + off in cleared:
-                    continue
-                column = {u * wc + J: sign * v for low, sign, J in faces
-                          for u, v in low.get(p, ())}
-                if column:
-                    yield flat + off, p, column
+            yield K_i * w, [(i, -1 if t % 2 else 1, J_index[K[:t] + K[t + 1:]])
+                            for t, i in enumerate(K)]
 
-    def columns(self, cleared: Container[int]) -> Iterator[Vec]:
-        """The nonempty columns at coordinates outside cleared."""
-        return (column for _, _, column in self._columns(cleared))
+    def _column(self, faces: List[Tuple[int, int, int]], p: int) -> Vec:
+        """The column at coordinate p of the form with the given faces."""
+        wc, table = self._wc, self._table
+        return {u * wc + J: sign * v for i, sign, J in faces
+                for u, v in table[i].get(p, ())}
+
+    def leads(self, cleared: Container[int]
+              ) -> Iterator[Tuple[int, Callable[[int], Vec], int]]:
+        """The nonempty columns at coordinates outside cleared, deferred:
+        (least key, builder, coordinate).  The least key of the column at
+        (p, K) is the least over the faces i in K of u * wc + J(K - i), u
+        the first of D_i's pairs at p: they are in int_rows order, so u is
+        the least, and no two faces meet and no entry is zero, so none
+        cancels.  As J(K - i) falls as i rises, the faces order as their
+        codes u * n + n - 1 - i do, first[i][p] (none, past all codes,
+        where D_i is zero at p), so the least code names the key."""
+        n = len(self._table)
+        none = self.domain.dim * n
+        first = [[pairs[0][0] * n + n - 1 - i if pairs else none
+                  for pairs in map(low.get, range(len(self._base)))]
+                 for i, low in enumerate(self._table)]
+        for off, faces in self._faces():
+            J_of = {n - 1 - i: J for i, _, J in faces}
+            build = partial(self._column, faces)
+            for p, code in enumerate(map(min, repeat(none),
+                                         *(first[i] for i, _, _ in faces))):
+                if code < none and self._base[p] + off not in cleared:
+                    u, r = divmod(code, n)
+                    yield u * self._wc + J_of[r], build, p
 
     @property
     def rows(self) -> List[Vec]:
         rows: List[Vec] = [{} for _ in range(self.domain.dim)]
         lcm = math.lcm(*self._scale)
         factor = [lcm // c for c in self._scale]
-        for c, p, column in self._columns(()):
-            for k, v in column.items():
-                rows[k][c] = v * factor[p]
+        for off, faces in self._faces():
+            for p, flat in enumerate(self._base):
+                for k, v in self._column(faces, p).items():
+                    rows[k][flat + off] = v * factor[p]
         return rows
 
 

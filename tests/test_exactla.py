@@ -10,8 +10,8 @@ import pytest
 
 from spencer import exactla
 from spencer.covariants import FlagContext, restriction_map
-from spencer.errors import (AmbientMismatch, DegreeUnderflow, ShapeMismatch,
-                            NotASubspace)
+from spencer.errors import (AmbientMismatch, ConsistencyCheckFailed,
+                            DegreeUnderflow, NotASubspace, ShapeMismatch)
 from spencer.symbolic import GradeShape, delta_map
 from spencer.exactla import (
     TensorShape, Subspace, LinearMap,
@@ -587,6 +587,67 @@ def test_echelon_matches_reference(kind):
                 ref_echelon(rows, canonical)
 
     check()
+
+
+def test_deferred_rows_give_the_pivots_of_the_built_rows():
+    # A row may reach elimination deferred, as (lead, build, arg): it is
+    # built only when a row meets its lead, or when its lead meets a pivot.
+    # On random sparse integer rows, some of them deferred, the pivot
+    # columns are those of the built rows, each deferred row is built at
+    # most once, and echelon, which builds every pivot before it returns,
+    # gives the rows it gives on the built rows.  The rows have negative
+    # leading entries and shared leads, and dense rows come last and meet
+    # the deferred pivots, as the restriction's columns do in the ranks.
+    given, settings, st = _strategies()
+    entry = st.sampled_from([v for v in range(-4, 5) if v])
+
+    @settings
+    @given(st.data())
+    def check(data):
+        width = data.draw(st.integers(1, 8))
+        rows = []
+        for lead in data.draw(st.lists(st.integers(0, width - 1),
+                                       max_size=12)):
+            tail = data.draw(st.dictionaries(st.integers(lead, width - 1),
+                                             entry, max_size=3))
+            rows.append({**tail, lead: data.draw(entry)})
+        for _ in range(data.draw(st.integers(0, 3))):
+            rows.append({c: data.draw(entry) for c in range(width)})
+        built = []
+
+        def build(i):
+            built.append(i)
+            return rows[i]
+
+        mixed = [(min(row), build, i) if data.draw(st.booleans()) else row
+                 for i, row in enumerate(rows)]
+        want = echelon(rows, canonical=False)
+        piv = exactla._pivot_rows(iter(mixed))
+        assert piv.keys() == want.keys()
+        assert len(built) == len(set(built))
+        # A pivot that was built is the row that the built rows give.
+        assert all(row == want[c] for c, row in piv.items()
+                   if type(row) is dict)
+        assert echelon(iter(mixed), canonical=False) == want
+        assert echelon(iter(mixed)) == echelon(rows)
+        assert rank_of_rows(iter(mixed)) == len(want)
+
+    check()
+
+
+def test_a_deferred_row_under_a_wrong_lead_is_refused():
+    # Filed under column 1, the row leads at 0.  Once a row meets it, or
+    # echelon builds it to return it, the guard refuses it, where reducing
+    # at a column that the row does not lead need not end.
+    row = (1, dict, {0: 1, 1: 2})
+    with pytest.raises(ConsistencyCheckFailed, match="leads elsewhere"):
+        exactla._pivot_rows([row, {1: 3}])
+    with pytest.raises(ConsistencyCheckFailed, match="leads elsewhere"):
+        echelon([row], canonical=False)
+    with pytest.raises(ConsistencyCheckFailed, match="leads elsewhere"):
+        echelon([(0, dict, {})], canonical=False)
+    # Unmet, it is never built: the pivot columns do not read the row.
+    assert rank_of_rows([row, {2: 1}]) == 2
 
 
 @pytest.mark.parametrize("kind", KINDS)

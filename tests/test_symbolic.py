@@ -526,37 +526,71 @@ def test_delta_squared_check_divides_by_the_pivot_entries(monkeypatch):
 
 def test_delta_squared_check_reads_the_rank_columns(monkeypatch, capsys):
     # The check composes the rows of the very matrix whose columns the
-    # ranks read.  With every entry of those columns replaced by its
-    # absolute value the Koszul matrix no longer squares to zero, so the
-    # table is refused instead of printed nonzero.
+    # ranks read: both come from one column builder.  With every entry of
+    # those columns replaced by its absolute value the Koszul matrix no
+    # longer squares to zero, so the table is refused instead of printed
+    # nonzero.
     symbolic = importlib.import_module("spencer.symbolic")
-    placed = symbolic._KoszulMap._columns
+    placed = symbolic._KoszulMap._column
 
-    def unsigned(self, cleared):
-        for c, p, column in placed(self, cleared):
-            yield c, p, {k: abs(v) for k, v in column.items()}
+    def unsigned(self, faces, p):
+        return {k: abs(v) for k, v in placed(self, faces, p).items()}
 
-    monkeypatch.setattr(symbolic._KoszulMap, "_columns", unsigned)
+    monkeypatch.setattr(symbolic._KoszulMap, "_column", unsigned)
     assert main(["cohomology", "--table", "spencer", "--group",
                  "symplectic:2n=4", "--l", "1..3"]) == 3
     assert "does not square to zero" in capsys.readouterr().err
 
 
-def test_spencer_ranks_read_only_uncleared_nonempty_columns(count_calls):
-    # Rows handed to echelon on the complex:nc=2 table over d = 1..3: 840
-    # before clearing (96 of them empty, 352 with one entry), 396 now.
-    # The grades and their lowering tables are built first, so that every
-    # row _as_int_row sees comes from a rank.
+def test_spencer_ranks_refuse_a_column_filed_under_a_wrong_lead(monkeypatch,
+                                                              capsys):
+    # Each column filed under its largest key instead of its least: once
+    # a row meets such a lead, the guard refuses the table (exit 3) where
+    # elimination would reduce at a column that the pivot does not lead.
+    symbolic = importlib.import_module("spencer.symbolic")
+    leads = symbolic._KoszulMap.leads
+
+    def last(self, cleared):
+        for _, build, p in leads(self, cleared):
+            yield max(build(p)), build, p
+
+    monkeypatch.setattr(symbolic._KoszulMap, "leads", last)
+    assert main(["cohomology", "--table", "spencer", "--group",
+                 "complex:nc=2", "--l", "1..3"]) == 3
+    assert "leads elsewhere" in capsys.readouterr().err
+
+
+def test_spencer_ranks_read_only_uncleared_nonempty_columns(monkeypatch,
+                                                           count_calls):
+    # Columns offered to the ranks on the complex:nc=2 table over d = 1..3:
+    # 840 before clearing (96 of them empty, 352 with one entry), 396
+    # after.  Of those elimination builds 88: the ones whose lead a later
+    # column meets, and the ones that meet a pivot themselves.  The grades
+    # and their lowering tables are built first, and the delta^2 check
+    # builds its rows without elimination, so every column built here is
+    # built by a rank.
     sysm = system(parse_pseudogroup("complex:nc=2"), 4)
     for d in range(1, 5):
         sysm.lowering(d)
+    symbolic = importlib.import_module("spencer.symbolic")
     exactla = importlib.import_module("spencer.exactla")
-    rows = count_calls(exactla, "_as_int_row", key=len)
+    offered = []
+    leads = symbolic._KoszulMap.leads
+
+    def offering(self, cleared):
+        for column in leads(self, cleared):
+            offered.append(column)
+            yield column
+
+    monkeypatch.setattr(symbolic._KoszulMap, "leads", offering)
+    built = count_calls(exactla, "_built")
     cx = spencer_complex(sysm)
     cells = cx.table(range(1, 4), range(5), "spencer").cells
     assert len(cells) == 15 and not any(cells.values())
-    assert 0 not in rows
-    assert rows.total() == 396
+    assert len(offered) == 396
+    assert built.total() == 88
+    # No offered column is empty, and each leads at its stored key.
+    assert all(min(build(p)) == lead for lead, build, p in offered)
     # Each pivot set was released when read; left are those of the
     # incoming ranks at d = 4, which no rank of the range reads.
     assert {d for d, s in cx._pivots} == {4}
