@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache, partial
+from types import SimpleNamespace
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -27,10 +28,11 @@ from .exactla import (IntVec, LinearMap, Subspace, TensorShape, Vec,
                       _back_substitute, _exact, _sym_index, contains, det,
                       echelon, image, preimage, subspace_intersect,
                       subspace_sum, tensor_all_forms, wedge_basis)
-from .symbolic import (CochainComplex, SymbolicSystem, _bucketed, _lowered,
-                       _raised, _restriction_frame, _substituted,
-                       annihilator, delta_map, restrict_delta,
-                       spencer_complex, strongly_noncharacteristic)
+from .symbolic import (CochainComplex, LoweringTable, SymbolicSystem,
+                       _bucketed, _lowered, _lowering_table, _raised,
+                       _restriction_frame, _substituted, annihilator,
+                       restrict_delta, spencer_complex,
+                       strongly_noncharacteristic)
 
 
 class FlagContext:
@@ -397,7 +399,11 @@ def covariant_complex(ctx: FlagContext, gsys: SymbolicSystem,
 
     The restriction of forms Lambda^s V* -> Lambda^s tau* is onto, so that
     image is lambda(g_d) (x) Lambda^s tau*, with lambda the order-d
-    restriction_map, taken once per degree."""
+    restriction_map, taken once per degree.  h and lambda(g) are closed
+    under lowering, so this is spencer_complex of Q = h/lambda(g): Q_d is
+    h_d's rows reduced modulo lambda(g_d), D_i followed by that reduction.
+    Grade d checks that lambda(g_d) lies in h_d (EquationNotInvariant) and
+    lowers into a lambda(g_(d-1)) that is not full (NotASubcomplex)."""
     n, r = ctx.n, ctx.r
     if hsys is None:
         hsys = SymbolicSystem(n, r, {}, fill="full")
@@ -408,13 +414,28 @@ def covariant_complex(ctx: FlagContext, gsys: SymbolicSystem,
     def restricted_grade(d: int) -> Subspace:
         return image(restriction_map(ctx, d), gsys.grade(d))
 
-    def cell(d: int, s: int) -> Subspace:
-        return tensor_all_forms(hsys.grade(d), TensorShape(n, d, s, r))
+    @lru_cache(maxsize=None)
+    def grade(d: int) -> Subspace:
+        h, lam = hsys.grade(d), restricted_grade(d)
+        if not contains(h, lam):
+            raise EquationNotInvariant(
+                "restricted symbol leaves the equation at degree %d" % d)
+        if d >= 1 and not restricted_grade(d - 1).is_full:
+            _lowering_table(lam, restricted_grade(d - 1))
+        if lam.dim == 0:
+            return h
+        if lam.dim == h.dim:
+            return Subspace.zero(h.ambient)
+        return Subspace.from_rows(h.ambient,
+                                  map(lam.reduce_vector, h.int_rows))
 
-    def restricted_symbol(d: int, s: int) -> Subspace:
-        return tensor_all_forms(restricted_grade(d), TensorShape(n, d, s, r))
+    @lru_cache(maxsize=None)
+    def lowering(d: int) -> LoweringTable:
+        return _lowering_table(grade(d), grade(d - 1),
+                               modulo=restricted_grade(d - 1))
 
-    return CochainComplex(n, cell, delta_map, restricted_symbol)
+    return spencer_complex(SimpleNamespace(
+        base_dim=n, value_dim=r, grade=grade, lowering=lowering))
 
 
 def stationary_row_cohomology(ctx: FlagContext, gsys: SymbolicSystem,

@@ -22,10 +22,10 @@ from typing import (Callable, Collection, Container, Dict, Iterable,
                     Iterator, List, Mapping, NamedTuple, Optional, Sequence,
                     Set, Tuple)
 
-from .errors import (AmbientMismatch, DegreeUnderflow, EquationNotInvariant,
-                     MissingGrade, NotASubcomplex, ShapeMismatch, ZeroVector)
+from .errors import (AmbientMismatch, DegreeUnderflow, MissingGrade,
+                     NotASubcomplex, ShapeMismatch, ZeroVector)
 from .exactla import (LinearMap, Subspace, TensorShape, Vec, _exact,
-                      _pivot_rows, _sym_index, _wedge_index, contains, echelon,
+                      _pivot_rows, _sym_index, _wedge_index, echelon,
                       kernel_of_rows, preimage, subspace_intersect, sym_basis,
                       tensor_all_forms)
 
@@ -130,7 +130,8 @@ def prolong(g: Subspace) -> Subspace:
 LoweringTable = Tuple[Dict[int, List[Tuple[int, int]]], ...]
 
 
-def _lowering_table(upper: Subspace, lower: Subspace) -> LoweringTable:
+def _lowering_table(upper: Subspace, lower: Subspace,
+                    modulo: Optional[Subspace] = None) -> LoweringTable:
     """The lowerings D_i: g_d -> g_(d-1), with upper = g_d, lower = g_(d-1),
     each stored by its columns: for direction i, coordinate p of g_(d-1)
     maps to the pairs (u, D_i u [p]) over the basis rows u of g_d (in
@@ -138,10 +139,12 @@ def _lowering_table(upper: Subspace, lower: Subspace) -> LoweringTable:
 
     The coordinates are in the basis of g_(d-1) scaled to pivot entries 1,
     keyed by pivot position (by flat column when g_(d-1) is full): the
-    entries of d_i u at the pivot columns, integers, read once the integer
-    residual check of contains_vector has found d_i u in g_(d-1); else
+    entries of d_i u at the pivot columns, read once the integer residual
+    check of contains_vector has found d_i u in g_(d-1); else
     NotASubcomplex.  Along one direction distinct monomials lower to
-    distinct monomials, so no entries of d_i u meet."""
+    distinct monomials, so no entries of d_i u meet.  With modulo, the
+    lowering of a quotient by it (lower a complement), d_i u is first
+    reduced modulo its canonical rows, and the entries may be Fractions."""
     shp = upper.ambient
     n, w = shp.base_dim, shp.value_dim
     low_index = _sym_index(n, shp.sym_degree - 1)
@@ -154,6 +157,8 @@ def _lowering_table(upper: Subspace, lower: Subspace) -> LoweringTable:
         split = [(moves[c // w], c % w, v) for c, v in row.items()]
         for i, by_coord in enumerate(table):
             low = {mv[i][0] + b: mv[i][1] * v for mv, b, v in split if mv[i]}
+            if modulo is not None:
+                low = modulo.reduce_vector(low)
             if pos is not None and low:
                 if not lower.contains_vector(low):
                     raise NotASubcomplex("grade %d is not closed under lowering"
@@ -290,13 +295,12 @@ def _bucketed(images: Iterable[Tuple[int, Vec]],
 
 
 class CochainComplex:
-    """Cells C(d, s), d >= 0 and 0 <= s <= top, modulo an optional
-    subcomplex V(d, s), or cut down to the kernel of an optional
-    restriction, with a differential from (d, s) to (d - 1, s + 1) that
-    ``differential(shape)`` gives as the identity on the value factor:
-    a LinearMap, or a _KoszulMap, which hands its columns over deferred
-    and whose closure the Spencer complex checks through its lowering
-    tables.
+    """Cells C(d, s), d >= 0 and 0 <= s <= top, or cut down to the kernel
+    of an optional restriction, with a differential from (d, s) to
+    (d - 1, s + 1) that ``differential(shape)`` gives as the identity on
+    the value factor: a LinearMap, or a _KoszulMap, which hands its
+    columns over deferred and whose closure the Spencer complex checks
+    through its lowering tables.
 
     ``restriction(d, s, shape)`` gives a map pi(d, s) on C(d, s) (of that
     ambient shape) by its columns, a collection that may be iterated more
@@ -309,50 +313,46 @@ class CochainComplex:
     first and pi's few dense ones last, so that no sparse column is
     reduced by a dense one.  Without a restriction pi is zero and S is C.
 
-    H(d, s) counts the elements of S(d, s) whose differential falls in
-    V(d - 1, s + 1), modulo V(d, s) and the differential of S(d + 1, s - 1).
-    Maps and ranks are memoized, and a cell is kept until both ranks that
-    read it are known, so a table builds each cell and takes each rank once.
-    Raises EquationNotInvariant when V is not inside C, and NotASubcomplex
-    when a count is negative, the differential leaves V, C or S, or it does
-    not square to zero.  A full cell over a full next cell (no subcomplex,
-    no restriction on the cell) takes value_dim times the rank of the
+    H(d, s) counts the elements of S(d, s) whose differential vanishes,
+    modulo the differential of S(d + 1, s - 1).  Maps and ranks are
+    memoized, and a cell is kept until both ranks that read it are known,
+    so a table builds each cell and takes each rank once.  Raises
+    NotASubcomplex when a count is negative, the differential leaves C or
+    S, or it does not square to zero.  A full cell over a full next cell
+    (no restriction on the cell) takes value_dim times the rank of the
     differential on the unit value space; under a restriction it takes
     the unit value columns at each of the value_dim coordinates c * w + b.
 
     Each rank is taken on the columns of the differential on C(d, s): one
     row per coordinate of C(d - 1, s + 1) (its flat column when that cell
-    is full, else a pivot column of its canonical basis, under a nonzero
-    V(d - 1, s + 1) a quotient coordinate), over C's basis rows keyed by
-    their pivot columns.  A rank reads only the pivot columns of one
-    non-canonical elimination (exactla._pivot_rows), so a deferred column
-    whose lead no later column meets is never built.  Without a
-    subcomplex the ranks are cleared (Chen and Kerber, EuroCG 2011;
-    Bauer, J. Appl. Comput. Topol. 5, 2021): as delta^2 = 0, the rows
-    of the rank at (d - 1, s + 1) annihilate the columns of the rank at
-    (d, s), so at each pivot p of the former the column at p depends on
-    the columns after p and is dropped.  Under a
-    restriction, a row of the rank at (d - 1, s + 1) is a combination of
-    the columns of pi(d - 1, s + 1) and of the differential, and composed
-    with the differential it is a combination of the columns of
-    pi(d, s), as S is closed; so the whole pivot set clears, the pivots of
-    pi's columns too.  A table takes those two ranks in that order (s
-    rising within d, then d rising) and releases each pivot set once read,
-    so every degree but the lowest of its range is cleared.  Under a
-    subcomplex nothing is.
+    is full, else a pivot column of its canonical basis), over C's basis
+    rows keyed by their pivot columns.  A rank reads only the pivot
+    columns of one non-canonical elimination (exactla._pivot_rows), so a
+    deferred column whose lead no later column meets is never built.  The
+    ranks are cleared (Chen and Kerber, EuroCG 2011; Bauer, J. Appl.
+    Comput. Topol. 5, 2021): as delta^2 = 0, the rows of the rank at
+    (d - 1, s + 1) annihilate the columns of the rank at (d, s), so at
+    each pivot p of the former the column at p depends on the columns
+    after p and is dropped.  Under a restriction, a row of the rank at
+    (d - 1, s + 1) is a combination of the columns of pi(d - 1, s + 1)
+    and of the differential, and composed with the differential it is a
+    combination of the columns of pi(d, s), as S is closed; so the whole
+    pivot set clears, the pivots of pi's columns too.  A table takes
+    those two ranks in that order (s rising within d, then d rising) and
+    releases each pivot set once read, so every degree but the lowest of
+    its range is cleared.
 
     Closure is checked once per degree, on the (d, 0) cell: the first rank
     taken at a degree d >= 1 (with s < top) first takes the rank at (d, 0),
-    which checks that the differential sends C(d, 0) into C(d - 1, 1),
-    V(d, 0) into V(d - 1, 1) and S(d, 0) into S(d - 1, 1); into a full
-    next cell this holds trivially and is skipped.  Without a subcomplex
-    that rank first checks delta^2 = 0 from (d, 0), before any rank of
-    degree d is cleared.  So a table whose form degrees exclude 0 still
-    builds the (d, 0) cell of each degree it reads.  This relies on the
-    shape of the cells: each is a sum of pieces u (x) omega, with u in
-    C(d, 0) (or S(d, 0)) and omega in all of Lambda^s, or with u in a
-    grade closed under lowering (checked by its SymbolicSystem) and omega
-    in an ideal of the exterior algebra.  As
+    which checks that the differential sends C(d, 0) into C(d - 1, 1) and
+    S(d, 0) into S(d - 1, 1); into a full next cell this holds trivially
+    and is skipped.  That rank first checks delta^2 = 0 from (d, 0),
+    before any rank of degree d is cleared.  So a table whose form degrees
+    exclude 0 still builds the (d, 0) cell of each degree it reads.  This
+    relies on the shape of the cells: each is a sum of pieces u (x) omega,
+    with u in C(d, 0) (or S(d, 0)) and omega in all of Lambda^s, or with u
+    in a grade closed under lowering (checked by its SymbolicSystem) and
+    omega in an ideal of the exterior algebra.  As
     delta(u (x) omega) = (delta u) ^ omega, the checks at (d, 0) then hold
     at every s.
     """
@@ -360,33 +360,25 @@ class CochainComplex:
     def __init__(self, top: int, cell: Callable[[int, int], Subspace],
                  differential: Callable[[TensorShape],
                                         LinearMap | _KoszulMap],
-                 sub: Optional[Callable[[int, int], Subspace]] = None,
                  restriction: Optional[Callable[[int, int, TensorShape],
                                                 Collection[Vec]]] = None):
         self.top = top
         self._cell = cell
-        self._sub = sub
         self._restriction = restriction
         self._differential = lru_cache(maxsize=None)(differential)
-        self._cells: Dict[Tuple[int, int], Tuple[Subspace, Optional[Subspace],
-                                                 Collection[Vec]]] = {}
+        self._cells: Dict[Tuple[int, int],
+                          Tuple[Subspace, Collection[Vec]]] = {}
         self._ranks: Dict[Tuple[int, int], Tuple[int, int]] = {}
         # Pivot set of the rank at (d, s), kept until (d + 1, s - 1) reads it.
         self._pivots: Dict[Tuple[int, int], Set[int]] = {}
 
-    def _subspaces(self, d: int, s: int
-                   ) -> Tuple[Subspace, Optional[Subspace], Collection[Vec]]:
-        """C(d, s), V(d, s) (None without a subcomplex), V checked in C,
-        and the columns of pi(d, s) (none without a restriction)."""
+    def _subspaces(self, d: int, s: int) -> Tuple[Subspace, Collection[Vec]]:
+        """C(d, s) and the columns of pi(d, s), none without a restriction."""
         if (d, s) not in self._cells:
             C = self._cell(d, s)
-            V = None if self._sub is None else self._sub(d, s)
-            if V is not None and not contains(C, V):
-                raise EquationNotInvariant(
-                    "subcomplex leaves the cell at (%d, %d)" % (d, s))
             R = (() if self._restriction is None
                  else self._restriction(d, s, C.ambient))
-            self._cells[(d, s)] = (C, V, R)
+            self._cells[(d, s)] = (C, R)
         return self._cells[(d, s)]
 
     def _release(self, d: int, s: int):
@@ -396,12 +388,11 @@ class CochainComplex:
             self._cells.pop((d, s), None)
 
     def _cell_ranks(self, d: int, s: int) -> Tuple[int, int]:
-        """dim S(d, s) - dim V(d, s), and the differential's rank there."""
+        """dim S(d, s), and the differential's rank there."""
         if (d, s) not in self._ranks:
-            C, V, R = self._subspaces(d, s)
-            self._ranks[(d, s)] = (C.dim - (0 if V is None else V.dim)
-                                   - len(R),
-                                   self._differential_rank(d, s, C, V, R))
+            C, R = self._subspaces(d, s)
+            self._ranks[(d, s)] = (C.dim - len(R),
+                                   self._differential_rank(d, s, C, R))
             self._release(d, s)
             self._release(d - 1, s + 1)
         return self._ranks[(d, s)]
@@ -449,34 +440,23 @@ class CochainComplex:
                 "differential leaves the cells at degree %d" % d)
 
     def _differential_rank(self, d: int, s: int, C: Subspace,
-                           V: Optional[Subspace], R: Collection[Vec]) -> int:
-        """Rank of the differential on S(d, s) modulo V(d - 1, s + 1), 0
-        when that is full, on the differential's columns less those
-        cleared by the rank at (d - 1, s + 1), then pi(d, s)'s; at s = 0
-        also the checks of degree d."""
+                           R: Collection[Vec]) -> int:
+        """Rank of the differential on S(d, s), on the differential's
+        columns less those cleared by the rank at (d - 1, s + 1), then
+        pi(d, s)'s; at s = 0 also the checks of degree d."""
         if d < 1 or s >= self.top:
             return 0
         if s > 0:
             self._cell_ranks(d, 0)
-        elif self._sub is None and d >= 2 and self.top >= 2:
+        elif d >= 2 and self.top >= 2:
             # Ranks of degree d are cleared only by ranks at (d - 1, s + 1)
             # with d - 1 >= 1 and s + 1 < top.
             self._check_square(d, C)
         cleared = self._pivots.pop((d - 1, s + 1), ())
         if C.dim == 0:
             return 0
-        C_next, V_next, R_next = self._subspaces(d - 1, s + 1)
-        if (s == 0 and V is not None and not V_next.is_full
-                and not all(map(V_next.contains_vector,
-                                map(self._differential(C.ambient).apply,
-                                    V.int_rows)))):
-            raise NotASubcomplex(
-                "subcomplex is not differential-stable at degree %d" % d)
-        if V_next is not None and V_next.is_full:
-            return 0
-        mod_next = V_next is not None and V_next.dim > 0
-        w = (C.ambient.value_dim if C.is_full and C_next.is_full
-             and not mod_next else 1)
+        C_next, R_next = self._subspaces(d - 1, s + 1)
+        w = C.ambient.value_dim if C.is_full and C_next.is_full else 1
         delta = self._differential(C.ambient._replace(value_dim=1)
                                    if w > 1 else C.ambient)
         if s == 0 and R_next:
@@ -494,22 +474,17 @@ class CochainComplex:
             images = _basis_images(delta, C)
             if s == 0 and not C_next.is_full:
                 images = _closed(images, C_next, d)
-            if mod_next:
-                images = ((k, V_next.quotient_coords(image))
-                          for k, image in images)
-                keep = None
-            else:
-                keep = set(range(delta.codomain.dim) if C_next.is_full
-                           else C_next.pivots)
-                if spread == 1:
-                    keep.difference_update(cleared)
+            keep = set(range(delta.codomain.dim) if C_next.is_full
+                       else C_next.pivots)
+            if spread == 1:
+                keep.difference_update(cleared)
             buckets = _bucketed(images, keep)
             columns = ((column for _, column in buckets) if spread == 1 else
                        ({k * spread + b: v for k, v in column.items()}
                         for c, column in buckets for b in range(spread)
                         if c * spread + b not in cleared))
         piv = _pivot_rows(chain(columns, R))
-        if self._sub is None and s > 0 and (d + 1, s - 1) not in self._ranks:
+        if s > 0 and (d + 1, s - 1) not in self._ranks:
             self._pivots[(d, s)] = ({c * w + b for c in piv for b in range(w)}
                                     if w > spread else set(piv))
         return w // spread * (len(piv) - len(R))
@@ -563,9 +538,9 @@ class _KoszulMap:
     columns transposed, from the same builder, in the primitive basis of
     both cells, times the lcm of the scales: the entries of coordinate p times
     lcm / scale[p], where scale[p] is the pivot entry of g_(d-1)'s
-    primitive row p (1 in monomial coordinates).  So they are integers,
-    and a positive multiple of the map, which is all that a test of
-    vanishing or of a span reads."""
+    primitive row p (1 in monomial coordinates): integers over an integer
+    table, and a positive multiple of the map, which is all that a test
+    of vanishing or of a span reads."""
 
     def __init__(self, domain: GradeShape, codomain: TensorShape,
                  table: LoweringTable, scale: Sequence[int]):
@@ -639,14 +614,17 @@ def spencer_complex(system: SymbolicSystem,
     sum_i D_i (x) (e^i ^ .), with the D_i of system.lowering(d), which
     checked the closure and holds each D_i by its columns, from which the
     engine's columns and the delta^2 check's rows are built (_KoszulMap).
-    A full or zero grade keeps its monomial coordinates and delta_map, for
-    the engine's unit value path.  With a restriction, the complex of its
-    kernels inside these cells (see CochainComplex)."""
+    A zero grade, and a full grade of a SymbolicSystem, keep monomial
+    coordinates and delta_map, for the engine's unit value path; a full
+    grade of another family (covariants' h/lambda(g)) may lie over one
+    that is not full, so it does not.  With a restriction, the complex of
+    its kernels inside these cells (see CochainComplex)."""
     n = system.base_dim
+    plain = isinstance(system, SymbolicSystem)
 
     def cell(d: int, s: int) -> Subspace:
         g = system.grade(d)
-        if g.is_full or g.dim == 0:
+        if g.dim == 0 or plain and g.is_full:
             return tensor_all_forms(g, TensorShape(n, d, s, system.value_dim))
         return Subspace.full(GradeShape(g.dim, d, s, 1, n))
 

@@ -2,9 +2,16 @@
 the stationary-row cells built in ambient coordinates.
 
 ``spencer.symbolic.CochainComplex`` checks that the differential keeps the
-cells (and the subcomplex) once per degree, on the (d, 0) cell.  This
-reference checks it on every cell whose differential it takes, and keeps
-no fast paths and no cell release, so tests can hold the engine to it.
+cells once per degree, on the (d, 0) cell.  This reference checks it on
+every cell whose differential it takes, and keeps no fast paths and no
+cell release, so tests can hold the engine to it.
+
+The engine takes the covariant table as the Koszul complex of the graded
+family h/lambda(g), in the coordinates of a complement of lambda(g).  This
+reference keeps the quotient by a subcomplex V: its covariant complex has
+the cells h_d (x) Lambda^s tau* modulo lambda(g_d) (x) Lambda^s tau*, with
+V checked inside the cells and closed under the differential on every
+cell, and ranks taken on quotient coordinates.
 
 The engine reads the stationary row off g's Spencer complex as the kernel
 of a restriction and never builds its cells; ``stationary_row_space``

@@ -166,7 +166,6 @@ def test_restricted_forms_are_the_restricted_grade_tensor_all_forms(tau):
     # Lambda^s V* is the image of g_d tensor all forms on tau.
     ctx = FlagContext(4, tau)
     gsys = system(parse_pseudogroup("symplectic:2n=4"), 3)
-    complex_ = covariant_complex(ctx, gsys, None)
     for d in range(4):
         g = gsys.grade(d)
         lam_g = image(restriction_map(ctx, d), g)
@@ -175,8 +174,6 @@ def test_restricted_forms_are_the_restricted_grade_tensor_all_forms(tau):
             ref = reference_restriction_map(ctx, d, s)
             want = image(ref, tensor_all_forms(g, ref.domain))
             assert want == tensor_all_forms(lam_g, ref.codomain)
-            # The subcomplex cell V(d, s) of the covariant complex.
-            assert complex_._sub(d, s) == want
 
 
 def test_covariant_table_restricts_each_degree_once(count_calls):
@@ -566,11 +563,32 @@ def test_engine_rejects_cells_that_are_not_differential_stable():
     with pytest.raises(NotASubcomplex):
         CochainComplex(2, cell, delta_map).H(1, 0)
 
-    def sub(d, s):
-        return _full(d, s) if (d, s) == (1, 0) else _zero(d, s)
 
-    with pytest.raises(NotASubcomplex):
-        CochainComplex(2, _full, delta_map, sub).H(1, 0)
+def test_covariant_table_rejects_a_restricted_symbol_not_closed_under_lowering(
+        monkeypatch, capsys):
+    # On the lagrangian of symplectic:2n=4, lambda(g_1) is spanned by x e0,
+    # x e1 + y e0 and y e1.  A lambda(g_2) spanned by x y e0, which lowers
+    # along x to y e0, is not closed; h is full, so only the closure check
+    # of lambda(g) can see it.
+    covariants_module = importlib.import_module("spencer.covariants")
+    true_image = covariants_module.image
+
+    def not_closed(f, s=None):
+        out = true_image(f, s)
+        if f.codomain.sym_degree != 2:
+            return out
+        return Subspace.from_rows(out.ambient, [{2: 1}])
+
+    monkeypatch.setattr(covariants_module, "image", not_closed)
+    spec = parse_pseudogroup("symplectic:2n=4")
+    ctx = FlagContext(4, stratum_tau(spec, "lagrangian"))
+    with pytest.raises(NotASubcomplex, match="not closed under lowering"):
+        covariant_complex(ctx, system(spec, 4), None).table(
+            range(1, 4), range(3), "t")
+    assert main(["cohomology", "--table", "covariant", "--group",
+                 "symplectic:2n=4", "--flag", "stratum=lagrangian",
+                 "--l", "1..3"]) == 3
+    assert "not closed under lowering" in capsys.readouterr().err
 
 
 def _not_squaring_to_zero(shape):
@@ -616,20 +634,17 @@ def test_stationary_table_over_some_form_degrees_equals_the_full_table(
         assert part["1,2"] == 4
 
 
-def test_engine_rejects_a_subcomplex_outside_the_cells():
-    with pytest.raises(EquationNotInvariant):
-        CochainComplex(2, _zero, delta_map, _full).H(0, 0)
-
-
 def test_full_cells_are_not_materialized(count_calls, capsys):
     # A full space builds its unit rows (through __getattr__) on first use.
-    # Modulo a full next cell the rank is 0, the image of a full space is
-    # that of the map, and covariants() compares a full sum with a full
-    # preimage by dims, so none of them builds the rows.  A full g_l is
-    # its own sum with sigma, and its stationary part is sigma.
+    # A full lambda(g_d) inside a full h_d gives a zero quotient grade, the
+    # image of a full space is that of the map, and covariants() compares
+    # a full sum with a full preimage by dims, so none of them builds the
+    # rows.  A full g_l is its own sum with sigma, and its stationary part
+    # is sigma.
     built = count_calls(Subspace, "__getattr__")
-    cx = CochainComplex(2, _full, delta_map, _full)
-    assert [cx.H(d, s) for d in range(4) for s in range(3)] == [0] * 12
+    assert main(["cohomology", "--table", "covariant", "--group",
+                 "general:m=4", "--flag", "tau=1/2,2,1/2,1;-3/4,2,1,2",
+                 "--l", "1..3"]) == 0
     dmap = delta_map(TensorShape(2, 2, 1, 2))
     assert image(dmap, Subspace.full(dmap.domain)) == image(dmap)
     assert main(["covariants", "--group", "symplectic:2n=4", "--flag",
@@ -956,7 +971,9 @@ def test_stationary_row_space_rejects_rows_with_one_leading_column(
 TABLE_PLANE = [[1, 2, 0], [0, 1, Fraction(-1, 2)]]
 
 
-@pytest.mark.parametrize("group, flag", [
+# Named strata and rational planes, among them the finite-type isometry
+# groups, where lambda(g_d) is zero from d = 2 on but not at d = 1.
+TABLE_FLAGS = [
     ("symplectic:2n=4", "lagrangian"),
     ("symplectic:2n=4", "omega-nondegenerate"),
     ("complex:nc=2", "totally-real"),
@@ -974,21 +991,43 @@ TABLE_PLANE = [[1, 2, 0], [0, 1, Fraction(-1, 2)]]
     ("complex:nc=2", RATIONAL_PLANE),
     ("complex:nc=2", RATIONAL_3_PLANE),
     ("contact:dim=3", TABLE_PLANE),
-])
+]
+
+
+def flag_context(group, flag):
+    """The spec and FlagContext of a TABLE_FLAGS entry."""
+    spec = parse_pseudogroup(group)
+    tau = stratum_tau(spec, flag) if isinstance(flag, str) else flag
+    return spec, FlagContext(spec.ambient_dim, tau)
+
+
+@pytest.mark.parametrize("group, flag", TABLE_FLAGS)
 def test_stationary_table_matches_the_per_cell_reference(group, flag):
     # The stationary row read off g's Spencer complex through its
     # restriction equals the cohomology of the reference's ambient cells,
     # closure checked on every cell.
-    spec = parse_pseudogroup(group)
-    tau = stratum_tau(spec, flag) if isinstance(flag, str) else flag
-    ctx = FlagContext(spec.ambient_dim, tau)
+    spec, ctx = flag_context(group, flag)
     gsys = system(spec, 4)
     d_range, s_range = range(4), range(ctx.m + 1)
     want = per_cell_stationary_complex(
-        FlagContext(spec.ambient_dim, tau), gsys).table(d_range, s_range)
+        flag_context(group, flag)[1], gsys).table(d_range, s_range)
     assert stationary_row_complex(ctx, gsys).table(
         d_range, s_range, "t").cells == want
     assert any(want.values())
+
+
+@pytest.mark.parametrize("group, flag", TABLE_FLAGS)
+def test_covariant_table_matches_the_per_cell_reference(group, flag):
+    # The Koszul complex of h/lambda(g) equals the reference's cells h_d
+    # (x) Lambda^s tau* modulo lambda(g_d) (x) Lambda^s tau*.  On the
+    # isometry groups a quotient grade is full over one that is not, so
+    # it must not take the monomial coordinates of a full Spencer grade.
+    spec, ctx = flag_context(group, flag)
+    gsys = system(spec, 4)
+    d_range, s_range = range(5), range(ctx.n + 1)
+    want = per_cell_covariant_complex(ctx, gsys, None).table(d_range, s_range)
+    assert covariant_complex(ctx, gsys, None).table(
+        d_range, s_range, "t").cells == want
 
 
 # ------------------------------------------------- invariance under G_0
