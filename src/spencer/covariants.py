@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache, partial
 from types import SimpleNamespace
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from .errors import (AmbientMismatch, ConsistencyCheckFailed, DegreeUnderflow,
                      EquationNotInvariant, ParamOutOfRange, ShapeMismatch)
@@ -87,7 +87,8 @@ class FlagContext:
     def integral_restriction(self, l: int) -> LinearMap:
         """The order-l restriction along the integer rows of tau_space,
         with integer entries; its kernel is restriction_kernel's."""
-        return _restriction(self, l, self._int_rho, self._int_projection)
+        return _restriction(self, l, self._int_rho, self._int_projection,
+                            self.r)
 
     @cached_property
     def _int_projection(self) -> List[Vec]:
@@ -117,26 +118,28 @@ def restriction_map(ctx: FlagContext, l: int) -> LinearMap:
     quotient; its kernel is restriction_kernel.
     """
     return _restriction(ctx, l, ctx.rho,
-                        [ctx.value_projection(b) for b in range(ctx.m)])
+                        [ctx.value_projection(b) for b in range(ctx.m)],
+                        ctx.r)
 
 
 def _restriction(ctx: FlagContext, l: int, rho: Sequence[Vec],
-                 proj: Sequence[Vec]) -> LinearMap:
+                 proj: Sequence[Vec], r: int) -> LinearMap:
     """restriction_map along the covector restrictions rho, with the value
-    projections proj."""
-    m, n = ctx.m, ctx.n
-    dom = TensorShape(m, l, 0, m)
-    cod = TensorShape(n, l, 0, ctx.r)
+    projections proj, one per value coordinate of the domain, into r
+    value coordinates."""
+    n = ctx.n
+    dom = TensorShape(ctx.m, l, 0, len(proj))
+    cod = TensorShape(n, l, 0, r)
     cod_sym = _sym_index(n, l)
     rows: List[Vec] = []
     for mono in dom.sym_list():
         sym_img = _substituted(mono, rho, n)
         # Distinct (monomial, value) pairs are distinct columns, and each
         # factor is nonzero, so no entries meet.
-        for b in range(m):
+        for pb in proj:
             rows.append({cod.index(cod_sym[mt], 0, vi): sv * pv
                          for mt, sv in sym_img.items()
-                         for vi, pv in proj[b].items()})
+                         for vi, pv in pb.items()})
     return LinearMap(dom, cod, rows)
 
 
@@ -317,14 +320,13 @@ def _grade_restriction(ctx: FlagContext, gsys: SymbolicSystem,
 
 class _RestrictedColumns:
     """The columns l (x) phi of pi = lambda_d (x) (Lambda^s V* ->
-    Lambda^s tau*) on the Spencer cell of shape: l over independent
-    functionals on the coordinates p of g_d (p = monomial * w + value in
-    a full cell, the basis row of g_d in a GradeShape one, where w is 1),
-    phi over the independent columns of the form restriction.  Such
-    products are independent, and l (x) phi sits at
-    (p // w * wedge_count + J) * w + p % w.  Its length is their number,
-    and each pass builds them anew: they are dense, and a cell outlives
-    the rank that reads them."""
+    Lambda^s tau*) on the Spencer cell of shape, a GradeShape cell under
+    a restriction (see spencer_complex): l over independent functionals
+    on the basis rows p of g_d, phi over the independent columns of the
+    form restriction.  Such products are independent, and l (x) phi sits
+    at p * wedge_count + J.  Its length is their number, and each pass
+    builds them anew: they are dense, and a cell outlives the rank that
+    reads them."""
 
     __slots__ = ("functionals", "forms", "shape")
 
@@ -338,16 +340,53 @@ class _RestrictedColumns:
         return len(self.functionals) * len(self.forms)
 
     def __iter__(self) -> Iterator[IntVec]:
-        w, wc = self.shape.value_dim, self.shape.wedge_count
+        wc = self.shape.wedge_count
         for l in self.functionals:
-            split = [(p // w * wc * w + p % w, v) for p, v in l.items()]
+            split = [(p * wc, v) for p, v in l.items()]
             for phi in self.forms:
-                yield {base + J * w: v * f for base, v in split
+                yield {base + J: v * f for base, v in split
                        for J, f in phi.items()}
 
 
-def stationary_row_complex(ctx: FlagContext,
-                           gsys: SymbolicSystem) -> CochainComplex:
+def _form_restrictions(ctx: FlagContext,
+                       images: Callable[[int], Sequence[Vec]]
+                       ) -> Callable[[int, int, TensorShape],
+                                     _RestrictedColumns]:
+    """pi(d, s) = lambda_d (x) (Lambda^s V* -> Lambda^s tau*) on the
+    Spencer cells of a system, by its columns, with images(d) the image
+    under lambda_d of each coordinate of grade d: its functionals on g_d
+    are one echelon per degree of those images' columns."""
+
+    @lru_cache(maxsize=None)
+    def functionals(d: int) -> Tuple[IntVec, ...]:
+        return tuple(echelon((column for _, column
+                              in _bucketed(enumerate(images(d)), None)),
+                             canonical=False).values())
+
+    def restriction(d: int, s: int,
+                    shape: TensorShape) -> _RestrictedColumns:
+        return _RestrictedColumns(functionals(d), ctx.form_restriction(s),
+                                  shape)
+
+    return restriction
+
+
+class _ValueSplit:
+    """A direct sum of complexes with multiplicities: H(d, s) is the sum of
+    k * H(d, s) over the (k, complex) parts, which share their top."""
+
+    def __init__(self, parts: Sequence[Tuple[int, CochainComplex]]):
+        self.parts = parts
+        self.top = parts[0][1].top
+
+    def H(self, d: int, s: int) -> int:
+        return sum(k * cx.H(d, s) for k, cx in self.parts)
+
+    table = CochainComplex.table
+
+
+def stationary_row_complex(ctx: FlagContext, gsys: SymbolicSystem
+                           ) -> CochainComplex | _ValueSplit:
     """The stationary row, with cells
     S(d, s) = g_d (x) (ann ^ Lambda^(s-1) V*) + stat_d (x) Lambda^s V*,
     read off g's Spencer complex: S(d, s) is the kernel of
@@ -359,24 +398,26 @@ def stationary_row_complex(ctx: FlagContext,
     functionals on g_d are one echelon per degree.  The clearing holds
     because pi(d, s) o delta = delta_Q o pi(d + 1, s - 1), with delta_Q
     the differential along tau of lambda(g) (x) Lambda tau*: restriction
-    commutes with lowering along tau."""
+    commutes with lowering along tau.
+
+    A system whose top supplied grade is full is full in every grade
+    (closure fills the grades below it, prolongation those above).  Then
+    lambda_d is lambda_sym (x) proj_nu, and the differential is the
+    identity on the value factor, so in a value basis adapted to
+    V = tau + nu' the row splits: n copies of the scalar full Spencer
+    complex (values in tau, on which proj_nu vanishes) plus r copies of
+    its kernel of lambda_sym (x) (Lambda^s V* -> Lambda^s tau*) (values
+    in nu', which proj_nu sends isomorphically onto nu)."""
     m = ctx.m
     if gsys.base_dim != m or gsys.value_dim != m:
         raise AmbientMismatch("symbol system does not live over the flag")
-
-    @lru_cache(maxsize=None)
-    def functionals(d: int) -> Tuple[IntVec, ...]:
-        images = enumerate(_grade_restriction(ctx, gsys, d))
-        return tuple(echelon((column for _, column
-                              in _bucketed(images, None)),
-                             canonical=False).values())
-
-    def restriction(d: int, s: int,
-                    shape: TensorShape) -> _RestrictedColumns:
-        return _RestrictedColumns(functionals(d), ctx.form_restriction(s),
-                                  shape)
-
-    return spencer_complex(gsys, restriction)
+    if not gsys.grade(gsys.top).is_full:
+        return spencer_complex(gsys, _form_restrictions(
+            ctx, partial(_grade_restriction, ctx, gsys)))
+    scalar = SymbolicSystem(m, 1, {}, fill="full")
+    kernel = spencer_complex(scalar, _form_restrictions(
+        ctx, lambda d: _restriction(ctx, d, ctx._int_rho, [{0: 1}], 1).rows))
+    return _ValueSplit([(ctx.n, spencer_complex(scalar)), (ctx.r, kernel)])
 
 
 def tau_form_complex(ctx: FlagContext, gsys: SymbolicSystem,

@@ -250,21 +250,30 @@ def _clear_pivots(row: IntVec, hits: List[int],
 
 
 # A deferred row: (lead, build, arg), build(arg) giving the row and lead
-# its least column, known without building it.
-Deferred = Tuple[object, Callable[[object], Mapping[int, object]], object]
+# its least column, known without building it.  build returns a new dict of
+# nonzero entries that nothing else holds: elimination keeps it as its row.
+Deferred = Tuple[object, Callable[[object], Dict[int, object]], object]
 
 
 def _built(row: Deferred) -> IntVec:
     """The primitive integer row of a deferred row, positive at its lead,
     checked to be its least column: a pivot filed under a wrong lead
     would be met at a column that it does not lead, and elimination with
-    it need not end."""
+    it need not end.  The built dict is kept when its entries are ints of
+    gcd 1 and a positive lead; else one pass divides it by the gcd, signed
+    as its lead, and Fraction entries are scaled to integers first."""
     lead, build, arg = row
-    r = _as_int_row(build(arg))
+    r = build(arg)
     if not r or min(r) != lead:
         raise ConsistencyCheckFailed(
             "a deferred row filed under column %r leads elsewhere" % (lead,))
-    return r if r[lead] > 0 else {k: -v for k, v in r.items()}
+    try:
+        g = math.gcd(*r.values())
+    except TypeError:
+        return _stored(_as_int_row(r), lead)
+    if r[lead] < 0:
+        g = -g
+    return r if g == 1 else {k: v // g for k, v in r.items()}
 
 
 def _pivot_rows(rows: Iterable[Mapping[int, object] | Deferred]

@@ -318,10 +318,11 @@ class CochainComplex:
     memoized, and a cell is kept until both ranks that read it are known,
     so a table builds each cell and takes each rank once.  Raises
     NotASubcomplex when a count is negative, the differential leaves C or
-    S, or it does not square to zero.  A full cell over a full next cell
-    (no restriction on the cell) takes value_dim times the rank of the
-    differential on the unit value space; under a restriction it takes
-    the unit value columns at each of the value_dim coordinates c * w + b.
+    S, or it does not square to zero.  Without a restriction, a full cell
+    over a full next cell takes value_dim times the rank of the
+    differential on the unit value space; with one, every rank takes the
+    cell's own columns (spencer_complex gives every nonzero grade grade
+    coordinates there, whose value factor is 1).
 
     Each rank is taken on the columns of the differential on C(d, s): one
     row per coordinate of C(d - 1, s + 1) (its flat column when that cell
@@ -418,22 +419,18 @@ class CochainComplex:
                 "the differential does not square to zero at degree %d" % d)
 
     def _check_restriction(self, d: int, delta: LinearMap | _KoszulMap,
-                           w: int, R: Collection[Vec],
-                           R_next: Collection[Vec]):
+                           R: Collection[Vec], R_next: Collection[Vec]):
         """S(d, 0) -> S(d - 1, 1): each column of pi(d - 1, 1) composed
-        with the differential (the rows of delta at each of w value
-        coordinates, the rows that the ranks' columns are, transposed)
-        lies in the span of pi(d, 0)'s columns, so that
-        rank [pi(d, 0); pi(d - 1, 1) o delta] = rank pi(d, 0)."""
+        with the differential (the rows of delta, the rows that the ranks'
+        columns are, transposed) lies in the span of pi(d, 0)'s columns, so
+        that rank [pi(d, 0); pi(d - 1, 1) o delta] = rank pi(d, 0)."""
         columns = dict(_bucketed(enumerate(delta.rows), None))
         composed = []
         for row in R_next:
             out: Vec = {}
-            for key, v in row.items():
-                k, b = divmod(key, w)
+            for k, v in row.items():
                 for x, u in columns.get(k, {}).items():
-                    y = x * w + b
-                    out[y] = out.get(y, 0) + v * u
+                    out[x] = out.get(x, 0) + v * u
             composed.append(out)
         if len(echelon(chain(R, composed), canonical=False)) != len(R):
             raise NotASubcomplex(
@@ -456,16 +453,15 @@ class CochainComplex:
         if C.dim == 0:
             return 0
         C_next, R_next = self._subspaces(d - 1, s + 1)
-        w = C.ambient.value_dim if C.is_full and C_next.is_full else 1
+        w = (C.ambient.value_dim if C.is_full and C_next.is_full
+             and self._restriction is None else 1)
         delta = self._differential(C.ambient._replace(value_dim=1)
                                    if w > 1 else C.ambient)
         if s == 0 and R_next:
-            self._check_restriction(d, delta, w, R, R_next)
-        # Without pi the unit value column at c stands for the w columns
-        # c * w + b, and is dropped when all of them are cleared; with pi
-        # each of them is a column of its own.
-        spread = w if R else 1
-        if w > spread:
+            self._check_restriction(d, delta, R, R_next)
+        if w > 1:
+            # The unit value column at c stands for the w columns c * w + b,
+            # and is dropped when all of them are cleared.
             cleared = {c // w for c in cleared if c % w == 0
                        and all(c + b in cleared for b in range(1, w))}
         if not isinstance(delta, LinearMap):
@@ -476,18 +472,13 @@ class CochainComplex:
                 images = _closed(images, C_next, d)
             keep = set(range(delta.codomain.dim) if C_next.is_full
                        else C_next.pivots)
-            if spread == 1:
-                keep.difference_update(cleared)
-            buckets = _bucketed(images, keep)
-            columns = ((column for _, column in buckets) if spread == 1 else
-                       ({k * spread + b: v for k, v in column.items()}
-                        for c, column in buckets for b in range(spread)
-                        if c * spread + b not in cleared))
+            keep.difference_update(cleared)
+            columns = (column for _, column in _bucketed(images, keep))
         piv = _pivot_rows(chain(columns, R))
         if s > 0 and (d + 1, s - 1) not in self._ranks:
-            self._pivots[(d, s)] = ({c * w + b for c in piv for b in range(w)}
-                                    if w > spread else set(piv))
-        return w // spread * (len(piv) - len(R))
+            self._pivots[(d, s)] = (set(piv) if w == 1 else
+                                    {c * w + b for c in piv for b in range(w)})
+        return w * (len(piv) - len(R))
 
     def H(self, d: int, s: int) -> int:
         """Cohomology dimension at (d, s); 0 outside the complex."""
@@ -564,7 +555,8 @@ class _KoszulMap:
                             for t, i in enumerate(K)]
 
     def _column(self, faces: List[Tuple[int, int, int]], p: int) -> Vec:
-        """The column at coordinate p of the form with the given faces."""
+        """The column at coordinate p of the form with the given faces, a
+        new dict that elimination may keep (see exactla.Deferred)."""
         wc, table = self._wc, self._table
         return {u * wc + J: sign * v for i, sign, J in faces
                 for u, v in table[i].get(p, ())}
@@ -614,13 +606,16 @@ def spencer_complex(system: SymbolicSystem,
     sum_i D_i (x) (e^i ^ .), with the D_i of system.lowering(d), which
     checked the closure and holds each D_i by its columns, from which the
     engine's columns and the delta^2 check's rows are built (_KoszulMap).
-    A zero grade, and a full grade of a SymbolicSystem, keep monomial
-    coordinates and delta_map, for the engine's unit value path; a full
-    grade of another family (covariants' h/lambda(g)) may lie over one
-    that is not full, so it does not.  With a restriction, the complex of
-    its kernels inside these cells (see CochainComplex)."""
+    With a restriction, the complex of its kernels inside these cells
+    (see CochainComplex).  A zero grade keeps monomial coordinates, and so
+    does a full grade of a SymbolicSystem, with delta_map, where the
+    engine takes its unit value path: on more than one value coordinate
+    and without a restriction.  Elsewhere the deferred Koszul columns
+    cost less than delta_map's rows, and a full grade of another family
+    (covariants' h/lambda(g)) may lie over one that is not full."""
     n = system.base_dim
-    plain = isinstance(system, SymbolicSystem)
+    plain = (isinstance(system, SymbolicSystem) and system.value_dim > 1
+             and restriction is None)
 
     def cell(d: int, s: int) -> Subspace:
         g = system.grade(d)

@@ -21,16 +21,23 @@ def run_json(capsys, argv):
     return code, data
 
 
+def subprocess_env(**extra):
+    """os.environ with extra set and this checkout's src first on
+    PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # Each CLI command is its own process, so the import is part of every
     # command's time; dataclasses alone pulls in inspect, ast and dis.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
     probe = ("import sys, spencer.cli; "
              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe],
+                         env=subprocess_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
@@ -308,6 +315,24 @@ def test_tresse_rerun_byte_identical(tmp_path, capsys):
     first = out.read_bytes()
     assert main(argv) == 0
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--table", "stationary", "--group", "general:m=4",
+     "--flag", "tau=1/2,2,1/2,1;-3/4,2,1,2", "--l", "1..3"],
+    ["covariants", "--group", "symplectic:2n=4", "--flag",
+     "stratum=lagrangian", "--l", "1..3"],
+    ["transversality", "--group", "complex:nc=2", "--flag",
+     "stratum=totally-real", "--l", "1..3"],
+], ids=["stationary", "covariants", "transversality"])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # The iteration order of a set of strings follows the hash seed, which
+    # only a new process changes; no output may depend on it.
+    outs = {subprocess.run([sys.executable, "-m", "spencer.cli", *argv],
+                           env=subprocess_env(PYTHONHASHSEED=seed),
+                           check=True, capture_output=True).stdout
+            for seed in ("1", "2")}
+    assert len(outs) == 1
 
 
 # ---------------------------------------------------------------- errors
