@@ -372,6 +372,19 @@ class CochainComplex:
         self._ranks: Dict[Tuple[int, int], Tuple[int, int]] = {}
         # Pivot set of the rank at (d, s), kept until (d + 1, s - 1) reads it.
         self._pivots: Dict[Tuple[int, int], Set[int]] = {}
+        # Degrees d whose delta^2 = 0 from (d, 0) is checked.
+        self._squared: Set[int] = set()
+
+    def restricted(self, restriction: Callable[[int, int, TensorShape],
+                                               Collection[Vec]]
+                   ) -> CochainComplex:
+        """The complex of the kernels of restriction in these cells, with
+        the same differential: it shares this complex's maps and the
+        degrees whose delta^2 = 0 either has checked."""
+        cx = CochainComplex(self.top, self._cell, self._differential,
+                            restriction)
+        cx._differential, cx._squared = self._differential, self._squared
+        return cx
 
     def _subspaces(self, d: int, s: int) -> Tuple[Subspace, Collection[Vec]]:
         """C(d, s) and the columns of pi(d, s), none without a restriction."""
@@ -445,10 +458,11 @@ class CochainComplex:
             return 0
         if s > 0:
             self._cell_ranks(d, 0)
-        elif d >= 2 and self.top >= 2:
+        elif d >= 2 and self.top >= 2 and d not in self._squared:
             # Ranks of degree d are cleared only by ranks at (d - 1, s + 1)
             # with d - 1 >= 1 and s + 1 < top.
             self._check_square(d, C)
+            self._squared.add(d)
         cleared = self._pivots.pop((d - 1, s + 1), ())
         if C.dim == 0:
             return 0

@@ -660,7 +660,7 @@ def test_stationary_table_builds_each_cell_once(count_calls, capsys):
     # The stationary row builds no cell of its own: per (d, s) the columns
     # of its restriction on the Spencer cell, once, and per degree the
     # restriction on g_d, once.  It intersects no stationary subspace and
-    # takes no plain differential on more than one value coordinate.
+    # takes no plain differential: every grade has grade coordinates.
     # volume:m=3 is not full, so its row is not split over the values.
     covariants_module = importlib.import_module("spencer.covariants")
     symbolic = importlib.import_module("spencer.symbolic")
@@ -681,7 +681,7 @@ def test_stationary_table_builds_each_cell_once(count_calls, capsys):
     assert sorted(restrictions) == [0, 1, 2, 3, 4]
     assert set(restrictions.values()) == {1}
     assert not stationary
-    assert set(plain) <= {1}
+    assert not plain
 
     stationary.clear()
     gsys = system(parse_pseudogroup("volume:m=3"), 4)
@@ -1060,7 +1060,9 @@ def test_full_stationary_table_takes_one_value_coordinate(count_calls,
     # The row of general:m=3 is split over its values: every
     # restriction's columns are on one value coordinate, each cell's
     # columns are built once, and the scalar grades take Koszul columns,
-    # so no plain differential is built.
+    # so no plain differential is built.  The two parts share the scalar
+    # differential: each Koszul map is built once, and delta^2 = 0 is
+    # checked once per degree.
     covariants_module = importlib.import_module("spencer.covariants")
     symbolic = importlib.import_module("spencer.symbolic")
     built = count_calls(covariants_module._RestrictedColumns, "__init__",
@@ -1069,6 +1071,11 @@ def test_full_stationary_table_takes_one_value_coordinate(count_calls,
                          shape.value_dim))
     plain = count_calls(symbolic, "delta_map",
                         key=lambda shape: shape.value_dim)
+    koszul = count_calls(symbolic._KoszulMap, "__init__",
+                         key=lambda delta, domain, *rest:
+                         (domain.sym_degree, domain.ext_degree))
+    squares = count_calls(CochainComplex, "_check_square",
+                          key=lambda cx, d, C: d)
     assert main(["cohomology", "--table", "stationary", "--group",
                  "general:m=3", "--flag", "tau=1,0,0;0,1,0",
                  "--l", "1..3"]) == 0
@@ -1076,6 +1083,8 @@ def test_full_stationary_table_takes_one_value_coordinate(count_calls,
     assert built and set(built.values()) == {1}
     assert {value_dim for _, _, value_dim in built} == {1}
     assert not plain
+    assert koszul and set(koszul.values()) == {1}
+    assert squares and set(squares.values()) == {1}
 
 
 def projective_system(m):
