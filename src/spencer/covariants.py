@@ -27,11 +27,11 @@ from .errors import (AmbientMismatch, ConsistencyCheckFailed, DegreeUnderflow,
 from .exactla import (IntVec, LinearMap, Subspace, TensorShape, Vec,
                       _back_substitute, _exact, _sym_index, contains, det,
                       echelon, image, preimage, subspace_intersect,
-                      subspace_sum, tensor_all_forms, wedge_basis)
+                      subspace_sum, wedge_basis)
 from .symbolic import (CochainComplex, LoweringTable, SymbolicSystem,
-                       _bucketed, _lowered, _lowering_table, _raised,
-                       _restriction_frame, _substituted, annihilator,
-                       restrict_delta, spencer_complex,
+                       _ValueSplit, _lowered, _lowering_table, _raised,
+                       _restriction_frame, _substituted, _transposed,
+                       annihilator, spencer_complex,
                        strongly_noncharacteristic)
 
 
@@ -41,16 +41,18 @@ class FlagContext:
     tau_basis rows are vectors in V; the quotient nu = V/tau carries the
     canonical basis of non-pivot coordinates of tau's reduced form, and
     rho[j] = {a: tau[a][j]} is the covector e^j restricted to the given
-    tau basis.  ``restricted_delta(shape)`` is restrict_delta along the
-    primitive integer rows of tau_space, built once per shape for every
-    tau-form complex of the flag.  A tau-form cell holds all of
+    tau basis.  The flag's tables run along tau's frame instead, the
+    primitive integer rows t_a of tau_space: a tau-form cell holds all of
     Lambda^s tau*, so a change of basis of tau is an isomorphism of
-    complexes: the tables are those along tau, and the rows, the delta^2
-    check and the ranks run in ints on every flag.  ``form_restriction(s)``
-    is Lambda^s of the restriction of forms along those rows, by its
-    columns, and ``integral_restriction(l)`` the order-l restriction along
-    them, with the projection to nu scaled to integers: the stationary
-    row's restriction, whose kernels do not depend on the basis of tau.
+    complexes, and the kernels of the restrictions do not depend on it;
+    along the frame the lowering tables, the delta^2 check and the ranks
+    run in ints on every flag.  ``form_restriction(s)`` is Lambda^s of the
+    restriction of forms along the frame, by its columns, and
+    ``integral_restriction(l)`` the order-l restriction along it, with the
+    projection to nu scaled to integers.  Per flag it keeps each order's
+    restriction kernel, each system's restriction on its grades and each
+    system's complex along the frame (_framed); _scalar is the scalar
+    full system on V, into whose complexes a full system's tables split.
     """
 
     def __init__(self, m: int, tau_basis: Sequence[Sequence[object]]):
@@ -70,15 +72,14 @@ class FlagContext:
         self.rho = _restriction_frame(self.tau, m)
         frame = [[row.get(j, 0) for j in range(m)]
                  for row in self.tau_space.int_rows]
-        self.restricted_delta = lru_cache(maxsize=None)(
-            partial(restrict_delta, frame))
         self.form_restriction = lru_cache(maxsize=None)(
             partial(_form_restriction, frame))
         self._int_rho = _restriction_frame(frame, m)
-        self._stationary: Dict[Tuple[SymbolicSystem, int], Subspace] = {}
+        self._scalar = SymbolicSystem(m, 1, {}, fill="full")
         self._restrictions: Dict[Tuple[SymbolicSystem, int],
                                  Sequence[Vec]] = {}
         self._kernels: Dict[int, Subspace] = {}
+        self._framed: Dict[SymbolicSystem, CochainComplex] = {}
 
     def value_projection(self, b: int) -> Vec:
         """Coordinates of the b-th ambient basis vector in nu = V/tau."""
@@ -217,16 +218,6 @@ def stationary_subspace(ctx: FlagContext, g_l: Subspace) -> Subspace:
     return subspace_intersect(g_l, _kernel(ctx, shp.sym_degree))
 
 
-def _stationary_grade(ctx: FlagContext, gsys: SymbolicSystem,
-                      d: int) -> Subspace:
-    """stationary_subspace of g_d, computed once per flag, system and d:
-    every cell of a table over degree d reads the same one."""
-    key = (gsys, d)
-    if key not in ctx._stationary:
-        ctx._stationary[key] = stationary_subspace(ctx, gsys.grade(d))
-    return ctx._stationary[key]
-
-
 class CovariantReport(NamedTuple):
     """Dimensions of the order-l restriction data at one flag."""
 
@@ -307,11 +298,13 @@ def _grade_restriction(ctx: FlagContext, gsys: SymbolicSystem,
                        d: int) -> Sequence[Vec]:
     """The restriction on g_d: per basis row of g_d (in int_rows order, the
     ambient basis when g_d is full), its image under
-    ctx.integral_restriction(d).  Its kernel in g_d is stat_d.  Computed
-    once per flag, system and d."""
+    ctx.integral_restriction(d), or on a scalar system under the
+    restriction of the symmetric arguments alone.  Its kernel in g_d is
+    stat_d.  Computed once per flag, system and d."""
     key = (gsys, d)
     if key not in ctx._restrictions:
-        lam = ctx.integral_restriction(d)
+        lam = (_restriction(ctx, d, ctx._int_rho, [{0: 1}], 1)
+               if gsys.value_dim == 1 else ctx.integral_restriction(d))
         g = gsys.grade(d)
         ctx._restrictions[key] = (lam.rows if g.is_full else
                                   [lam.apply(row) for row in g.int_rows])
@@ -319,14 +312,13 @@ def _grade_restriction(ctx: FlagContext, gsys: SymbolicSystem,
 
 
 class _RestrictedColumns:
-    """The columns l (x) phi of pi = lambda_d (x) (Lambda^s V* ->
-    Lambda^s tau*) on the Spencer cell of shape, a GradeShape cell under
-    a restriction (see spencer_complex): l over independent functionals
-    on the basis rows p of g_d, phi over the independent columns of the
-    form restriction.  Such products are independent, and l (x) phi sits
-    at p * wedge_count + J.  Its length is their number, and each pass
-    builds them anew: they are dense, and a cell outlives the rank that
-    reads them."""
+    """The columns l (x) phi of pi = lambda_d (x) phi_s on a GradeShape
+    cell of shape under a restriction (see CochainComplex): l over
+    independent functionals on the basis rows p of g_d, phi over the
+    independent columns of a map of s-forms.  Such products are
+    independent, and l (x) phi sits at p * wedge_count + J.  Its length is
+    their number, and each pass builds them anew: they are dense, and a
+    cell outlives the rank that reads them."""
 
     __slots__ = ("functionals", "forms", "shape")
 
@@ -348,41 +340,59 @@ class _RestrictedColumns:
                        for J, f in phi.items()}
 
 
-def _form_restrictions(ctx: FlagContext,
-                       images: Callable[[int], Sequence[Vec]]
-                       ) -> Callable[[int, int, TensorShape],
-                                     _RestrictedColumns]:
-    """pi(d, s) = lambda_d (x) (Lambda^s V* -> Lambda^s tau*) on the
-    Spencer cells of a system, by its columns, with images(d) the image
-    under lambda_d of each coordinate of grade d: its functionals on g_d
-    are one echelon per degree of those images' columns."""
+def _restrictions(ctx: FlagContext, gsys: SymbolicSystem,
+                  forms: Callable[[int], Sequence[IntVec]]
+                  ) -> Callable[[int, int, TensorShape], _RestrictedColumns]:
+    """pi(d, s) = lambda_d (x) forms(s) on the cells of a complex of g, by
+    its columns: lambda_d's functionals on g_d are one echelon per degree
+    of the columns of _grade_restriction, forms(s) the columns of a map of
+    s-forms."""
 
     @lru_cache(maxsize=None)
     def functionals(d: int) -> Tuple[IntVec, ...]:
-        return tuple(echelon((column for _, column
-                              in _bucketed(enumerate(images(d)), None)),
-                             canonical=False).values())
+        columns = _transposed(_grade_restriction(ctx, gsys, d))
+        return tuple(echelon(columns.values(), canonical=False).values())
 
     def restriction(d: int, s: int,
                     shape: TensorShape) -> _RestrictedColumns:
-        return _RestrictedColumns(functionals(d), ctx.form_restriction(s),
-                                  shape)
+        return _RestrictedColumns(functionals(d), forms(s), shape)
 
     return restriction
 
 
-class _ValueSplit:
-    """A direct sum of complexes with multiplicities: H(d, s) is the sum of
-    k * H(d, s) over the (k, complex) parts, which share their top."""
+def _unit_forms(n: int, s: int) -> List[IntVec]:
+    """The identity of Lambda^s on n directions, by its columns."""
+    return [{K: 1} for K in range(math.comb(n, s))]
 
-    def __init__(self, parts: Sequence[Tuple[int, CochainComplex]]):
-        self.parts = parts
-        self.top = parts[0][1].top
 
-    def H(self, d: int, s: int) -> int:
-        return sum(k * cx.H(d, s) for k, cx in self.parts)
+def _is_full(ctx: FlagContext, gsys: SymbolicSystem) -> bool:
+    """Whether gsys, checked to live over the flag, is full in every grade:
+    its top supplied grade is (closure fills the grades below it,
+    prolongation those above)."""
+    if gsys.base_dim != ctx.m or gsys.value_dim != ctx.m:
+        raise AmbientMismatch("symbol system does not live over the flag")
+    return gsys.grade(gsys.top).is_full
 
-    table = CochainComplex.table
+
+def _kernel_complex(ctx: FlagContext, gsys: SymbolicSystem,
+                    base: Callable[[SymbolicSystem], CochainComplex],
+                    forms: Callable[[int], Sequence[IntVec]]
+                    ) -> CochainComplex | _ValueSplit:
+    """The kernel of pi = lambda_d (x) forms(s) in the complex base(g).
+
+    On a full g, lambda_d is lambda_sym (x) proj_nu, and the differential
+    is the identity on the value factor, so in a value basis adapted to
+    V = tau + nu' the kernel splits: n copies of base of the scalar full
+    system (values in tau, on which proj_nu vanishes) plus r copies of its
+    kernel of lambda_sym (x) forms(s) (values in nu', which proj_nu sends
+    isomorphically onto nu).  The kernel shares the scalar complex's
+    differential, so its maps are built and delta^2 = 0 is checked once
+    for both."""
+    full = _is_full(ctx, gsys)
+    system = ctx._scalar if full else gsys
+    cx = base(system)
+    kernel = cx.restricted(_restrictions(ctx, system, forms))
+    return _ValueSplit([(ctx.n, cx), (ctx.r, kernel)]) if full else kernel
 
 
 def stationary_row_complex(ctx: FlagContext, gsys: SymbolicSystem
@@ -393,52 +403,80 @@ def stationary_row_complex(ctx: FlagContext, gsys: SymbolicSystem
     pi = lambda_d (x) (Lambda^s V* -> Lambda^s tau*) on its cell
     g_d (x) Lambda^s V*, where the factors' kernels are stat_d and the
     annihilator ideal.  The engine ranks pi's columns with the
-    differential's and never builds S; pi is taken along the integer rows
-    of tau (ctx.integral_restriction, ctx.form_restriction), and its
-    functionals on g_d are one echelon per degree.  The clearing holds
-    because pi(d, s) o delta = delta_Q o pi(d + 1, s - 1), with delta_Q
-    the differential along tau of lambda(g) (x) Lambda tau*: restriction
+    differential's and never builds S; pi is taken along tau's frame
+    (ctx.integral_restriction, ctx.form_restriction), and its functionals
+    on g_d are one echelon per degree.  The clearing holds because
+    pi(d, s) o delta = delta_Q o pi(d + 1, s - 1), with delta_Q the
+    differential along tau of lambda(g) (x) Lambda tau*: restriction
     commutes with lowering along tau.
 
-    A system whose top supplied grade is full is full in every grade
-    (closure fills the grades below it, prolongation those above).  Then
-    lambda_d is lambda_sym (x) proj_nu, and the differential is the
-    identity on the value factor, so in a value basis adapted to
-    V = tau + nu' the row splits: n copies of the scalar full Spencer
-    complex (values in tau, on which proj_nu vanishes) plus r copies of
-    its kernel of lambda_sym (x) (Lambda^s V* -> Lambda^s tau*) (values
-    in nu', which proj_nu sends isomorphically onto nu).  The kernel
-    shares the scalar complex's differential, so its maps are built and
-    delta^2 = 0 is checked once for both.  Their tables are known: the
-    scalar complex is the Koszul complex of V*, exact but at (0, 0), and
-    the kernel is that of a chain map onto tau's Koszul complex, exact but
-    at (0, 0) too, where the map is an isomorphism on cohomology; so the
-    kernel is acyclic.  So a full system's row has H(d, s) = n at
-    d = s = 0 and 0 elsewhere; the split computes it, with every check,
-    and the reference tests compare it with the per-cell complex."""
-    m = ctx.m
-    if gsys.base_dim != m or gsys.value_dim != m:
-        raise AmbientMismatch("symbol system does not live over the flag")
-    if not gsys.grade(gsys.top).is_full:
-        return spencer_complex(gsys, _form_restrictions(
-            ctx, partial(_grade_restriction, ctx, gsys)))
-    full = spencer_complex(SymbolicSystem(m, 1, {}, fill="full"))
-    kernel = full.restricted(_form_restrictions(
-        ctx, lambda d: _restriction(ctx, d, ctx._int_rho, [{0: 1}], 1).rows))
-    return _ValueSplit([(ctx.n, full), (ctx.r, kernel)])
+    A full system's row splits (_kernel_complex) into n copies of the
+    scalar full Spencer complex and r copies of its kernel.  Their tables
+    are known: the scalar complex is the Koszul complex of V*, exact but
+    at (0, 0), and the kernel is that of a chain map onto tau's Koszul
+    complex, exact but at (0, 0) too, where the map is an isomorphism on
+    cohomology; so the kernel is acyclic.  So a full system's row has
+    H(d, s) = n at d = s = 0 and 0 elsewhere; the split computes it, with
+    every check, and the reference tests compare it with the per-cell
+    complex."""
+    return _kernel_complex(ctx, gsys, spencer_complex, ctx.form_restriction)
+
+
+def _along(t: IntVec,
+           table: LoweringTable) -> Dict[int, List[Tuple[int, int]]]:
+    """sum_j t[j] D_j, the lowering along the vector t, as one direction of
+    a LoweringTable: per coordinate p, the pairs (u, entry) in rising u,
+    nonzero entries only."""
+    sums: Dict[int, Dict[int, int]] = {}
+    for j, c in t.items():
+        for p, pairs in table[j].items():
+            at = sums.setdefault(p, {})
+            for u, v in pairs:
+                at[u] = at.get(u, 0) + c * v
+    along = {}
+    for p, at in sums.items():
+        pairs = sorted((u, v) for u, v in at.items() if v)
+        if pairs:
+            along[p] = pairs
+    return along
+
+
+def _framed(ctx: FlagContext, gsys: SymbolicSystem) -> CochainComplex:
+    """g_d (x) Lambda^s tau* with the differential restricted along tau:
+    e^j restricts to sum_a t_a[j] tau^a, so sum_j D_j (x) (e^j ^ .) becomes
+    sum_a D_(t_a) (x) (tau^a ^ .), spencer_complex of g along tau's frame,
+    whose lowering along t_a is D_(t_a) = sum_j t_a[j] D_j, combined once
+    per degree from gsys.lowering(d).  One per flag and system, so that
+    the flag's tables share its maps and delta^2 checks."""
+    if gsys not in ctx._framed:
+        frame = ctx.tau_space.int_rows
+
+        @lru_cache(maxsize=None)
+        def lowering(d: int) -> LoweringTable:
+            table = gsys.lowering(d)
+            return tuple(_along(t, table) for t in frame)
+
+        ctx._framed[gsys] = spencer_complex(SimpleNamespace(
+            base_dim=ctx.n, grade=gsys.grade, lowering=lowering))
+    return ctx._framed[gsys]
 
 
 def tau_form_complex(ctx: FlagContext, gsys: SymbolicSystem,
-                     stationary: bool) -> CochainComplex:
-    """g_d, or its stationary part, (x) Lambda^s tau* with the differential
-    restricted along tau."""
-
-    def cell(d: int, s: int) -> Subspace:
-        g = _stationary_grade(ctx, gsys, d) if stationary else gsys.grade(d)
-        return tensor_all_forms(g, TensorShape(ctx.m, d, s, ctx.m,
-                                               ext_dim=ctx.n))
-
-    return CochainComplex(ctx.n, cell, ctx.restricted_delta)
+                     stationary: bool) -> CochainComplex | _ValueSplit:
+    """g_d, or its stationary part stat_d, (x) Lambda^s tau* with the
+    differential restricted along tau (_framed).  stat_d (x) Lambda^s tau*
+    is the kernel of lambda_d (x) id, and lambda (x) id is a chain map onto
+    lambda(g) (x) Lambda tau*, so the stationary-tau complex is the framed
+    one under that restriction.  A full system's tables split over the
+    value factor: the restricted one into m copies of the scalar framed
+    complex, the stationary-tau one (_kernel_complex) into n copies of it
+    and r copies of its kernel of lambda_sym (x) id."""
+    if stationary:
+        return _kernel_complex(ctx, gsys, partial(_framed, ctx),
+                               partial(_unit_forms, ctx.n))
+    if _is_full(ctx, gsys):
+        return _ValueSplit([(ctx.m, _framed(ctx, ctx._scalar))])
+    return _framed(ctx, gsys)
 
 
 def covariant_complex(ctx: FlagContext, gsys: SymbolicSystem,
@@ -484,7 +522,7 @@ def covariant_complex(ctx: FlagContext, gsys: SymbolicSystem,
                                modulo=restricted_grade(d - 1))
 
     return spencer_complex(SimpleNamespace(
-        base_dim=n, value_dim=r, grade=grade, lowering=lowering))
+        base_dim=n, grade=grade, lowering=lowering))
 
 
 def stationary_row_cohomology(ctx: FlagContext, gsys: SymbolicSystem,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import (Callable, Collection, Container, Dict, Iterable,
                     Iterator, List, Mapping, NamedTuple, Optional, Sequence,
                     Set, Tuple)
@@ -49,57 +49,31 @@ def _wedge_insert(i: int, J: Tuple[int, ...]) -> Optional[Tuple[int, Tuple[int, 
     return sign, J[:pos] + (i,) + J[pos:]
 
 
-def _lowering_map(shape: TensorShape,
-                  frame: Sequence[Mapping[int, int | Fraction]]) -> LinearMap:
-    """p (x) omega -> sum_i (d_i p) (x) (tau^i ^ omega), where frame[i]
-    maps a to tau^i_a, nonzero entries only: the covector e^i restricted
-    along the frame, in the coordinates of the exterior space.
+@lru_cache(maxsize=None)
+def delta_map(shape: TensorShape) -> LinearMap:
+    """Lowering differential S^d Lambda^e -> S^(d-1) Lambda^(e+1), forms on
+    V: p (x) omega -> sum_i (d_i p) (x) (e^i ^ omega).
 
-    For a fixed (monomial, wedge) each (i, a) lands on its own column
-    (monomial lowered at i, wedge with a inserted), so no entries meet."""
+    For a fixed (monomial, wedge) each i lands on its own column (monomial
+    lowered at i, wedge with i inserted), so no entries meet."""
+    if shape.ext_dim != shape.base_dim:
+        raise ShapeMismatch("plain differential needs forms on the base space")
     if shape.sym_degree < 1:
         raise DegreeUnderflow("differential needs symmetric degree >= 1")
-    n, w, p = shape.base_dim, shape.value_dim, shape.ext_dim
-    cod = TensorShape(n, shape.sym_degree - 1, shape.ext_degree + 1, w,
-                      ext_dim=p)
+    n, w = shape.base_dim, shape.value_dim
+    cod = TensorShape(n, shape.sym_degree - 1, shape.ext_degree + 1, w)
     low_index = _sym_index(n, cod.sym_degree)
-    wedge_index = _wedge_index(p, cod.ext_degree)
+    wedge_index = _wedge_index(n, cod.ext_degree)
     rows: List[Vec] = []
     for mono in shape.sym_list():
-        lowerings = [(low_index[_lowered(mono, i)], mono[i], frame[i])
-                     for i in range(n) if mono[i]]
         for J in shape.wedge_list():
-            moves = []
-            for si, e, covector in lowerings:
-                for a, coef in covector.items():
-                    ins = _wedge_insert(a, J)
-                    if ins is not None:
-                        moves.append((cod.index(si, wedge_index[ins[1]], 0),
-                                      ins[0] * e * coef))
+            moves = [(cod.index(low_index[_lowered(mono, i)],
+                                wedge_index[ins[1]], 0), ins[0] * mono[i])
+                     for i in range(n)
+                     if mono[i] and (ins := _wedge_insert(i, J)) is not None]
             for b in range(w):
                 rows.append({c + b: v for c, v in moves})
     return LinearMap(shape, cod, rows)
-
-
-@lru_cache(maxsize=None)
-def delta_map(shape: TensorShape) -> LinearMap:
-    """Lowering differential S^d Lambda^e -> S^(d-1) Lambda^(e+1), forms on V."""
-    if shape.ext_dim != shape.base_dim:
-        raise ShapeMismatch("plain differential needs forms on the base space")
-    return _lowering_map(shape, [{i: 1} for i in range(shape.base_dim)])
-
-
-def restrict_delta(tau: Sequence[Sequence[object]], shape: TensorShape) -> LinearMap:
-    """Differential with the new form factor restricted to span(tau).
-
-    ``tau`` is a list of vectors in the base space; the exterior factor of
-    both domain and codomain is indexed by this list, so the map can be
-    iterated as a chain differential.  For tau the identity basis it equals
-    the plain differential.
-    """
-    if shape.ext_dim != len(tau):
-        raise ShapeMismatch("domain forms must live on the restricted space")
-    return _lowering_map(shape, _restriction_frame(tau, shape.base_dim))
 
 
 def _restriction_frame(tau: Sequence[Sequence[object]],
@@ -257,110 +231,88 @@ class CohomologyTable(NamedTuple):
         }
 
 
-def _closed(images: Iterable[Tuple[int, Vec]], C_next: Subspace,
-            d: int) -> Iterator[Tuple[int, Vec]]:
-    """The (key, image) pairs, each checked to lie in C_next."""
-    for k, image in images:
-        if not C_next.contains_vector(image):
-            raise NotASubcomplex(
-                "differential leaves the cells at degree %d" % d)
-        yield k, image
-
-
-def _basis_images(delta, C: Subspace) -> Iterable[Tuple[int, Vec]]:
-    """(key, delta of the basis row) for each basis row of C, keyed by its
-    pivot column; a full C's rows are the map's own rows."""
-    if C.is_full:
-        return enumerate(delta.rows)
-    return ((c, delta.apply(row)) for c, row in zip(C.pivots, C.int_rows))
-
-
-def _bucketed(images: Iterable[Tuple[int, Vec]],
-              keep: Optional[Set[int]]) -> Iterator[Tuple[int, Vec]]:
-    """(c, column) for the columns of the rows keyed k at the coordinates c
-    in keep (every coordinate when keep is None): the column maps k to
-    image[c].  Each image is bucketed as it comes and then dropped, and
-    each column once it is handed over; none is empty."""
+def _transposed(rows: Iterable[Vec]) -> Dict[int, Vec]:
+    """The columns of the matrix with the given rows: per column c that
+    holds an entry, k -> rows[k][c]."""
     columns: Dict[int, Vec] = {}
-    for k, image in images:
-        for c, v in image.items():
-            if keep is None or c in keep:
-                column = columns.get(c)
-                if column is None:
-                    columns[c] = {k: v}
-                else:
-                    column[k] = v
-    for c in list(columns):
-        yield c, columns.pop(c)
+    for k, row in enumerate(rows):
+        for c, v in row.items():
+            columns.setdefault(c, {})[k] = v
+    return columns
+
+
+def _times(vec: Vec, rows: Mapping[int, Vec]) -> Vec:
+    """sum_k vec[k] rows[k], over the k that rows holds; zero entries may
+    stay."""
+    out: Vec = {}
+    for k, v in vec.items():
+        for c, u in rows.get(k, {}).items():
+            out[c] = out.get(c, 0) + v * u
+    return out
 
 
 class CochainComplex:
     """Cells C(d, s), d >= 0 and 0 <= s <= top, or cut down to the kernel
     of an optional restriction, with a differential from (d, s) to
-    (d - 1, s + 1) that ``differential(shape)`` gives as the identity on
-    the value factor: a LinearMap, or a _KoszulMap, which hands its
-    columns over deferred and whose closure the Spencer complex checks
-    through its lowering tables.
+    (d - 1, s + 1) that ``differential(shape)`` gives on the GradeShape
+    cell of that ambient shape as a _KoszulMap, which hands its columns
+    over deferred and whose closure the family's lowering tables check.
+    A zero cell (of a zero grade) is never given to it.
 
     ``restriction(d, s, shape)`` gives a map pi(d, s) on C(d, s) (of that
     ambient shape) by its columns, a collection that may be iterated more
     than once, and whose members must be independent: the functionals on
-    C's coordinates whose common kernel S(d, s) is the cell that counts.  S(d, s) is never built: dim S = dim C - rank pi,
-    and the rank of the differential on S is the rank of the
-    differential's columns together with pi's, less rank pi, since the
-    span of both annihilates exactly the kernel of the differential inside
-    S.  One non-canonical echelon takes the differential's sparse columns
-    first and pi's few dense ones last, so that no sparse column is
-    reduced by a dense one.  Without a restriction pi is zero and S is C.
+    C's coordinates whose common kernel S(d, s) is the cell that counts.
+    S(d, s) is never built: dim S = dim C - rank pi, and the rank of the
+    differential on S is the rank of the differential's columns together
+    with pi's, less rank pi, since the span of both annihilates exactly
+    the kernel of the differential inside S.  One non-canonical echelon
+    takes the differential's sparse columns first and pi's few dense ones
+    last, so that no sparse column is reduced by a dense one.  Without a
+    restriction pi is zero and S is C.
 
     H(d, s) counts the elements of S(d, s) whose differential vanishes,
     modulo the differential of S(d + 1, s - 1).  Maps and ranks are
     memoized, and a cell is kept until both ranks that read it are known,
     so a table builds each cell and takes each rank once.  Raises
-    NotASubcomplex when a count is negative, the differential leaves C or
-    S, or it does not square to zero.  Without a restriction, a full cell
-    over a full next cell takes value_dim times the rank of the
-    differential on the unit value space; with one, every rank takes the
-    cell's own columns (spencer_complex gives every nonzero grade grade
-    coordinates there, whose value factor is 1).
+    NotASubcomplex when a count is negative, the differential leaves S,
+    or it does not square to zero.
 
     Each rank is taken on the columns of the differential on C(d, s): one
-    row per coordinate of C(d - 1, s + 1) (its flat column when that cell
-    is full, else a pivot column of its canonical basis), over C's basis
-    rows keyed by their pivot columns.  A rank reads only the pivot
-    columns of one non-canonical elimination (exactla._pivot_rows), so a
-    deferred column whose lead no later column meets is never built.  The
-    ranks are cleared (Chen and Kerber, EuroCG 2011; Bauer, J. Appl.
-    Comput. Topol. 5, 2021): as delta^2 = 0, the rows of the rank at
-    (d - 1, s + 1) annihilate the columns of the rank at (d, s), so at
-    each pivot p of the former the column at p depends on the columns
-    after p and is dropped.  Under a restriction, a row of the rank at
-    (d - 1, s + 1) is a combination of the columns of pi(d - 1, s + 1)
-    and of the differential, and composed with the differential it is a
-    combination of the columns of pi(d, s), as S is closed; so the whole
-    pivot set clears, the pivots of pi's columns too.  A table takes
-    those two ranks in that order (s rising within d, then d rising) and
-    releases each pivot set once read, so every degree but the lowest of
-    its range is cleared.
+    per coordinate of C(d - 1, s + 1), over C's basis rows.  A rank reads
+    only the pivot columns of one non-canonical elimination
+    (exactla._pivot_rows), so a deferred column whose lead no later
+    column meets is never built.  The ranks are cleared (Chen and Kerber,
+    EuroCG 2011; Bauer, J. Appl. Comput. Topol. 5, 2021): as delta^2 = 0,
+    the rows of the rank at (d - 1, s + 1) annihilate the columns of the
+    rank at (d, s), so at each pivot p of the former the column at p
+    depends on the columns after p and is dropped.  Under a restriction,
+    a row of the rank at (d - 1, s + 1) is a combination of the columns of
+    pi(d - 1, s + 1) and of the differential, and composed with the
+    differential it is a combination of the columns of pi(d, s), as S is
+    closed; so the whole pivot set clears, the pivots of pi's columns
+    too.  A table takes those two ranks in that order (s rising within d,
+    then d rising) and releases each pivot set once read, so every degree
+    but the lowest of its range is cleared.  A zero cell has rank 0 and
+    drops the pivot set that its rank would have read.
 
     Closure is checked once per degree, on the (d, 0) cell: the first rank
     taken at a degree d >= 1 (with s < top) first takes the rank at (d, 0),
-    which checks that the differential sends C(d, 0) into C(d - 1, 1) and
-    S(d, 0) into S(d - 1, 1); into a full next cell this holds trivially
-    and is skipped.  That rank first checks delta^2 = 0 from (d, 0),
+    which checks that the differential sends S(d, 0) into S(d - 1, 1);
+    C(d, 0) lands in C(d - 1, 1) by the lowering tables.  That rank first
+    checks delta^2 = 0 from a nonzero (d, 0) into a nonzero (d - 1, 1),
     before any rank of degree d is cleared.  So a table whose form degrees
     exclude 0 still builds the (d, 0) cell of each degree it reads.  This
     relies on the shape of the cells: each is a sum of pieces u (x) omega,
-    with u in C(d, 0) (or S(d, 0)) and omega in all of Lambda^s, or with u
-    in a grade closed under lowering (checked by its SymbolicSystem) and
-    omega in an ideal of the exterior algebra.  As
-    delta(u (x) omega) = (delta u) ^ omega, the checks at (d, 0) then hold
-    at every s.
+    with u in S(d, 0) and omega in all of Lambda^s, or with u in a grade
+    closed under lowering (checked by its lowering tables) and omega in an
+    ideal of the exterior algebra (the kernel of a restriction of forms).
+    As delta(u (x) omega) = (delta u) ^ omega, the checks at (d, 0) then
+    hold at every s.
     """
 
     def __init__(self, top: int, cell: Callable[[int, int], Subspace],
-                 differential: Callable[[TensorShape],
-                                        LinearMap | _KoszulMap],
+                 differential: Callable[[GradeShape], _KoszulMap],
                  restriction: Optional[Callable[[int, int, TensorShape],
                                                 Collection[Vec]]] = None):
         self.top = top
@@ -413,38 +365,26 @@ class CochainComplex:
 
     def _check_square(self, d: int, C: Subspace):
         """delta^2 = 0 from (d, 0): the differential of (d - 1, 1) vanishes
-        on the images of the basis vectors of C(d, 0)'s ambient at the
-        first value coordinate.  The differential is the identity on the
-        value factor, so it then vanishes on every image of C(d, 0), and,
-        as delta(u (x) omega) = (delta u) ^ omega, at every s.  It reads
-        the maps that the ranks read: on one value coordinate when C is
-        full, and for a _KoszulMap the rows that are its rank columns
-        transposed."""
-        shape = C.ambient._replace(value_dim=1) if C.is_full else C.ambient
-        delta = self._differential(shape)
-        after = self._differential(delta.codomain)
-        if not isinstance(after, LinearMap):
-            # Its rows, built once for this check and then dropped.
-            after = LinearMap(after.domain, after.codomain, after.rows)
-        if any(map(after.apply,
-                   islice(delta.rows, 0, None, shape.value_dim))):
+        on the images of the basis vectors of C(d, 0), and so, as
+        delta(u (x) omega) = (delta u) ^ omega, at every s.  It reads the
+        rows that are the ranks' columns transposed; into a zero
+        (d - 1, 1) it holds trivially."""
+        if self._subspaces(d - 1, 1)[0].dim == 0:
+            return
+        delta = self._differential(C.ambient)
+        after = dict(enumerate(self._differential(delta.codomain).rows))
+        if any(any(_times(row, after).values()) for row in delta.rows):
             raise NotASubcomplex(
                 "the differential does not square to zero at degree %d" % d)
 
-    def _check_restriction(self, d: int, delta: LinearMap | _KoszulMap,
+    def _check_restriction(self, d: int, delta: _KoszulMap,
                            R: Collection[Vec], R_next: Collection[Vec]):
         """S(d, 0) -> S(d - 1, 1): each column of pi(d - 1, 1) composed
         with the differential (the rows of delta, the rows that the ranks'
         columns are, transposed) lies in the span of pi(d, 0)'s columns, so
         that rank [pi(d, 0); pi(d - 1, 1) o delta] = rank pi(d, 0)."""
-        columns = dict(_bucketed(enumerate(delta.rows), None))
-        composed = []
-        for row in R_next:
-            out: Vec = {}
-            for k, v in row.items():
-                for x, u in columns.get(k, {}).items():
-                    out[x] = out.get(x, 0) + v * u
-            composed.append(out)
+        columns = _transposed(delta.rows)
+        composed = [_times(row, columns) for row in R_next]
         if len(echelon(chain(R, composed), canonical=False)) != len(R):
             raise NotASubcomplex(
                 "differential leaves the cells at degree %d" % d)
@@ -458,41 +398,22 @@ class CochainComplex:
             return 0
         if s > 0:
             self._cell_ranks(d, 0)
-        elif d >= 2 and self.top >= 2 and d not in self._squared:
+        cleared = self._pivots.pop((d - 1, s + 1), ())
+        if C.dim == 0:
+            return 0
+        if s == 0 and d >= 2 and self.top >= 2 and d not in self._squared:
             # Ranks of degree d are cleared only by ranks at (d - 1, s + 1)
             # with d - 1 >= 1 and s + 1 < top.
             self._check_square(d, C)
             self._squared.add(d)
-        cleared = self._pivots.pop((d - 1, s + 1), ())
-        if C.dim == 0:
-            return 0
-        C_next, R_next = self._subspaces(d - 1, s + 1)
-        w = (C.ambient.value_dim if C.is_full and C_next.is_full
-             and self._restriction is None else 1)
-        delta = self._differential(C.ambient._replace(value_dim=1)
-                                   if w > 1 else C.ambient)
+        delta = self._differential(C.ambient)
+        R_next = self._subspaces(d - 1, s + 1)[1]
         if s == 0 and R_next:
             self._check_restriction(d, delta, R, R_next)
-        if w > 1:
-            # The unit value column at c stands for the w columns c * w + b,
-            # and is dropped when all of them are cleared.
-            cleared = {c // w for c in cleared if c % w == 0
-                       and all(c + b in cleared for b in range(1, w))}
-        if not isinstance(delta, LinearMap):
-            columns = delta.leads(cleared)
-        else:
-            images = _basis_images(delta, C)
-            if s == 0 and not C_next.is_full:
-                images = _closed(images, C_next, d)
-            keep = set(range(delta.codomain.dim) if C_next.is_full
-                       else C_next.pivots)
-            keep.difference_update(cleared)
-            columns = (column for _, column in _bucketed(images, keep))
-        piv = _pivot_rows(chain(columns, R))
+        piv = _pivot_rows(chain(delta.leads(cleared), R))
         if s > 0 and (d + 1, s - 1) not in self._ranks:
-            self._pivots[(d, s)] = (set(piv) if w == 1 else
-                                    {c * w + b for c in piv for b in range(w)})
-        return w * (len(piv) - len(R))
+            self._pivots[(d, s)] = set(piv)
+        return len(piv) - len(R)
 
     def H(self, d: int, s: int) -> int:
         """Cohomology dimension at (d, s); 0 outside the complex."""
@@ -510,6 +431,20 @@ class CochainComplex:
               source: str) -> CohomologyTable:
         return CohomologyTable(source, {(d, s): self.H(d, s)
                                         for d in d_range for s in s_range})
+
+
+class _ValueSplit:
+    """A direct sum of complexes with multiplicities: H(d, s) is the sum of
+    k * H(d, s) over the (k, complex) parts, which share their top."""
+
+    def __init__(self, parts: Sequence[Tuple[int, CochainComplex]]):
+        self.parts = parts
+        self.top = parts[0][1].top
+
+    def H(self, d: int, s: int) -> int:
+        return sum(k * cx.H(d, s) for k, cx in self.parts)
+
+    table = CochainComplex.table
 
 
 class GradeShape(TensorShape):
@@ -611,35 +546,36 @@ class _KoszulMap:
         return rows
 
 
-def spencer_complex(system: SymbolicSystem,
-                    restriction: Optional[Callable[[int, int, TensorShape],
-                                                   Collection[Vec]]] = None
-                    ) -> CochainComplex:
-    """g_d (x) Lambda^s V* with the lowering differential, in the
-    coordinates of g_d (a full GradeShape cell): the differential is
-    sum_i D_i (x) (e^i ^ .), with the D_i of system.lowering(d), which
-    checked the closure and holds each D_i by its columns, from which the
-    engine's columns and the delta^2 check's rows are built (_KoszulMap).
-    With a restriction, the complex of its kernels inside these cells
-    (see CochainComplex).  A zero grade keeps monomial coordinates, and so
-    does a full grade of a SymbolicSystem, with delta_map, where the
-    engine takes its unit value path: on more than one value coordinate
-    and without a restriction.  Elsewhere the deferred Koszul columns
-    cost less than delta_map's rows, and a full grade of another family
-    (covariants' h/lambda(g)) may lie over one that is not full."""
+def spencer_complex(system: SymbolicSystem) -> CochainComplex | _ValueSplit:
+    """g_d (x) Lambda^s on the n = base_dim directions of the family,
+    with the lowering differential, in the coordinates of g_d (a full
+    GradeShape cell): the differential is sum_i D_i (x) (e^i ^ .), with the
+    D_i of system.lowering(d), which checked the closure and holds each
+    D_i by its columns, from which the engine's columns and the delta^2
+    check's rows are built (_KoszulMap).  Any family with base_dim,
+    grade(d) and lowering(d) will do: covariants' h/lambda(g) and g along
+    tau's frame are two.  A zero grade gets zero cells, on which the
+    engine builds no map.  ``.restricted(...)`` gives the complex of the
+    kernels of a restriction inside these cells (see CochainComplex).
+
+    A SymbolicSystem whose top supplied grade is full is full in every
+    grade (closure fills the grades below it, prolongation those above).
+    Its complex is value_dim copies of the scalar full one, as the
+    differential is the identity on the value factor."""
     n = system.base_dim
-    plain = (isinstance(system, SymbolicSystem) and system.value_dim > 1
-             and restriction is None)
+    if (isinstance(system, SymbolicSystem) and system.value_dim > 1
+            and system.grade(system.top).is_full):
+        return _ValueSplit([(system.value_dim, spencer_complex(
+            SymbolicSystem(n, 1, {}, fill="full")))])
 
     def cell(d: int, s: int) -> Subspace:
         g = system.grade(d)
-        if g.dim == 0 or plain and g.is_full:
-            return tensor_all_forms(g, TensorShape(n, d, s, system.value_dim))
+        if g.dim == 0:
+            return Subspace.zero(TensorShape(g.ambient.base_dim, d, s,
+                                             g.ambient.value_dim, ext_dim=n))
         return Subspace.full(GradeShape(g.dim, d, s, 1, n))
 
-    def differential(dom: TensorShape) -> LinearMap | _KoszulMap:
-        if not isinstance(dom, GradeShape):
-            return delta_map(dom)
+    def differential(dom: GradeShape) -> _KoszulMap:
         d = dom.sym_degree
         lower = system.grade(d - 1)
         scale = ([1] * lower.dim if lower.is_full else
@@ -647,7 +583,7 @@ def spencer_complex(system: SymbolicSystem,
         return _KoszulMap(dom, cell(d - 1, dom.ext_degree + 1).ambient,
                           system.lowering(d), scale)
 
-    return CochainComplex(n, cell, differential, restriction=restriction)
+    return CochainComplex(n, cell, differential)
 
 
 def spencer_H(system: SymbolicSystem, i: int, j: int) -> int:

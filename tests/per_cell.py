@@ -18,20 +18,33 @@ of a restriction and never builds its cells; ``stationary_row_space``
 builds them, and ``per_cell_stationary_complex`` takes their cohomology
 with the ambient ``delta_map``.
 
+The engine takes the restricted and stationary-tau tables as the Koszul
+complex of g along tau's integer frame, the second under the kernel of a
+restriction.  ``per_cell_tau_form_complex`` builds their ambient cells
+S^d V* (x) V (x) Lambda^s tau* from g_d or stat_d, and takes their
+cohomology with ``restrict_delta``, the differential whose new form
+factor is restricted along the given rows of tau.
+
 ``covariants()`` takes only the dimension of the stationary part, off the
 sum of the grade and the restriction kernel; ``reference_covariants``
 builds that part as the Zassenhaus meet ``zassenhaus_intersect``.
 """
 
+from functools import lru_cache
+
 from spencer.covariants import (ORDER_ONE_CAVEAT, CovariantReport,
-                                _canonical_sum, _stationary_grade,
-                                restriction_kernel, restriction_map)
-from spencer.errors import (ConsistencyCheckFailed, EquationNotInvariant,
-                            NotASubcomplex)
-from spencer.exactla import (Subspace, TensorShape, _right_block_span,
-                             _wedge_index, contains, echelon, image, preimage,
-                             rank_of_rows, tensor_rows_with_wedge, wedge_basis)
-from spencer.symbolic import _wedge_insert, delta_map
+                                _canonical_sum, restriction_kernel,
+                                restriction_map, stationary_subspace)
+from spencer.errors import (ConsistencyCheckFailed, DegreeUnderflow,
+                            EquationNotInvariant, NotASubcomplex,
+                            ShapeMismatch)
+from spencer.exactla import (LinearMap, Subspace, TensorShape,
+                             _right_block_span, _sym_index, _wedge_index,
+                             contains, echelon, image, preimage, rank_of_rows,
+                             tensor_all_forms, tensor_rows_with_wedge,
+                             wedge_basis)
+from spencer.symbolic import (_lowered, _restriction_frame, _wedge_insert,
+                              delta_map)
 
 
 class PerCellComplex:
@@ -94,7 +107,7 @@ class PerCellComplex:
         return {(d, s): self.H(d, s) for d in d_range for s in s_range}
 
 
-def stationary_row_space(ctx, gsys, l, s):
+def stationary_row_space(ctx, gsys, l, s, stationary=None):
     """Cell of the stationary row inside g^(l-s) (x) Lambda^s V*.
 
     Sum of (symbol grade) (x) (annihilator wedge lower forms) with
@@ -104,7 +117,7 @@ def stationary_row_space(ctx, gsys, l, s):
     Canonical rows tensor canonical rows lead at (sym, W pivot, value) of
     their pivots, and stat_d (x) e^j rows at the non-pivots j of W, so the
     rows lead at distinct columns and need only back-substitution.  stat_d
-    is the flag's memoized stationary grade, ctx._stationary.
+    is stationary(d), by default the stationary subspace of g_d.
     """
     m = ctx.m
     d = l - s
@@ -127,7 +140,7 @@ def stationary_row_space(ctx, gsys, l, s):
                     wedge_rows.append(wrow)
     W = echelon(wedge_rows)
     W_c = [{j: 1} for j in range(shape.wedge_count) if j not in W]
-    stat = _stationary_grade(ctx, gsys, d)
+    stat = (stationary(d) if stationary else stationary_subspace(ctx, g))
     return _canonical_sum(
         shape,
         tensor_rows_with_wedge(g.int_rows, g.ambient, W.values(), shape)
@@ -135,11 +148,71 @@ def stationary_row_space(ctx, gsys, l, s):
         "stationary-row")
 
 
-def per_cell_stationary_complex(ctx, gsys):
-    """The stationary row over the cells of stationary_row_space."""
+def stationary_grades(ctx, gsys):
+    """d -> the stationary subspace of g_d, each built once."""
+    return lru_cache(maxsize=None)(
+        lambda d: stationary_subspace(ctx, gsys.grade(d)))
+
+
+def per_cell_stationary_complex(ctx, gsys, stationary=None):
+    """The stationary row over the cells of stationary_row_space, with
+    stat_d = stationary(d), by default the stationary subspace of g_d."""
+    stationary = stationary or stationary_grades(ctx, gsys)
     return PerCellComplex(
-        ctx.m, lambda d, s: stationary_row_space(ctx, gsys, d + s, s),
+        ctx.m,
+        lambda d, s: stationary_row_space(ctx, gsys, d + s, s, stationary),
         delta_map)
+
+
+def _lowering_map(shape, frame):
+    """p (x) omega -> sum_i (d_i p) (x) (tau^i ^ omega), where frame[i]
+    maps a to tau^i_a, nonzero entries only: the covector e^i restricted
+    along the frame, in the coordinates of the exterior space.  For a
+    fixed (monomial, wedge) each (i, a) lands on its own column, so no
+    entries meet."""
+    if shape.sym_degree < 1:
+        raise DegreeUnderflow("differential needs symmetric degree >= 1")
+    n, w, p = shape.base_dim, shape.value_dim, shape.ext_dim
+    cod = TensorShape(n, shape.sym_degree - 1, shape.ext_degree + 1, w,
+                      ext_dim=p)
+    low_index = _sym_index(n, cod.sym_degree)
+    wedge_index = _wedge_index(p, cod.ext_degree)
+    rows = []
+    for mono in shape.sym_list():
+        lowerings = [(low_index[_lowered(mono, i)], mono[i], frame[i])
+                     for i in range(n) if mono[i]]
+        for J in shape.wedge_list():
+            moves = []
+            for si, e, covector in lowerings:
+                for a, coef in covector.items():
+                    ins = _wedge_insert(a, J)
+                    if ins is not None:
+                        moves.append((cod.index(si, wedge_index[ins[1]], 0),
+                                      ins[0] * e * coef))
+            for b in range(w):
+                rows.append({c + b: v for c, v in moves})
+    return LinearMap(shape, cod, rows)
+
+
+def restrict_delta(tau, shape):
+    """The ambient differential with the new form factor restricted to
+    span(tau): the exterior factor of domain and codomain is indexed by
+    the rows of tau, so the map can be iterated as a chain differential.
+    For tau the identity basis it is delta_map."""
+    if shape.ext_dim != len(tau):
+        raise ShapeMismatch("domain forms must live on the restricted space")
+    return _lowering_map(shape, _restriction_frame(tau, shape.base_dim))
+
+
+def per_cell_tau_form_complex(ctx, grade):
+    """Cells grade(d) (x) Lambda^s tau* in S^d V* (x) V (x) Lambda^s tau*,
+    with restrict_delta along the given rows of tau: the restricted table
+    for grade = gsys.grade, the stationary-tau one for grade =
+    stationary_grades(ctx, gsys)."""
+    return PerCellComplex(
+        ctx.n, lambda d, s: tensor_all_forms(
+            grade(d), TensorShape(ctx.m, d, s, ctx.m, ext_dim=ctx.n)),
+        lambda shape: restrict_delta(ctx.tau, shape))
 
 
 def zassenhaus_intersect(a, b):

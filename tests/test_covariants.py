@@ -7,19 +7,21 @@ import json
 import math
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
 from per_cell import (PerCellComplex, per_cell_stationary_complex,
-                      reference_covariants, stationary_row_space)
+                      per_cell_tau_form_complex, reference_covariants,
+                      stationary_grades, stationary_row_space)
 from spencer.cli import main
 from spencer.errors import (ConsistencyCheckFailed, EquationNotInvariant,
                             NotASubcomplex)
 from spencer.exactla import (LinearMap, TensorShape, Subspace, det, image,
-                             kernel, solve, tensor_all_forms,
+                             kernel, solve, sym_basis, tensor_all_forms,
                              tensor_rows_with_wedge, wedge_basis)
 from spencer.symbolic import (CochainComplex, SymbolicSystem, _cone_rows,
-                              _substituted, delta_map, restrict_delta,
+                              _lowering_table, _substituted, delta_map,
                               spencer_complex, spencer_H,
                               strongly_noncharacteristic)
 from spencer.covariants import (
@@ -547,22 +549,76 @@ def test_covariant_table_modulo_a_proper_subcomplex_with_an_equation_file(
     assert {k: v for k, v in cells.items() if v} == {"1,0": 1, "2,1": 1}
 
 
-def _full(d, s):
-    return Subspace.full(TensorShape(2, d, s, 1))
-
-
-def _zero(d, s):
-    return Subspace.zero(TensorShape(2, d, s, 1))
+def _family(grade, lowering, base_dim=2):
+    """A graded family in the form spencer_complex reads, which is never
+    split over its values."""
+    return SimpleNamespace(base_dim=base_dim, grade=grade, lowering=lowering)
 
 
 def test_engine_rejects_cells_that_are_not_differential_stable():
-    # The differential of the full (1, 0) cell does not vanish, so it
-    # cannot land in a zero (0, 1) cell.
-    def cell(d, s):
-        return _zero(d, s) if (d, s) == (0, 1) else _full(d, s)
+    # A grade that is not closed under lowering: the full grade 1 over a
+    # zero grade 0.  The family's lowering table, which the engine reads
+    # at (1, 0) before any rank of degree 1, refuses it, over every range
+    # of form degrees.
+    full = SymbolicSystem(2, 1, {}, fill="full")
 
-    with pytest.raises(NotASubcomplex):
-        CochainComplex(2, cell, delta_map).H(1, 0)
+    def grade(d):
+        return Subspace.zero(full.grade(0).ambient) if d == 0 \
+            else full.grade(d)
+
+    def lowering(d):
+        return _lowering_table(grade(d), grade(d - 1))
+
+    for s_range in (range(3), range(1, 3), range(2, 3)):
+        cx = spencer_complex(_family(grade, lowering))
+        with pytest.raises(NotASubcomplex, match="not closed under lowering"):
+            cx.table(range(3), s_range, "t")
+
+    # The kernel of a restriction that the differential leaves: on the
+    # scalar Koszul complex of Q^2, S(1, 0) = span(x) and S(0, 1) =
+    # span(e^1), where the differential of x is e^0.  The engine's rank
+    # check at (1, 0) refuses it, also when s = 0 is not read.
+    def restriction(d, s, shape):
+        if (d, s) == (1, 0):
+            return [{1: 1}]
+        return [{0: 1}] if (d, s) == (0, 1) else []
+
+    for s_range in (range(3), range(1, 3)):
+        cx = spencer_complex(full).restricted(restriction)
+        with pytest.raises(NotASubcomplex, match="leaves the cells"):
+            cx.table(range(3), s_range, "t")
+
+
+def _not_squaring_to_zero(full, d):
+    """full.lowering(d), with, at d = 2, the entry of D_0 at the basis row
+    1 (the monomial x y) doubled."""
+    table = full.lowering(d)
+    if d != 2:
+        return table
+    doubled = {p: [(u, 2 * v if u == 1 else v) for u, v in pairs]
+               for p, pairs in table[0].items()}
+    return (doubled,) + table[1:]
+
+
+def test_engine_rejects_a_differential_that_does_not_square_to_zero():
+    # Clearing trusts delta^2 = 0, so the engine checks it once per degree,
+    # on the images from (d, 0).  Without that check this table reads
+    # [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]] and raises nothing.
+    full = SymbolicSystem(2, 1, {}, fill="full")
+    assert sym_basis(2, 2)[1] == (1, 1)
+
+    def family():
+        return spencer_complex(_family(full.grade, partial(
+            _not_squaring_to_zero, full)))
+
+    cx = family()
+    with pytest.raises(NotASubcomplex, match="square to zero at degree 2"):
+        [[cx.H(d, s) for s in range(3)] for d in range(4)]
+    # A range of form degrees without 0 (and 1) still runs the check at
+    # (d, 0) before any rank of degree d.
+    for s_range in (range(1, 3), range(2, 3)):
+        with pytest.raises(NotASubcomplex, match="square to zero"):
+            family().table(range(4), s_range, "t")
 
 
 def test_covariant_table_rejects_a_restricted_symbol_not_closed_under_lowering(
@@ -590,31 +646,6 @@ def test_covariant_table_rejects_a_restricted_symbol_not_closed_under_lowering(
                  "symplectic:2n=4", "--flag", "stratum=lagrangian",
                  "--l", "1..3"]) == 3
     assert "not closed under lowering" in capsys.readouterr().err
-
-
-def _not_squaring_to_zero(shape):
-    """delta_map with the first entry of row 1 of the (2, 0) map doubled."""
-    dmap = delta_map(shape)
-    if (shape.sym_degree, shape.ext_degree) != (2, 0):
-        return dmap
-    rows = [dict(row) for row in dmap.rows]
-    rows[1][min(rows[1])] *= 2
-    return LinearMap(dmap.domain, dmap.codomain, rows)
-
-
-def test_engine_rejects_a_differential_that_does_not_square_to_zero():
-    # Clearing trusts delta^2 = 0, so the engine checks it once per degree,
-    # on the images from (d, 0).  Without that check this table reads
-    # [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]] and raises nothing.
-    cx = CochainComplex(2, _full, _not_squaring_to_zero)
-    with pytest.raises(NotASubcomplex, match="square to zero at degree 2"):
-        [[cx.H(d, s) for s in range(3)] for d in range(4)]
-    # A range of form degrees without 0 (and 1) still runs the check at
-    # (d, 0) before any rank of degree d.
-    for s_range in (range(1, 3), range(2, 3)):
-        cx = CochainComplex(2, _full, _not_squaring_to_zero)
-        with pytest.raises(NotASubcomplex, match="square to zero"):
-            cx.table(range(4), s_range, "t")
 
 
 def test_stationary_table_over_some_form_degrees_equals_the_full_table(
@@ -683,14 +714,20 @@ def test_stationary_table_builds_each_cell_once(count_calls, capsys):
     assert not stationary
     assert not plain
 
-    stationary.clear()
+    # The stationary-tau table is the framed complex under the kernel of
+    # lambda_d (x) id, so it takes the same counts on its cells and grades.
+    built.clear()
+    restrictions.clear()
     gsys = system(parse_pseudogroup("volume:m=3"), 4)
     cx = tau_form_complex(axis_flag(3, 2), gsys, stationary=True)
     for d in range(4):
         for s in range(3):
             cx.H(d, s)
-    assert sorted(stationary) == [0, 1, 2, 3, 4]
-    assert set(stationary.values()) == {1}
+    assert built and set(built.values()) == {1}
+    assert sorted(restrictions) == [0, 1, 2, 3, 4]
+    assert set(restrictions.values()) == {1}
+    assert not stationary
+    assert not plain
 
 
 def test_stationary_table_checks_closure_once_per_degree(count_calls,
@@ -731,8 +768,8 @@ def test_stationary_table_checks_closure_once_per_degree(count_calls,
 
 def test_transversality_scan_builds_one_kernel_per_order(count_calls,
                                                          capsys):
-    # covariants() and the stationary grades share one kernel per order:
-    # orders 1..4 for the reports, 1..3 for the stationary grades.
+    # covariants() builds one kernel per order, 1..4; the tau-form tables
+    # read the restriction's functionals on g_d, not its kernel.
     covariants_module = importlib.import_module("spencer.covariants")
     kernels = count_calls(covariants_module, "restriction_kernel",
                           key=lambda ctx, l: l)
@@ -742,41 +779,56 @@ def test_transversality_scan_builds_one_kernel_per_order(count_calls,
     assert kernels == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
-def test_transversality_scan_builds_each_restricted_delta_once(count_calls,
-                                                              capsys):
-    # The stationary and the restricted tau-form complexes of the scan read
-    # the flag's one memoized restrict_delta: 9 distinct differentials, each
-    # built once (15 builds when each complex built its own).
+def test_transversality_scan_builds_each_framed_map_once(count_calls,
+                                                       capsys):
+    # The stationary-tau and restricted complexes of the scan are the
+    # flag's one framed complex, the first under a restriction, so they
+    # share its maps: per degree 1..4 one framed lowering table (one
+    # combination per row of tau's frame), and 9 distinct Koszul maps, each
+    # built once.
+    covariants_module = importlib.import_module("spencer.covariants")
     symbolic = importlib.import_module("spencer.symbolic")
-    built = count_calls(symbolic, "_lowering_map",
-                        key=lambda shape, frame: (shape, repr(frame)))
-    # Emptied, so that every plain differential the command reads is built.
-    symbolic.delta_map.cache_clear()
+    combined = count_calls(covariants_module, "_along",
+                           key=lambda t, table: (tuple(t.items()), id(table)))
+    koszul = count_calls(symbolic._KoszulMap, "__init__",
+                         key=lambda delta, domain, codomain, *rest:
+                         (domain, codomain))
     assert main(["transversality", "--group", "complex:nc=3", "--flag",
                  "stratum=totally-real", "--l", "1..4"]) == 0
     capsys.readouterr()
-    assert len(built) == 9
-    assert built.total() == 9
+    assert len({table for _, table in combined}) == 4
+    assert len(combined) == 12 and combined.total() == 12
+    assert len(koszul) == 9 and koszul.total() == 9
 
 
-def test_restricted_delta_rows_are_integers_on_a_rational_flag():
-    # The tau-form differential restricts along tau_space's primitive
-    # integer rows, so it has int entries even where tau has Fractions;
-    # a basis change of tau leaves the tables as they are along tau.
+def test_framed_lowering_tables_are_integers_on_a_rational_flag(
+        monkeypatch):
+    # The tau-form complexes lower along tau_space's primitive integer
+    # rows, so their tables and delta^2 rows hold ints even where tau has
+    # Fractions; a basis change of tau leaves the tables as they are
+    # along tau, the reference's given rows.
+    symbolic = importlib.import_module("spencer.symbolic")
+    maps = []
+    init = symbolic._KoszulMap.__init__
+
+    def kept(delta, *args):
+        init(delta, *args)
+        maps.append(delta)
+
+    monkeypatch.setattr(symbolic._KoszulMap, "__init__", kept)
     ctx = FlagContext(4, RATIONAL_PLANE)
     assert any(type(v) is Fraction for row in ctx.tau for v in row)
-    for d in range(1, 4):
-        for s in range(2):
-            rows = ctx.restricted_delta(
-                TensorShape(4, d, s, 4, ext_dim=2)).rows
-            assert all(type(v) is int for row in rows for v in row.values())
     gsys = system(parse_pseudogroup("volume:m=4"), 4)
-    along_tau = CochainComplex(
-        ctx.n, lambda d, s: tensor_all_forms(
-            gsys.grade(d), TensorShape(4, d, s, 4, ext_dim=2)),
-        lambda shape: restrict_delta(ctx.tau, shape))
-    assert tau_form_complex(ctx, gsys, stationary=False).table(
-        range(4), range(3), "t") == along_tau.table(range(4), range(3), "t")
+    for grade, stationary in ((gsys.grade, False),
+                              (stationary_grades(ctx, gsys), True)):
+        assert tau_form_complex(ctx, gsys, stationary).table(
+            range(4), range(3), "t").cells == per_cell_tau_form_complex(
+                ctx, grade).table(range(4), range(3))
+    assert maps
+    assert all(type(v) is int for delta in maps for low in delta._table
+               for pairs in low.values() for _, v in pairs)
+    assert all(type(v) is int for delta in maps for row in delta.rows
+               for v in row.values())
 
 
 # Catalog systems and flags for the stationary-type families below; the
@@ -796,15 +848,15 @@ FAMILY_CASES = [
 def test_closure_once_per_degree_matches_the_per_cell_check():
     # The stationary grades stat_d are replaced by subspaces S_d of g_d:
     # random ones (most often not closed), the true stationary parts, g_d
-    # or zero.  The stationary row reads S_d as the kernel of its
-    # restriction on g_d, here g_d -> g_d / S_d through quotient_coords
-    # (the true restriction for the true stationary parts), and the
-    # reference builds its ambient cells from S_d.  The engine checks
-    # closure on the (d, 0) cells only, the stationary row by one rank
-    # check per degree; the reference checks every cell.  Over all form
-    # degrees both give the same table or both raise.  Over a drawn range
-    # of form degrees the engine also checks the (d, 0) cell of each
-    # degree it reads, which the reference is given as extra ranks.
+    # or zero.  The stationary row and the stationary-tau complex read S_d
+    # as the kernel of their restriction on g_d (ctx._restrictions), here
+    # g_d -> g_d / S_d through quotient_coords (the true restriction for
+    # the true stationary parts), and the reference builds its ambient
+    # cells from S_d.  The engine checks closure on the (d, 0) cells only,
+    # by one rank check per degree; the reference checks every cell.  Over
+    # all form degrees both give the same table or both raise.  Over a
+    # drawn range of form degrees the engine also checks the (d, 0) cell of
+    # each degree it reads, which the reference is given as extra ranks.
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     covariants_module = importlib.import_module("spencer.covariants")
@@ -845,10 +897,11 @@ def test_closure_once_per_degree_matches_the_per_cell_check():
         spec = parse_pseudogroup(group)
         ctx = FlagContext(spec.ambient_dim, tau)
         gsys = system(spec, 5)
+        drawn = {}
         for d in range(5):
             g = gsys.grade(d)
             S, true = subspace_of(data, g, ctx)
-            ctx._stationary[(gsys, d)] = S
+            drawn[d] = S
             if not true:
                 # The restriction on g_d whose kernel is S: per basis row of
                 # g_d, its class in g_d / S.
@@ -860,25 +913,26 @@ def test_closure_once_per_degree_matches_the_per_cell_check():
             def engine():
                 # g's Spencer complex under the drawn restrictions, not the
                 # value split that stationary_row_complex takes on a full g.
-                return spencer_complex(gsys, covariants_module
-                                       ._form_restrictions(ctx, partial(
-                                           covariants_module
-                                           ._grade_restriction, ctx, gsys)))
+                return spencer_complex(_family(
+                    gsys.grade, gsys.lowering, gsys.base_dim)).restricted(
+                        covariants_module._restrictions(
+                            ctx, gsys, ctx.form_restriction))
 
             def reference():
-                return per_cell_stationary_complex(ctx, gsys)
+                return per_cell_stationary_complex(ctx, gsys,
+                                                   drawn.__getitem__)
         else:
             top = ctx.n
 
             def engine():
-                return tau_form_complex(ctx, gsys, stationary=True)
+                # The framed complex under the drawn restrictions, not the
+                # value split that tau_form_complex takes on a full g.
+                return covariants_module._framed(ctx, gsys).restricted(
+                    covariants_module._restrictions(ctx, gsys, partial(
+                        covariants_module._unit_forms, ctx.n)))
 
             def reference():
-                return PerCellComplex(
-                    top, lambda d, s: tensor_all_forms(
-                        ctx._stationary[(gsys, d)],
-                        TensorShape(ctx.m, d, s, ctx.m, ext_dim=ctx.n)),
-                    lambda shape: restrict_delta(ctx.tau, shape))
+                return per_cell_tau_form_complex(ctx, drawn.__getitem__)
 
         d_range = range(4)
         every_s = range(top + 1)
@@ -1142,6 +1196,82 @@ def test_covariant_table_matches_the_per_cell_reference(group, flag):
         d_range, s_range, "t").cells == want
 
 
+def assert_tau_form_tables_match_the_reference(ctx, gsys, d_range):
+    """The restricted and stationary-tau tables of the engine equal those
+    of the reference's ambient cells along the given rows of tau; returns
+    them."""
+    s_range = range(ctx.n + 1)
+    tables = []
+    for stationary, grade in ((False, gsys.grade),
+                              (True, stationary_grades(ctx, gsys))):
+        want = per_cell_tau_form_complex(ctx, grade).table(d_range, s_range)
+        assert tau_form_complex(ctx, gsys, stationary).table(
+            d_range, s_range, "t").cells == want
+        tables.append(want)
+    return tables
+
+
+@pytest.mark.parametrize("group, flag", TABLE_FLAGS)
+def test_tau_form_tables_match_the_per_cell_reference(group, flag):
+    # The framed Koszul complex of g, and its kernel of lambda_d (x) id,
+    # equal the reference's ambient cells g_d (x) Lambda^s tau* and
+    # stat_d (x) Lambda^s tau* under restrict_delta, closure checked on
+    # every cell; on the isometry groups g_d is zero from d = 2 on.
+    spec, ctx = flag_context(group, flag)
+    restricted, stationary = assert_tau_form_tables_match_the_reference(
+        ctx, system(spec, 4), range(4))
+    assert any(restricted.values()) and any(stationary.values())
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_split_tau_form_tables_of_a_full_system_match_the_reference(m):
+    # A full system's restricted table is m copies of the scalar framed
+    # complex, and its stationary-tau table n copies of it plus r copies
+    # of its kernel of lambda_sym (x) id.  In coordinates y along tau and
+    # z across it the scalar complex is S(z) times the Koszul complex in
+    # y, so its cohomology is S^d(z) at (d, 0), and its kernel's is the
+    # same but at (0, 0), where it is zero: n and r swapped show there.
+    gsys = system(parse_pseudogroup("general:m=%d" % m), 4)
+    for tau in general_planes(m):
+        ctx = FlagContext(m, tau)
+        restricted, stationary = assert_tau_form_tables_match_the_reference(
+            ctx, gsys, range(4))
+        normal = [math.comb(ctx.r + d - 1, d) for d in range(4)]
+        assert [restricted[(d, 0)] for d in range(4)] == [m * k
+                                                          for k in normal]
+        assert [stationary[(d, 0)] for d in range(4)] == [
+            m * k - (ctx.r if d == 0 else 0) for d, k in enumerate(normal)]
+        assert not any(v for (d, s), v in restricted.items() if s)
+        assert not any(v for (d, s), v in stationary.items() if s)
+
+
+@pytest.mark.parametrize("group", ["symplectic:2n=6", "complex:nc=3"])
+def test_tau_form_tables_on_a_generic_3_plane_match_the_reference(group):
+    assert_tau_form_tables_match_the_reference(
+        FlagContext(6, GENERIC_3_PLANE), system(parse_pseudogroup(group), 3),
+        range(3))
+
+
+def test_zero_grades_take_zero_cells(count_calls):
+    # From d = 2 on the grades of isometry:n=3 are zero, and so are their
+    # cells: no table builds an ambient differential on them, nor checks
+    # delta^2 from them.
+    spec, ctx = flag_context("isometry:n=3", TABLE_PLANE)
+    gsys = system(spec, 5)
+    assert [gsys.dim(d) for d in range(8)] == [3, 3, 0, 0, 0, 0, 0, 0]
+    symbolic = importlib.import_module("spencer.symbolic")
+    plain = count_calls(symbolic, "delta_map")
+    squares = count_calls(CochainComplex, "_check_square",
+                          key=lambda cx, d, C: d)
+    d_range, s_range = range(1, 6), range(4)
+    spencer_complex(gsys).table(d_range, s_range, "t")
+    stationary_row_complex(ctx, gsys).table(d_range, s_range, "t")
+    for stationary in (False, True):
+        tau_form_complex(ctx, gsys, stationary).table(d_range, s_range, "t")
+    assert plain.total() == 0
+    assert not squares
+
+
 # ------------------------------------------------- invariance under G_0
 
 def integral(A):
@@ -1275,3 +1405,54 @@ def test_flag_tables_are_invariant_under_the_linear_isotropy():
         assert not preserves(swap, gsys, 4)
         assert flag_tables(4, moved(swap, tau), gsys) != flag_tables(4, tau,
                                                                      gsys)
+
+
+def elementary(m, i, j, c):
+    """The integer elementary matrix I + c e_i e_j^T, i != j."""
+    return [[int(r == k) + (c if (r, k) == (i, j) else 0) for k in range(m)]
+            for r in range(m)]
+
+
+def frame_outputs(group, tau, capsys):
+    """The restricted and stationary-tau tables of the flag tau as JSON
+    text, and the transversality scan's CLI output without its config."""
+    spec = parse_pseudogroup(group)
+    ctx = FlagContext(spec.ambient_dim, tau)
+    gsys = system(spec, 3)
+    outputs = [json.dumps(tau_form_complex(ctx, gsys, stationary).table(
+        range(3), range(ctx.n + 1), "t").to_jsonable())
+        for stationary in (False, True)]
+    flag = "tau=" + ";".join(",".join(str(Fraction(v)) for v in row)
+                             for row in tau)
+    assert main(["transversality", "--group", group, "--flag", flag,
+                 "--l", "1..3"]) == 0
+    scan = json.loads(capsys.readouterr().out)
+    del scan["config"]
+    return outputs + [json.dumps(scan, sort_keys=True)]
+
+
+RATIONAL_CONTACT_PLANE = [[Fraction(1, 2), 2, 0, 1, Fraction(-1, 3)],
+                          [0, 1, Fraction(3, 2), -1, 2]]
+
+
+def test_flag_outputs_do_not_depend_on_the_frame(capsys):
+    # The tau-form tables lower along tau_space's integer frame.  Moving
+    # the axis plane by a product of integer elementary matrices, which
+    # preserves the symbols of volume:m=4 and general:m=4 (checked), gives
+    # a plane whose frame has entries other than 0 and 1, with the same
+    # outputs.  So does giving a rational plane in a second basis, an
+    # invertible integer recombination of its rows.
+    A = [[int(i == j) for j in range(4)] for i in range(4)]
+    for i, j, c in ((0, 2, 2), (3, 1, -1), (1, 3, 3), (2, 0, -2)):
+        A = matmul(elementary(4, i, j, c), A)
+    axis = axis_flag(4, 2).tau
+    for group in ("volume:m=4", "general:m=4"):
+        assert preserves(A, system(parse_pseudogroup(group), 4), 4)
+        assert frame_outputs(group, moved(A, axis), capsys) == \
+            frame_outputs(group, axis, capsys)
+    recombined = [[2, 1], [1, 1]]
+    for group, tau in (("symplectic:2n=4", RATIONAL_PLANE),
+                       ("contact:dim=5", RATIONAL_CONTACT_PLANE),
+                       ("volume:m=4", RATIONAL_PLANE)):
+        assert frame_outputs(group, matmul(recombined, tau), capsys) == \
+            frame_outputs(group, tau, capsys)

@@ -11,6 +11,10 @@ A module imports only names that it uses: a removal that leaves an import
 behind fails here.  A re-export says so with ``# noqa: F401`` on its
 import line, and the package's ``__init__`` is all re-exports, its public
 API.
+
+A private top-level function or class is used somewhere in the library
+outside its own definition: a removal that leaves a helper behind fails
+here too.
 """
 
 import ast
@@ -64,3 +68,19 @@ def test_library_imports_only_names_it_uses():
                 if name not in used:
                     found.append("%s:%d %s" % (path.name, node.lineno, name))
     assert found == []
+
+
+def test_library_has_no_unused_private_definitions():
+    defined, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for stmt in tree.body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+                if stmt.name.startswith("_"):
+                    defined.add("%s %s" % (path.name, stmt.name))
+            used |= names
+    assert sorted(d for d in defined if d.split()[1] not in used) == []
