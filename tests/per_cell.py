@@ -140,7 +140,7 @@ def stationary_row_space(ctx, gsys, l, s, stationary=None):
                     wedge_rows.append(wrow)
     W = echelon(wedge_rows)
     W_c = [{j: 1} for j in range(shape.wedge_count) if j not in W]
-    stat = (stationary(d) if stationary else stationary_subspace(ctx, g))
+    stat = stationary(d) if stationary else stationary_subspace(ctx, g)
     return _canonical_sum(
         shape,
         tensor_rows_with_wedge(g.int_rows, g.ambient, W.values(), shape)
@@ -164,23 +164,28 @@ def per_cell_stationary_complex(ctx, gsys, stationary=None):
         delta_map)
 
 
-def _lowering_map(shape, frame):
-    """p (x) omega -> sum_i (d_i p) (x) (tau^i ^ omega), where frame[i]
-    maps a to tau^i_a, nonzero entries only: the covector e^i restricted
-    along the frame, in the coordinates of the exterior space.  For a
-    fixed (monomial, wedge) each (i, a) lands on its own column, so no
-    entries meet."""
+def restrict_delta(tau, shape):
+    """The ambient differential p (x) omega -> sum_j (d_j p) (x)
+    (rho^j ^ omega) with the new form factor restricted to span(tau),
+    rho^j = {a: tau[a][j]} the covector e^j restricted to the rows of tau:
+    the exterior factor of domain and codomain is indexed by those rows,
+    so the map can be iterated as a chain differential.  For tau the
+    identity basis it is delta_map.  For a fixed (monomial, wedge) each
+    (j, a) lands on its own column, so no entries meet."""
+    if shape.ext_dim != len(tau):
+        raise ShapeMismatch("domain forms must live on the restricted space")
     if shape.sym_degree < 1:
         raise DegreeUnderflow("differential needs symmetric degree >= 1")
     n, w, p = shape.base_dim, shape.value_dim, shape.ext_dim
+    rho = _restriction_frame(tau, n)
     cod = TensorShape(n, shape.sym_degree - 1, shape.ext_degree + 1, w,
                       ext_dim=p)
     low_index = _sym_index(n, cod.sym_degree)
     wedge_index = _wedge_index(p, cod.ext_degree)
     rows = []
     for mono in shape.sym_list():
-        lowerings = [(low_index[_lowered(mono, i)], mono[i], frame[i])
-                     for i in range(n) if mono[i]]
+        lowerings = [(low_index[_lowered(mono, j)], mono[j], rho[j])
+                     for j in range(n) if mono[j]]
         for J in shape.wedge_list():
             moves = []
             for si, e, covector in lowerings:
@@ -192,16 +197,6 @@ def _lowering_map(shape, frame):
             for b in range(w):
                 rows.append({c + b: v for c, v in moves})
     return LinearMap(shape, cod, rows)
-
-
-def restrict_delta(tau, shape):
-    """The ambient differential with the new form factor restricted to
-    span(tau): the exterior factor of domain and codomain is indexed by
-    the rows of tau, so the map can be iterated as a chain differential.
-    For tau the identity basis it is delta_map."""
-    if shape.ext_dim != len(tau):
-        raise ShapeMismatch("domain forms must live on the restricted space")
-    return _lowering_map(shape, _restriction_frame(tau, shape.base_dim))
 
 
 def per_cell_tau_form_complex(ctx, grade):
