@@ -433,12 +433,8 @@ def _along(t: IntVec,
             at = sums.setdefault(p, {})
             for u, v in pairs:
                 at[u] = at.get(u, 0) + c * v
-    along = {}
-    for p, at in sums.items():
-        pairs = sorted((u, v) for u, v in at.items() if v)
-        if pairs:
-            along[p] = pairs
-    return along
+    return {p: pairs for p, at in sums.items()
+            if (pairs := sorted((u, v) for u, v in at.items() if v))}
 
 
 def _framed(ctx: FlagContext, gsys: SymbolicSystem) -> CochainComplex:
