@@ -24,6 +24,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
@@ -338,7 +339,10 @@ def cmd_tresse(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.  Each subcommand names its
+    handler, which main looks up when it runs the command."""
     parser = argparse.ArgumentParser(
         prog="spencer",
         description="Exact symbol, cohomology and jet-calculus tables "
@@ -370,26 +374,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symbols", help="symbol dimension table")
     common(p)
-    p.set_defaults(func=cmd_symbols)
+    p.set_defaults(func="cmd_symbols")
 
     p = sub.add_parser("cohomology", help="cohomology tables")
     common(p, flag=True, hfile=True)
     p.add_argument("--table", default="spencer",
                    choices=("spencer", "restricted", "stationary",
                             "obstruction", "covariant"))
-    p.set_defaults(func=cmd_cohomology)
+    p.set_defaults(func="cmd_cohomology")
 
     p = sub.add_parser("covariants", help="covariant reports per degree")
     common(p, flag=True, hfile=True)
-    p.set_defaults(func=cmd_covariants)
+    p.set_defaults(func="cmd_covariants")
 
     p = sub.add_parser("transversality", help="covariant scan with flags")
     common(p, flag=True, hfile=True)
-    p.set_defaults(func=cmd_transversality)
+    p.set_defaults(func="cmd_transversality")
 
     p = sub.add_parser("oracle", help="formula vs brute-force dims")
     common(p)
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func="cmd_oracle")
 
     p = sub.add_parser("tresse", help="invariant derivative evaluation")
     common(p, group=False)
@@ -397,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON with n, r, frame[], targets[]")
     p.add_argument("--point-file", dest="point_file", default=None,
                    help="JSON with values{var: rational}")
-    p.set_defaults(func=cmd_tresse)
+    p.set_defaults(func="cmd_tresse")
     return parser
 
 
@@ -410,7 +414,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("argument --%s: expected one argument"
                          % dest.replace("_", "-"))
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except CapExceeded as exc:
         print("cap exceeded: %s" % exc, file=sys.stderr)
         return 4

@@ -312,27 +312,27 @@ def _grade_restriction(ctx: FlagContext, gsys: SymbolicSystem,
 
 
 class _RestrictedColumns:
-    """The columns l (x) phi of pi = lambda_d (x) phi_s on a GradeShape
-    cell of shape under a restriction (see CochainComplex): l over
-    independent functionals on the basis rows p of g_d, phi over the
-    independent columns of a map of s-forms.  Such products are
-    independent, and l (x) phi sits at p * wedge_count + J.  Its length is
-    their number, and each pass builds them anew: they are dense, and a
-    cell outlives the rank that reads them."""
+    """The columns l (x) phi of pi = lambda_d (x) phi_s on a cell of a
+    complex under a restriction (see CochainComplex): l over independent
+    functionals on the basis rows p of g_d, phi over the independent
+    columns of a map of s-forms.  Such products are independent, and
+    l (x) phi sits at p * wc + J, wc the number of s-forms of the cell.
+    Its length is their number, and each pass builds them anew: they are
+    dense, and elimination keeps the rows it is handed."""
 
-    __slots__ = ("functionals", "forms", "shape")
+    __slots__ = ("functionals", "forms", "wc")
 
     def __init__(self, functionals: Sequence[IntVec],
-                 forms: Sequence[IntVec], shape: TensorShape):
+                 forms: Sequence[IntVec], wc: int):
         self.functionals = functionals
         self.forms = forms
-        self.shape = shape
+        self.wc = wc
 
     def __len__(self) -> int:
         return len(self.functionals) * len(self.forms)
 
     def __iter__(self) -> Iterator[IntVec]:
-        wc = self.shape.wedge_count
+        wc = self.wc
         for l in self.functionals:
             split = [(p * wc, v) for p, v in l.items()]
             for phi in self.forms:
@@ -342,20 +342,20 @@ class _RestrictedColumns:
 
 def _restrictions(ctx: FlagContext, gsys: SymbolicSystem,
                   forms: Callable[[int], Sequence[IntVec]]
-                  ) -> Callable[[int, int, TensorShape], _RestrictedColumns]:
+                  ) -> Callable[[int, int, int], _RestrictedColumns]:
     """pi(d, s) = lambda_d (x) forms(s) on the cells of a complex of g, by
-    its columns: lambda_d's functionals on g_d are one echelon per degree
-    of the columns of _grade_restriction, forms(s) the columns of a map of
-    s-forms."""
+    its columns, once per (d, s): lambda_d's functionals on g_d are one
+    echelon per degree of the columns of _grade_restriction, forms(s) the
+    columns of a map of s-forms."""
 
     @lru_cache(maxsize=None)
     def functionals(d: int) -> Tuple[IntVec, ...]:
         columns = _transposed(_grade_restriction(ctx, gsys, d))
         return tuple(echelon(columns.values(), canonical=False).values())
 
-    def restriction(d: int, s: int,
-                    shape: TensorShape) -> _RestrictedColumns:
-        return _RestrictedColumns(functionals(d), forms(s), shape)
+    @lru_cache(maxsize=None)
+    def restriction(d: int, s: int, wc: int) -> _RestrictedColumns:
+        return _RestrictedColumns(functionals(d), forms(s), wc)
 
     return restriction
 

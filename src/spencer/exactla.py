@@ -30,8 +30,8 @@ import math
 import os
 from fractions import Fraction
 from functools import lru_cache
-from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from .errors import (AmbientMismatch, ConsistencyCheckFailed,
                      DegreeUnderflow, NotASubspace, ParamOutOfRange,
@@ -118,10 +118,8 @@ class TensorShape(_Shape):
     """Shape record for ``S^d (base)* (x) Lambda^e (ext)* (x) B``.
 
     A tuple of its five fields, ext_dim defaulting to base_dim.  Equality
-    is class-strict: a subclass such as ``symbolic.GradeShape`` lays its
-    coordinates out differently, so it never equals a TensorShape with
-    the same fields, and the complexes memoize their differentials by
-    shape."""
+    is class-strict: a subclass may lay its coordinates out differently,
+    so it never equals a TensorShape with the same fields."""
 
     __slots__ = ()
 
@@ -276,29 +274,29 @@ def _built(row: Deferred) -> IntVec:
     return r if g == 1 else {k: v // g for k, v in r.items()}
 
 
-def _pivot_rows(rows: Iterable[Mapping[int, object] | Deferred]
+def _pivot_rows(rows: Iterable[IntVec | Deferred]
                 ) -> Dict[object, IntVec | Deferred]:
-    """The non-canonical elimination of echelon, on rows that may be
-    deferred: pivot column -> primitive integer row with a positive
-    entry there, or the deferred row whose lead met no pivot, unbuilt.
-    A deferred row is built once a row meets its lead, or when it meets
-    a pivot itself (Bauer's emergent pairs, J. Appl. Comput. Topol. 5,
-    2021).  The keys are the pivot columns of the row space."""
+    """The non-canonical elimination of echelon, on integer rows without
+    zero entries, which it keeps and reduces in place (so nothing else may
+    hold them; echelon hands it copies), or deferred rows: pivot column ->
+    integer row with a positive entry there, primitive unless it is a
+    given row that met no pivot, or the deferred row whose lead met no
+    pivot, unbuilt.  A deferred row is built once a row meets its lead, or
+    when it meets a pivot itself (Bauer's emergent pairs, J. Appl. Comput.
+    Topol. 5, 2021).  The keys are the pivot columns of the row space."""
     piv: Dict[object, IntVec | Deferred] = {}
-    for raw in rows:
-        if type(raw) is tuple:
-            if raw[0] not in piv:
-                piv[raw[0]] = raw
+    for r in rows:
+        if type(r) is tuple:
+            if r[0] not in piv:
+                piv[r[0]] = r
                 continue
-            r = _built(raw)
-        else:
-            r = _as_int_row(raw)
+            r = _built(r)
         fresh = True
         while r:
             c = min(r)
             p = piv.get(c)
             if p is None:
-                # A row that met no pivot is _as_int_row's primitive new row.
+                # A row that met no pivot is kept as it was given or built.
                 if not fresh:
                     r = _stored(r, c)
                 elif r[c] < 0:
@@ -317,15 +315,16 @@ def echelon(rows: Iterable[Mapping[int, object] | Deferred],
     """Row reduce sparse rows; returns pivot column -> primitive integer row.
 
     Columns are ints, or any keys with a total order: a row's pivot is its
-    least column.  The input rows are never modified.  A row may be given
-    deferred, as a triple (lead, build, arg) (see _pivot_rows); every row
-    is built by the time echelon returns.
+    least column.  The input rows are never modified: each is copied to a
+    primitive integer row (_own).  A row may be given deferred, as a triple
+    (lead, build, arg) (see _pivot_rows); every row is built by the time
+    echelon returns.
 
     With canonical=True the result is fully back-substituted (each pivot
     column occurs in exactly one row), which pins the unique reduced echelon
     form of the row space.
     """
-    piv = _pivot_rows(rows)
+    piv = _pivot_rows(_own(rows))
     for c, row in piv.items():
         if type(row) is tuple:
             piv[c] = _built(row)
@@ -348,8 +347,15 @@ def _back_substitute(piv: Dict[int, IntVec]) -> None:
             piv[c] = _stored(_clear_pivots(dict(row), hits, piv), c)
 
 
+def _own(rows: Iterable[Mapping[int, object] | Deferred]
+         ) -> Iterator[IntVec | Deferred]:
+    """rows as _pivot_rows keeps them: each plain row as _as_int_row's
+    new primitive row, each deferred row as it is."""
+    return (r if type(r) is tuple else _as_int_row(r) for r in rows)
+
+
 def rank_of_rows(rows: Iterable[Mapping[int, object] | Deferred]) -> int:
-    return len(_pivot_rows(rows))
+    return len(_pivot_rows(_own(rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ grade extends the system by prolongation on demand.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, repeat
@@ -24,10 +25,10 @@ from typing import (Callable, Collection, Container, Dict, Iterable,
 
 from .errors import (AmbientMismatch, DegreeUnderflow, MissingGrade,
                      NotASubcomplex, ShapeMismatch, ZeroVector)
-from .exactla import (LinearMap, Subspace, TensorShape, Vec, _exact,
+from .exactla import (LinearMap, Subspace, TensorShape, Vec, _comb, _exact,
                       _pivot_rows, _sym_index, _wedge_index, echelon,
                       kernel_of_rows, preimage, subspace_intersect, sym_basis,
-                      tensor_all_forms)
+                      tensor_all_forms, wedge_basis)
 
 
 def _lowered(mono: Tuple[int, ...], i: int) -> Tuple[int, ...]:
@@ -252,34 +253,37 @@ def _times(vec: Vec, rows: Mapping[int, Vec]) -> Vec:
 
 
 class CochainComplex:
-    """Cells C(d, s), d >= 0 and 0 <= s <= top, or cut down to the kernel
-    of an optional restriction, with a differential from (d, s) to
-    (d - 1, s + 1) that ``differential(shape)`` gives on the GradeShape
-    cell of that ambient shape as a _KoszulMap, which hands its columns
-    over deferred and whose closure the family's lowering tables check.
-    A zero cell (of a zero grade) is never given to it.
+    """The Koszul complex of a graded family: anything with base_dim = n,
+    grade(d) (a Subspace, g_d) and lowering(d) (see _lowering_table, which
+    checks that g_d lowers into g_(d-1)), such as a SymbolicSystem.  Its
+    cell C(d, s) = g_d (x) Lambda^s on the n directions, d >= 0 and
+    0 <= s <= top = n, has dim g_d * C(n, s) coordinates, (u, J) at
+    u * C(n, s) + J for u a basis row of g_d; its differential from (d, s)
+    to (d - 1, s + 1) is the _KoszulMap of family.lowering(d), which the
+    engine builds once per (d, s) on a nonzero cell.  A zero grade has
+    zero cells, on which no map is built.
 
-    ``restriction(d, s, shape)`` gives a map pi(d, s) on C(d, s) (of that
-    ambient shape) by its columns, a collection that may be iterated more
-    than once, and whose members must be independent: the functionals on
-    C's coordinates whose common kernel S(d, s) is the cell that counts.
-    S(d, s) is never built: dim S = dim C - rank pi, and the rank of the
-    differential on S is the rank of the differential's columns together
-    with pi's, less rank pi, since the span of both annihilates exactly
-    the kernel of the differential inside S.  One non-canonical echelon
-    takes the differential's sparse columns first and pi's few dense ones
-    last, so that no sparse column is reduced by a dense one.  Without a
+    With a restriction, the cell that counts is the kernel S(d, s) of a
+    map pi(d, s) on C(d, s): ``restriction(d, s, wc)``, wc = C(n, s), gives
+    pi(d, s) by its columns, independent integer functionals on C's
+    coordinates, as a collection that may be iterated more than once and
+    whose every pass gives new rows, which elimination keeps.  S(d, s) is
+    never built: dim S = dim C - rank pi, and the rank of the differential
+    on S is the rank of the differential's columns together with pi's,
+    less rank pi, since the span of both annihilates exactly the kernel of
+    the differential inside S.  One non-canonical echelon takes the
+    differential's sparse columns first and pi's few dense ones last, so
+    that no sparse column is reduced by a dense one.  Without a
     restriction pi is zero and S is C.
 
     H(d, s) counts the elements of S(d, s) whose differential vanishes,
     modulo the differential of S(d + 1, s - 1).  Maps and ranks are
-    memoized, and a cell is kept until both ranks that read it are known,
-    so a table builds each cell and takes each rank once.  Raises
-    NotASubcomplex when a count is negative, the differential leaves S,
-    or it does not square to zero.
+    memoized, so a table takes each rank once.  Raises NotASubcomplex
+    when a count is negative, the differential leaves S, or it does not
+    square to zero.
 
     Each rank is taken on the columns of the differential on C(d, s): one
-    per coordinate of C(d - 1, s + 1), over C's basis rows.  A rank reads
+    per coordinate of C(d - 1, s + 1), over C's coordinates.  A rank reads
     only the pivot columns of one non-canonical elimination
     (exactla._pivot_rows), so a deferred column whose lead no later
     column meets is never built.  The ranks are cleared (Chen and Kerber,
@@ -296,120 +300,106 @@ class CochainComplex:
     but the lowest of its range is cleared.  A zero cell has rank 0 and
     drops the pivot set that its rank would have read.
 
-    Closure is checked once per degree, on the (d, 0) cell: the first rank
-    taken at a degree d >= 1 (with s < top) first takes the rank at (d, 0),
-    which checks that the differential sends S(d, 0) into S(d - 1, 1);
-    C(d, 0) lands in C(d - 1, 1) by the lowering tables.  That rank first
-    checks delta^2 = 0 from a nonzero (d, 0) into a nonzero (d - 1, 1),
-    before any rank of degree d is cleared.  So a table whose form degrees
-    exclude 0 still builds the (d, 0) cell of each degree it reads.  This
-    relies on the shape of the cells: each is a sum of pieces u (x) omega,
-    with u in S(d, 0) and omega in all of Lambda^s, or with u in a grade
-    closed under lowering (checked by its lowering tables) and omega in an
-    ideal of the exterior algebra (the kernel of a restriction of forms).
-    As delta(u (x) omega) = (delta u) ^ omega, the checks at (d, 0) then
-    hold at every s.
+    The checks run once per degree, on the (d, 0) cell: the first rank
+    taken at a degree d >= 1 (with s < top) first takes the rank at
+    (d, 0), whose nonzero cell first checks (_check) that f o delta lies
+    in a span for functionals f on C(d - 1, 1): the columns of the
+    differential on C(d - 1, 1) in no span, delta^2 = 0, before any rank
+    of degree d is cleared (from d >= 2 into a nonzero (d - 1, 1)); and
+    the columns of pi(d - 1, 1) in the span of pi(d, 0)'s, S(d, 0) into
+    S(d - 1, 1).  C(d, 0) lands in C(d - 1, 1) by the lowering tables.  So
+    a table whose form degrees exclude 0 still checks each degree it
+    reads.  This relies on the shape of the cells: each is a sum of pieces
+    u (x) omega, with u in S(d, 0) and omega in all of Lambda^s, or with u
+    in a grade closed under lowering and omega in an ideal of the exterior
+    algebra (the kernel of a restriction of forms).  As
+    delta(u (x) omega) = (delta u) ^ omega, the checks at (d, 0) then hold
+    at every s.
     """
 
-    def __init__(self, top: int, cell: Callable[[int, int], Subspace],
-                 differential: Callable[[GradeShape], _KoszulMap],
-                 restriction: Optional[Callable[[int, int, TensorShape],
+    def __init__(self, family,
+                 restriction: Optional[Callable[[int, int, int],
                                                 Collection[Vec]]] = None):
-        self.top = top
-        self._cell = cell
+        self.family = family
+        self.top = family.base_dim
         self._restriction = restriction
-        self._differential = lru_cache(maxsize=None)(differential)
-        self._cells: Dict[Tuple[int, int],
-                          Tuple[Subspace, Collection[Vec]]] = {}
+        self._maps: Dict[Tuple[int, int], _KoszulMap] = {}
         self._ranks: Dict[Tuple[int, int], Tuple[int, int]] = {}
         # Pivot set of the rank at (d, s), kept until (d + 1, s - 1) reads it.
         self._pivots: Dict[Tuple[int, int], Set[int]] = {}
         # Degrees d whose delta^2 = 0 from (d, 0) is checked.
         self._squared: Set[int] = set()
 
-    def restricted(self, restriction: Callable[[int, int, TensorShape],
+    def restricted(self, restriction: Callable[[int, int, int],
                                                Collection[Vec]]
                    ) -> CochainComplex:
         """The complex of the kernels of restriction in these cells, with
         the same differential: it shares this complex's maps and the
         degrees whose delta^2 = 0 either has checked."""
-        cx = CochainComplex(self.top, self._cell, self._differential,
-                            restriction)
-        cx._differential, cx._squared = self._differential, self._squared
+        cx = CochainComplex(self.family, restriction)
+        cx._maps, cx._squared = self._maps, self._squared
         return cx
 
-    def _subspaces(self, d: int, s: int) -> Tuple[Subspace, Collection[Vec]]:
-        """C(d, s) and the columns of pi(d, s), none without a restriction."""
-        if (d, s) not in self._cells:
-            C = self._cell(d, s)
-            R = (() if self._restriction is None
-                 else self._restriction(d, s, C.ambient))
-            self._cells[(d, s)] = (C, R)
-        return self._cells[(d, s)]
+    def _columns(self, d: int, s: int) -> Collection[Vec]:
+        """The columns of pi(d, s), none without a restriction."""
+        if self._restriction is None:
+            return ()
+        return self._restriction(d, s, _comb(self.top, s))
 
-    def _release(self, d: int, s: int):
-        """Drop C(d, s) once the ranks that read it are known: its own and
-        those of C(d + 1, s - 1), whose differential lands in it."""
-        if (d, s) in self._ranks and (s == 0 or (d + 1, s - 1) in self._ranks):
-            self._cells.pop((d, s), None)
+    def _map(self, d: int, s: int) -> _KoszulMap:
+        """The differential on C(d, s), built once per (d, s) from the
+        lowering table of degree d and the pivot entries of g_(d-1)."""
+        if (d, s) not in self._maps:
+            lower = self.family.grade(d - 1)
+            scale = ([1] * lower.dim if lower.is_full else
+                     [row[c] for c, row in zip(lower.pivots, lower.int_rows)])
+            self._maps[(d, s)] = _KoszulMap(self.family.lowering(d), scale, s)
+        return self._maps[(d, s)]
 
     def _cell_ranks(self, d: int, s: int) -> Tuple[int, int]:
         """dim S(d, s), and the differential's rank there."""
         if (d, s) not in self._ranks:
-            C, R = self._subspaces(d, s)
-            self._ranks[(d, s)] = (C.dim - len(R),
-                                   self._differential_rank(d, s, C, R))
-            self._release(d, s)
-            self._release(d - 1, s + 1)
+            R = self._columns(d, s)
+            self._ranks[(d, s)] = (cell_dim(self.family, d, s) - len(R),
+                                   self._differential_rank(d, s, R))
         return self._ranks[(d, s)]
 
-    def _check_square(self, d: int, C: Subspace):
-        """delta^2 = 0 from (d, 0): the differential of (d - 1, 1) vanishes
-        on the images of the basis vectors of C(d, 0), and so, as
-        delta(u (x) omega) = (delta u) ^ omega, at every s.  It reads the
-        rows that are the ranks' columns transposed; into a zero
-        (d - 1, 1) it holds trivially."""
-        if self._subspaces(d - 1, 1)[0].dim == 0:
-            return
-        delta = self._differential(C.ambient)
-        after = dict(enumerate(self._differential(delta.codomain).rows))
-        if any(any(_times(row, after).values()) for row in delta.rows):
-            raise NotASubcomplex(
-                "the differential does not square to zero at degree %d" % d)
+    def _check(self, d: int, functionals: Iterable[Vec],
+               span: Collection[Vec], what: str):
+        """f o delta lies in the span of span for each functional f on
+        C(d - 1, 1), delta the differential on C(d, 0) in the primitive
+        basis of both cells, times a positive number (_KoszulMap.columns);
+        else NotASubcomplex, saying what."""
+        columns = dict(self._map(d, 0).columns())
+        composed = [v for f in functionals
+                    if any((v := _times(f, columns)).values())]
+        if composed and len(echelon(chain(span, composed),
+                                    canonical=False)) != len(span):
+            raise NotASubcomplex("%s at degree %d" % (what, d))
 
-    def _check_restriction(self, d: int, delta: _KoszulMap,
-                           R: Collection[Vec], R_next: Collection[Vec]):
-        """S(d, 0) -> S(d - 1, 1): each column of pi(d - 1, 1) composed
-        with the differential (the rows of delta, the rows that the ranks'
-        columns are, transposed) lies in the span of pi(d, 0)'s columns, so
-        that rank [pi(d, 0); pi(d - 1, 1) o delta] = rank pi(d, 0)."""
-        columns = _transposed(delta.rows)
-        composed = [_times(row, columns) for row in R_next]
-        if len(echelon(chain(R, composed), canonical=False)) != len(R):
-            raise NotASubcomplex(
-                "differential leaves the cells at degree %d" % d)
-
-    def _differential_rank(self, d: int, s: int, C: Subspace,
-                           R: Collection[Vec]) -> int:
+    def _differential_rank(self, d: int, s: int, R: Collection[Vec]) -> int:
         """Rank of the differential on S(d, s), on the differential's
         columns less those cleared by the rank at (d - 1, s + 1), then
-        pi(d, s)'s; at s = 0 also the checks of degree d."""
+        pi(d, s)'s; at s = 0 first the checks of degree d."""
         if d < 1 or s >= self.top:
             return 0
         if s > 0:
             self._cell_ranks(d, 0)
         cleared = self._pivots.pop((d - 1, s + 1), ())
-        if C.dim == 0:
+        if self.family.grade(d).dim == 0:
             return 0
-        if s == 0 and d >= 2 and self.top >= 2 and d not in self._squared:
-            # Ranks of degree d are cleared only by ranks at (d - 1, s + 1)
-            # with d - 1 >= 1 and s + 1 < top.
-            self._check_square(d, C)
-            self._squared.add(d)
-        delta = self._differential(C.ambient)
-        R_next = self._subspaces(d - 1, s + 1)[1]
-        if s == 0 and R_next:
-            self._check_restriction(d, delta, R, R_next)
+        delta = self._map(d, s)
+        if s == 0:
+            if (d >= 2 and self.top >= 2 and d not in self._squared
+                    and self.family.grade(d - 1).dim):
+                # Ranks of degree d are cleared only by ranks at
+                # (d - 1, s + 1) with d - 1 >= 1 and s + 1 < top.
+                self._check(d, (c for _, c in self._map(d - 1, 1).columns()),
+                            (), "the differential does not square to zero")
+                self._squared.add(d)
+            R_next = self._columns(d - 1, 1)
+            if R_next:
+                self._check(d, R_next, R, "differential leaves the cells")
         piv = _pivot_rows(chain(delta.leads(cleared), R))
         if s > 0 and (d + 1, s - 1) not in self._ranks:
             self._pivots[(d, s)] = set(piv)
@@ -447,61 +437,48 @@ class _ValueSplit:
     table = CochainComplex.table
 
 
-class GradeShape(TensorShape):
-    """g_d (x) Lambda^s V* in the coordinates of g_d: base_dim counts the
-    basis rows of g_d, which take the place of the monomials of
-    S^d V* (x) W, so the value factor is 1; sym_degree keeps d."""
-
-    __slots__ = ()
-
-    @property
-    def sym_count(self) -> int:
-        return self.base_dim
+# An int past every code that _KoszulMap.leads compares.
+_PAST = sys.maxsize
 
 
 class _KoszulMap:
-    """sum_i D_i (x) (e^i ^ .) from the GradeShape cell of g_d (x) Lambda^s
-    into the cell of (d - 1, s + 1), read off the lowering table of degree
-    d (per direction i, coordinate p of g_(d-1) -> the pairs (u, D_i u [p])).
+    """sum_i D_i (x) (e^i ^ .) from C(d, s) = g_d (x) Lambda^s on the n
+    directions of the lowering table of degree d (per direction i,
+    coordinate p of g_(d-1) -> the pairs (u, D_i u [p])) into C(d - 1,
+    s + 1), both in the cells' coordinates (see CochainComplex).
 
     One builder gives the matrix, column by column: per coordinate (p, K)
-    of the codomain, the entries sign(i, K) D_i u [p] at (u, K - i) for i
-    in K, which fall on distinct domain columns.  The engine's ranks take
-    those columns deferred (see exactla._pivot_rows), each filed under its
-    least key, which leads reads off the table without building the
-    column.  So a rank builds a column only when its lead meets a pivot
-    or a later column meets its lead, and refuses one that does not lead
-    at its key.  The table writes D_i u in the basis of g_(d-1) scaled to
-    pivot entries 1, which scales each column by a positive number and
-    changes neither a rank nor a pivot set.  The rows, which only the
-    engine's delta^2 and restriction checks compose, are those same
-    columns transposed, from the same builder, in the primitive basis of
-    both cells, times the lcm of the scales: the entries of coordinate p times
-    lcm / scale[p], where scale[p] is the pivot entry of g_(d-1)'s
-    primitive row p (1 in monomial coordinates): integers over an integer
-    table, and a positive multiple of the map, which is all that a test
-    of vanishing or of a span reads."""
+    of the codomain, at p * C(n, s + 1) + K, the entries sign(i, K)
+    D_i u [p] at (u, K - i) for i in K, which fall on distinct domain
+    coordinates.  The engine's ranks take those columns deferred (see
+    exactla._pivot_rows), each filed under its least key, which leads
+    reads off the table without building the column.  So a rank builds a
+    column only when its lead meets a pivot or a later column meets its
+    lead, and refuses one that does not lead at its key.  The table writes
+    D_i u in the basis of g_(d-1) scaled to pivot entries 1, which scales
+    each column by a positive number and changes neither a rank nor a
+    pivot set.  ``columns()`` gives every column from the same builder
+    times lcm / scale[p], where scale[p] is the pivot entry of g_(d-1)'s
+    primitive row p (1 where g_(d-1) is full) and lcm the lcm of the
+    scales: the map in the primitive bases of both cells times lcm,
+    integers over an integer table, which is all that the engine's checks
+    read (a test of vanishing or of a span)."""
 
-    def __init__(self, domain: GradeShape, codomain: TensorShape,
-                 table: LoweringTable, scale: Sequence[int]):
-        self.domain = domain
-        self.codomain = codomain
+    def __init__(self, table: LoweringTable, scale: Sequence[int], s: int):
         self._table = table
         self._scale = scale
-        self._wc = domain.wedge_count
-        # Flat codomain column of coordinate p tensor the first form.
-        w, wc = codomain.value_dim, codomain.wedge_count
-        self._base = [p // w * wc * w + p % w
-                      for p in range(codomain.sym_count * w)]
+        self._s = s
+        # The numbers of forms of the domain and of the codomain.
+        self._wc, self._wk = _comb(len(table), s), _comb(len(table), s + 1)
 
     def _faces(self) -> Iterator[Tuple[int, List[Tuple[int, int, int]]]]:
-        """Per form K of the codomain: the offset of K in its flat columns,
-        and per i in K the face (i, sign of e^i ^ e_(K - i), K - i)."""
-        w = self.codomain.value_dim
-        J_index = _wedge_index(self.domain.ext_dim, self.domain.ext_degree)
-        for K_i, K in enumerate(self.codomain.wedge_list()):
-            yield K_i * w, [(i, -1 if t % 2 else 1, J_index[K[:t] + K[t + 1:]])
-                            for t, i in enumerate(K)]
+        """Per form K of the codomain: its index, and per i in K the face
+        (i, sign of e^i ^ e_(K - i), K - i)."""
+        n = len(self._table)
+        J_index = _wedge_index(n, self._s)
+        for K_i, K in enumerate(wedge_basis(n, self._s + 1)):
+            yield K_i, [(i, -1 if t % 2 else 1, J_index[K[:t] + K[t + 1:]])
+                        for t, i in enumerate(K)]
 
     def _column(self, faces: List[Tuple[int, int, int]], p: int) -> Vec:
         """The column at coordinate p of the form with the given faces, a
@@ -509,6 +486,16 @@ class _KoszulMap:
         wc, table = self._wc, self._table
         return {u * wc + J: sign * v for i, sign, J in faces
                 for u, v in table[i].get(p, ())}
+
+    def columns(self) -> Iterator[Tuple[int, Vec]]:
+        """Every column with its coordinate of the codomain, times
+        lcm / scale[p]."""
+        lcm, wk = math.lcm(*self._scale), self._wk
+        for K, faces in self._faces():
+            for p, c in enumerate(self._scale):
+                f = lcm // c
+                yield p * wk + K, {k: v * f for k, v in
+                                   self._column(faces, p).items()}
 
     def leads(self, cleared: Container[int]
               ) -> Iterator[Tuple[int, Callable[[int], Vec], int]]:
@@ -518,72 +505,39 @@ class _KoszulMap:
         the first of D_i's pairs at p: they are in int_rows order, so u is
         the least, and no two faces meet and no entry is zero, so none
         cancels.  As J(K - i) falls as i rises, the faces order as their
-        codes u * n + n - 1 - i do, first[i][p] (none, past all codes,
-        where D_i is zero at p), so the least code names the key."""
-        n = len(self._table)
-        none = self.domain.dim * n
-        first = [[pairs[0][0] * n + n - 1 - i if pairs else none
-                  for pairs in map(low.get, range(len(self._base)))]
+        codes u * n + n - 1 - i do, first[i][p] (_PAST where D_i is zero
+        at p), so the least code names the key."""
+        n, wk, past = len(self._table), self._wk, _PAST
+        first = [[pairs[0][0] * n + n - 1 - i if pairs else past
+                  for pairs in map(low.get, range(len(self._scale)))]
                  for i, low in enumerate(self._table)]
-        for off, faces in self._faces():
+        for K, faces in self._faces():
             J_of = {n - 1 - i: J for i, _, J in faces}
             build = partial(self._column, faces)
-            for p, code in enumerate(map(min, repeat(none),
+            for p, code in enumerate(map(min, repeat(past),
                                          *(first[i] for i, _, _ in faces))):
-                if code < none and self._base[p] + off not in cleared:
+                if code < past and p * wk + K not in cleared:
                     u, r = divmod(code, n)
                     yield u * self._wc + J_of[r], build, p
 
-    @property
-    def rows(self) -> List[Vec]:
-        rows: List[Vec] = [{} for _ in range(self.domain.dim)]
-        lcm = math.lcm(*self._scale)
-        factor = [lcm // c for c in self._scale]
-        for off, faces in self._faces():
-            for p, flat in enumerate(self._base):
-                for k, v in self._column(faces, p).items():
-                    rows[k][flat + off] = v * factor[p]
-        return rows
-
 
 def spencer_complex(system: SymbolicSystem) -> CochainComplex | _ValueSplit:
-    """g_d (x) Lambda^s on the n = base_dim directions of the family,
-    with the lowering differential, in the coordinates of g_d (a full
-    GradeShape cell): the differential is sum_i D_i (x) (e^i ^ .), with the
-    D_i of system.lowering(d), which checked the closure and holds each
-    D_i by its columns, from which the engine's columns and the delta^2
-    check's rows are built (_KoszulMap).  Any family with base_dim,
-    grade(d) and lowering(d) will do: covariants' h/lambda(g) and g along
-    tau's frame are two.  A zero grade gets zero cells, on which the
-    engine builds no map.  ``.restricted(...)`` gives the complex of the
-    kernels of a restriction inside these cells (see CochainComplex).
+    """The Koszul complex of system, g_d (x) Lambda^s on its n = base_dim
+    directions with the lowering differential sum_i D_i (x) (e^i ^ .), in
+    the coordinates of g_d (see CochainComplex).  Any family with
+    base_dim, grade(d) and lowering(d) will do: covariants' h/lambda(g)
+    and g along tau's frame are two.  ``.restricted(...)`` gives the
+    complex of the kernels of a restriction inside these cells.
 
     A SymbolicSystem whose top supplied grade is full is full in every
     grade (closure fills the grades below it, prolongation those above).
     Its complex is value_dim copies of the scalar full one, as the
     differential is the identity on the value factor."""
-    n = system.base_dim
     if (isinstance(system, SymbolicSystem) and system.value_dim > 1
             and system.grade(system.top).is_full):
-        return _ValueSplit([(system.value_dim, spencer_complex(
-            SymbolicSystem(n, 1, {}, fill="full")))])
-
-    def cell(d: int, s: int) -> Subspace:
-        g = system.grade(d)
-        if g.dim == 0:
-            return Subspace.zero(TensorShape(g.ambient.base_dim, d, s,
-                                             g.ambient.value_dim, ext_dim=n))
-        return Subspace.full(GradeShape(g.dim, d, s, 1, n))
-
-    def differential(dom: GradeShape) -> _KoszulMap:
-        d = dom.sym_degree
-        lower = system.grade(d - 1)
-        scale = ([1] * lower.dim if lower.is_full else
-                 [row[c] for c, row in zip(lower.pivots, lower.int_rows)])
-        return _KoszulMap(dom, cell(d - 1, dom.ext_degree + 1).ambient,
-                          system.lowering(d), scale)
-
-    return CochainComplex(n, cell, differential)
+        return _ValueSplit([(system.value_dim, CochainComplex(
+            SymbolicSystem(system.base_dim, 1, {}, fill="full")))])
+    return CochainComplex(system)
 
 
 def spencer_H(system: SymbolicSystem, i: int, j: int) -> int:

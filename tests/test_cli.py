@@ -511,6 +511,24 @@ def test_any_package_error_is_precondition_failure(capsys, monkeypatch):
     assert "an unlisted package error" in err
 
 
+def test_main_builds_its_parser_once(capsys, count_calls):
+    # Every command of a process parses with one parser, whose subcommands
+    # name their handlers; main looks a handler up when it runs it, so a
+    # handler patched after the parser was built is the one that runs (as
+    # above).
+    import argparse
+    from spencer import cli
+
+    parser = cli.build_parser()
+    built = count_calls(argparse.ArgumentParser, "__init__")
+    for argv in (["symbols", "--group", "general:m=2"],
+                 ["cohomology", "--group", "general:m=2", "--l", "1..2"]):
+        assert main(argv) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["command"] == argv[0] and "func" not in config
+    assert built.total() == 0 and cli.build_parser() is parser
+
+
 # ---------------------------------------------------------------- grammar fuzz
 
 COMMANDS = [["symbols"], ["covariants"], ["transversality"], ["oracle"]] + [

@@ -555,6 +555,34 @@ def _family(grade, lowering, base_dim=2):
     return SimpleNamespace(base_dim=base_dim, grade=grade, lowering=lowering)
 
 
+def restriction_reads(monkeypatch):
+    """Counts, per (d, s), the engine's reads of pi(d, s) through the
+    restrictions that covariants._restrictions gives from here on."""
+    covariants_module = importlib.import_module("spencer.covariants")
+    reads = collections.Counter()
+    given = covariants_module._restrictions
+
+    def counted(*args):
+        restriction = given(*args)
+
+        def read(d, s, wc):
+            reads[(d, s)] += 1
+            return restriction(d, s, wc)
+
+        return read
+
+    monkeypatch.setattr(covariants_module, "_restrictions", counted)
+    return reads
+
+
+def engine_checks(count_calls):
+    """Counts the engine's checks by (kind, d): "square" for delta^2 = 0
+    from (d, 0), "closure" for the restriction's kernels at degree d."""
+    return count_calls(CochainComplex, "_check",
+                       key=lambda cx, d, functionals, span, what:
+                       ("square" if "square" in what else "closure", d))
+
+
 def test_engine_rejects_cells_that_are_not_differential_stable():
     # A grade that is not closed under lowering: the full grade 1 over a
     # zero grade 0.  The family's lowering table, which the engine reads
@@ -687,17 +715,18 @@ def test_full_cells_are_not_materialized(count_calls, capsys):
     assert built.total() == 0
 
 
-def test_stationary_table_builds_each_cell_once(count_calls, capsys):
+def test_stationary_table_builds_each_cell_once(count_calls, capsys,
+                                               monkeypatch):
     # The stationary row builds no cell of its own: per (d, s) the columns
-    # of its restriction on the Spencer cell, once, and per degree the
-    # restriction on g_d, once.  It intersects no stationary subspace and
-    # takes no plain differential: every grade has grade coordinates.
-    # volume:m=3 is not full, so its row is not split over the values.
+    # of its restriction on the Spencer cell, once, however often the
+    # engine reads them, and per degree the restriction on g_d, once.  It
+    # intersects no stationary subspace and takes no plain differential:
+    # every grade has grade coordinates.  volume:m=3 is not full, so its
+    # row is not split over the values.
     covariants_module = importlib.import_module("spencer.covariants")
     symbolic = importlib.import_module("spencer.symbolic")
-    built = count_calls(covariants_module._RestrictedColumns, "__init__",
-                        key=lambda columns, functionals, forms, shape:
-                        (shape.sym_degree, shape.ext_degree))
+    reads = restriction_reads(monkeypatch)
+    built = count_calls(covariants_module._RestrictedColumns, "__init__")
     restrictions = count_calls(FlagContext, "integral_restriction",
                                key=lambda ctx, l: l)
     stationary = count_calls(covariants_module, "stationary_subspace",
@@ -708,7 +737,7 @@ def test_stationary_table_builds_each_cell_once(count_calls, capsys):
                  "volume:m=3", "--flag", "tau=1,0,0;0,1,0",
                  "--l", "1..3"]) == 0
     capsys.readouterr()
-    assert built and set(built.values()) == {1}
+    assert built.total() == len(reads) and max(reads.values()) == 2
     assert sorted(restrictions) == [0, 1, 2, 3, 4]
     assert set(restrictions.values()) == {1}
     assert not stationary
@@ -717,13 +746,14 @@ def test_stationary_table_builds_each_cell_once(count_calls, capsys):
     # The stationary-tau table is the framed complex under the kernel of
     # lambda_d (x) id, so it takes the same counts on its cells and grades.
     built.clear()
+    reads.clear()
     restrictions.clear()
     gsys = system(parse_pseudogroup("volume:m=3"), 4)
     cx = tau_form_complex(axis_flag(3, 2), gsys, stationary=True)
     for d in range(4):
         for s in range(3):
             cx.H(d, s)
-    assert built and set(built.values()) == {1}
+    assert built.total() == len(reads) and max(reads.values()) == 2
     assert sorted(restrictions) == [0, 1, 2, 3, 4]
     assert set(restrictions.values()) == {1}
     assert not stationary
@@ -731,39 +761,40 @@ def test_stationary_table_builds_each_cell_once(count_calls, capsys):
 
 
 def test_stationary_table_checks_closure_once_per_degree(count_calls,
-                                                        capsys):
+                                                        capsys, monkeypatch):
     covariants_module = importlib.import_module("spencer.covariants")
     argv = ["cohomology", "--table", "stationary", "--group", "volume:m=3",
             "--flag", "tau=1,0,0;0,1,0", "--l", "1..3"]
-    # The closure of the stationary cells is one rank check per degree.
-    # The grades of volume:m=3 are checked closed when the system is
-    # built, so the table itself makes no membership test.
+    # The closure of the stationary cells is one rank check per degree,
+    # and delta^2 = 0 one check per degree from 2 on.  The grades of
+    # volume:m=3 are checked closed when the system is built, so the table
+    # itself makes no membership test.
     gsys = system(parse_pseudogroup("volume:m=3"), 4)
     members = count_calls(Subspace, "contains_vector")
-    checks = count_calls(CochainComplex, "_check_restriction",
-                         key=lambda cx, d, *rest: d)
+    checks = engine_checks(count_calls)
+    every_degree = {("closure", d): 1 for d in range(1, 5)}
+    every_degree.update({("square", d): 1 for d in range(2, 5)})
     stationary_row_complex(axis_flag(3, 2), gsys).table(
         range(1, 4), range(3), "stationary")
     assert members.total() == 0
-    assert checks == {1: 1, 2: 1, 3: 1, 4: 1}
+    assert checks == every_degree
     checks.clear()
     assert main(argv) == 0
     capsys.readouterr()
-    assert checks == {1: 1, 2: 1, 3: 1, 4: 1}
+    assert checks == every_degree
 
     # Without s = 0 the table reads degrees 1..4 (the (d + 1, 0) cells feed
     # the incoming ranks at s = 1), builds the restriction on each (d, 0)
     # cell once, and checks each of those degrees once.
     checks.clear()
-    built = count_calls(covariants_module._RestrictedColumns, "__init__",
-                        key=lambda columns, functionals, forms, shape:
-                        (shape.sym_degree, shape.ext_degree))
+    reads = restriction_reads(monkeypatch)
+    built = count_calls(covariants_module._RestrictedColumns, "__init__")
     assert main(argv + ["--s", "1..1"]) == 0
     capsys.readouterr()
-    assert set(built.values()) == {1}
-    assert sorted(k for k in built if k[1] == 0) == [(d, 0)
+    assert built.total() == len(reads)
+    assert sorted(k for k in reads if k[1] == 0) == [(d, 0)
                                                     for d in range(1, 5)]
-    assert checks == {1: 1, 2: 1, 3: 1, 4: 1}
+    assert checks == every_degree
 
 
 def test_transversality_scan_builds_one_kernel_per_order(count_calls,
@@ -791,8 +822,7 @@ def test_transversality_scan_builds_each_framed_map_once(count_calls,
     combined = count_calls(covariants_module, "_along",
                            key=lambda t, table: (tuple(t.items()), id(table)))
     koszul = count_calls(symbolic._KoszulMap, "__init__",
-                         key=lambda delta, domain, codomain, *rest:
-                         (domain, codomain))
+                         key=lambda delta, table, scale, s: (id(table), s))
     assert main(["transversality", "--group", "complex:nc=3", "--flag",
                  "stratum=totally-real", "--l", "1..4"]) == 0
     capsys.readouterr()
@@ -804,9 +834,10 @@ def test_transversality_scan_builds_each_framed_map_once(count_calls,
 def test_framed_lowering_tables_are_integers_on_a_rational_flag(
         monkeypatch):
     # The tau-form complexes lower along tau_space's primitive integer
-    # rows, so their tables and delta^2 rows hold ints even where tau has
-    # Fractions; a basis change of tau leaves the tables as they are
-    # along tau, the reference's given rows.
+    # rows, so their tables, and the columns that the engine's checks
+    # compose, hold ints even where tau has Fractions; a basis change of
+    # tau leaves the tables as they are along tau, the reference's given
+    # rows.
     symbolic = importlib.import_module("spencer.symbolic")
     maps = []
     init = symbolic._KoszulMap.__init__
@@ -827,8 +858,8 @@ def test_framed_lowering_tables_are_integers_on_a_rational_flag(
     assert maps
     assert all(type(v) is int for delta in maps for low in delta._table
                for pairs in low.values() for _, v in pairs)
-    assert all(type(v) is int for delta in maps for row in delta.rows
-               for v in row.values())
+    assert all(type(v) is int for delta in maps
+               for _, column in delta.columns() for v in column.values())
 
 
 # Catalog systems and flags for the stationary-type families below; the
@@ -1110,35 +1141,34 @@ def test_split_stationary_table_of_a_full_system_matches_the_reference(m):
 
 
 def test_full_stationary_table_takes_one_value_coordinate(count_calls,
-                                                          capsys):
-    # The row of general:m=3 is split over its values: every
-    # restriction's columns are on one value coordinate, each cell's
-    # columns are built once, and the scalar grades take Koszul columns,
-    # so no plain differential is built.  The two parts share the scalar
-    # differential: each Koszul map is built once, and delta^2 = 0 is
-    # checked once per degree.
+                                                          capsys,
+                                                          monkeypatch):
+    # The row of general:m=3 is split over its values: the restriction is
+    # taken on the scalar system, each cell's columns are built once, and
+    # the scalar grades take Koszul columns, so no plain differential is
+    # built.  The two parts share the scalar differential: each Koszul map
+    # is built once, and delta^2 = 0 is checked once per degree.
     covariants_module = importlib.import_module("spencer.covariants")
     symbolic = importlib.import_module("spencer.symbolic")
-    built = count_calls(covariants_module._RestrictedColumns, "__init__",
-                        key=lambda columns, functionals, forms, shape:
-                        (shape.sym_degree, shape.ext_degree,
-                         shape.value_dim))
+    systems = count_calls(covariants_module, "_restrictions",
+                          key=lambda ctx, gsys, forms: gsys.value_dim)
+    reads = restriction_reads(monkeypatch)
+    built = count_calls(covariants_module._RestrictedColumns, "__init__")
     plain = count_calls(symbolic, "delta_map",
                         key=lambda shape: shape.value_dim)
     koszul = count_calls(symbolic._KoszulMap, "__init__",
-                         key=lambda delta, domain, *rest:
-                         (domain.sym_degree, domain.ext_degree))
-    squares = count_calls(CochainComplex, "_check_square",
-                          key=lambda cx, d, C: d)
+                         key=lambda delta, table, scale, s: (id(table), s))
+    checks = engine_checks(count_calls)
     assert main(["cohomology", "--table", "stationary", "--group",
                  "general:m=3", "--flag", "tau=1,0,0;0,1,0",
                  "--l", "1..3"]) == 0
     capsys.readouterr()
-    assert built and set(built.values()) == {1}
-    assert {value_dim for _, _, value_dim in built} == {1}
+    assert systems == {1: 1}
+    assert built.total() == len(reads)
     assert not plain
     assert koszul and set(koszul.values()) == {1}
-    assert squares and set(squares.values()) == {1}
+    squares = [d for kind, d in checks if kind == "square"]
+    assert squares and all(checks[("square", d)] == 1 for d in squares)
 
 
 def projective_system(m):
@@ -1254,22 +1284,26 @@ def test_tau_form_tables_on_a_generic_3_plane_match_the_reference(group):
 
 def test_zero_grades_take_zero_cells(count_calls):
     # From d = 2 on the grades of isometry:n=3 are zero, and so are their
-    # cells: no table builds an ambient differential on them, nor checks
-    # delta^2 from them.
+    # cells: no table builds an ambient differential or a Koszul map on
+    # them, nor checks anything from them.
     spec, ctx = flag_context("isometry:n=3", TABLE_PLANE)
     gsys = system(spec, 5)
     assert [gsys.dim(d) for d in range(8)] == [3, 3, 0, 0, 0, 0, 0, 0]
     symbolic = importlib.import_module("spencer.symbolic")
     plain = count_calls(symbolic, "delta_map")
-    squares = count_calls(CochainComplex, "_check_square",
-                          key=lambda cx, d, C: d)
+    koszul = count_calls(symbolic._KoszulMap, "__init__",
+                         key=lambda delta, table, scale, s: bool(table[0]))
+    checks = engine_checks(count_calls)
     d_range, s_range = range(1, 6), range(4)
     spencer_complex(gsys).table(d_range, s_range, "t")
     stationary_row_complex(ctx, gsys).table(d_range, s_range, "t")
     for stationary in (False, True):
         tau_form_complex(ctx, gsys, stationary).table(d_range, s_range, "t")
     assert plain.total() == 0
-    assert not squares
+    # Only on g_1, over the nonzero g_0: the Spencer complex of g and the
+    # framed one, and on g_1 the checks start only at degree 1.
+    assert koszul and set(koszul) == {True}
+    assert checks and {d for _, d in checks} == {1}
 
 
 # ------------------------------------------------- invariance under G_0
@@ -1351,10 +1385,30 @@ def matmul(A, B):
             for row in A]
 
 
-def test_flag_tables_are_invariant_under_the_linear_isotropy():
-    # The stationary, stationary-tau and restricted tables of a flag
-    # depend only on its orbit under G_0.  Each drawn A is first checked to
-    # preserve g_d exactly at every degree the tables read.
+def flag_text(tau):
+    """The --flag text of the rows tau."""
+    return "tau=" + ";".join(",".join(str(Fraction(v)) for v in row)
+                             for row in tau)
+
+
+def covariant_outputs(group, tau, gsys, capsys):
+    """The covariant table of a flag, and the covariants command's output
+    on it without its config, both as canonical JSON text."""
+    ctx = FlagContext(4, tau)
+    table = covariant_complex(ctx, gsys, None).table(range(4), range(3), "t")
+    assert main(["covariants", "--group", group, "--flag", flag_text(tau),
+                 "--l", "1..4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["config"]
+    return [json.dumps(table.to_jsonable()),
+            json.dumps(report, sort_keys=True)]
+
+
+def test_flag_tables_are_invariant_under_the_linear_isotropy(capsys):
+    # The stationary, stationary-tau, restricted and covariant tables of a
+    # flag, and its covariants report, depend only on its orbit under G_0.
+    # Each drawn A is first checked to preserve g_d exactly at every degree
+    # the tables and reports read.
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     small = st.integers(-2, 2)
@@ -1390,6 +1444,8 @@ def test_flag_tables_are_invariant_under_the_linear_isotropy():
         assert preserves(A, gsys, 4)
         assert flag_tables(4, moved(A, tau), gsys) == flag_tables(4, tau,
                                                                   gsys)
+        assert covariant_outputs(group, moved(A, tau), gsys, capsys) == \
+            covariant_outputs(group, tau, gsys, capsys)
 
     check()
 
@@ -1422,10 +1478,8 @@ def frame_outputs(group, tau, capsys):
     outputs = [json.dumps(tau_form_complex(ctx, gsys, stationary).table(
         range(3), range(ctx.n + 1), "t").to_jsonable())
         for stationary in (False, True)]
-    flag = "tau=" + ";".join(",".join(str(Fraction(v)) for v in row)
-                             for row in tau)
-    assert main(["transversality", "--group", group, "--flag", flag,
-                 "--l", "1..3"]) == 0
+    assert main(["transversality", "--group", group, "--flag",
+                 flag_text(tau), "--l", "1..3"]) == 0
     scan = json.loads(capsys.readouterr().out)
     del scan["config"]
     return outputs + [json.dumps(scan, sort_keys=True)]

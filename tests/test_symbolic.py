@@ -514,8 +514,8 @@ def test_delta_squared_check_divides_by_the_pivot_entries(monkeypatch):
     symbolic = importlib.import_module("spencer.symbolic")
     init = symbolic._KoszulMap.__init__
 
-    def unscaled(self, domain, codomain, table, scale):
-        init(self, domain, codomain, table, [1] * len(scale))
+    def unscaled(self, table, scale, s):
+        init(self, table, [1] * len(scale), s)
 
     monkeypatch.setattr(symbolic._KoszulMap, "__init__", unscaled)
     with pytest.raises(NotASubcomplex, match="square to zero at degree 3"):
@@ -523,8 +523,8 @@ def test_delta_squared_check_divides_by_the_pivot_entries(monkeypatch):
 
 
 def test_delta_squared_check_reads_the_rank_columns(monkeypatch, capsys):
-    # The check composes the rows of the very matrix whose columns the
-    # ranks read: both come from one column builder.  With every entry of
+    # The check composes the very columns that the ranks read: both come
+    # from one column builder.  With every entry of
     # those columns replaced by its absolute value the Koszul matrix no
     # longer squares to zero, so the table is refused instead of printed
     # nonzero.
@@ -565,8 +565,8 @@ def test_spencer_ranks_read_only_uncleared_nonempty_columns(monkeypatch,
     # after.  Of those elimination builds 88: the ones whose lead a later
     # column meets, and the ones that meet a pivot themselves.  The grades
     # and their lowering tables are built first, and the delta^2 check
-    # builds its rows without elimination, so every column built here is
-    # built by a rank.
+    # builds its columns without elimination, so every column built here
+    # is built by a rank.
     sysm = system(parse_pseudogroup("complex:nc=2"), 4)
     for d in range(1, 5):
         sysm.lowering(d)
